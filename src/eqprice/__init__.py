@@ -40,7 +40,6 @@ from .oracle import (
     ClassMember,
     FiniteClassOracle,
     FunctionClass,
-    LinearProductionForecaster,
     OracleState,
     make_oracle_state,
     oracle_excess_loss,

@@ -16,12 +16,12 @@ impossible:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .market import CostSpec, RegretLedger, best_response, record_step
+from .harness import ExperimentConfig, run_experiment
+from .market import CostSpec, GeneratorSpec, InstanceSpec, RegretLedger, record_step
 
 
 @dataclass(frozen=True)
@@ -174,49 +174,37 @@ def linear_cost_demo(
     per-period total regret is floored by the smaller of the two.
 
     ``policy`` is ``fixed_interval`` or ``constant_price`` (the latter uses
-    ``constant_price`` as the posted price). The seed is recorded for
-    reporting; both supported policies are deterministic.
+    ``constant_price`` as the posted price); the run goes through
+    :func:`~eqprice.harness.run_experiment` with ``seed`` as its base seed.
     """
-    from .policy_fixed import fixed_next_price, fixed_observe, make_fixed_state
-
     if cap is None:
         cap = 2.0 * demand
-    supplier = CostSpec.linear(c=unit_cost, cap=cap)
     if cap < demand:
         raise ValueError("cap below demand: clearing is impossible")
+    if policy == "constant_price":
+        if constant_price is None:
+            raise ValueError("constant_price policy needs a price")
+        params = {"p": constant_price}
+    elif policy == "fixed_interval":
+        params = {}
+    else:
+        raise ValueError(f"unsupported policy {policy!r} for the linear demo")
+    instance = InstanceSpec(
+        suppliers=(CostSpec.linear(c=unit_cost, cap=cap),),
+        demands=GeneratorSpec(kind="constant", value=demand),
+        horizon=horizon,
+    )
+    config = ExperimentConfig(
+        instance=instance, policy=policy, horizons=(horizon,), seed=seed,
+        policy_params=params,
+    )
+    rec = run_experiment(config)[0]
 
-    pay_eq = unit_cost * demand
-    cost_eq = unit_cost * demand
-
-    totals = np.empty(horizon)
-    unmet_sum = cost_sum = pay_sum = 0.0
-    state = make_fixed_state(horizon) if policy == "fixed_interval" else None
-    if policy == "constant_price" and constant_price is None:
-        raise ValueError("constant_price policy needs a price")
-
+    cost_eq = pay_eq = unit_cost * demand
     below_total = demand + (0.0 - cost_eq) + (0.0 - pay_eq)
     bound = min(below_total, 2.0 * unit_cost)
-
-    violations = 0
-    for t in range(horizon):
-        if policy == "fixed_interval":
-            p = fixed_next_price(state)
-        elif policy == "constant_price":
-            p = constant_price
-        else:
-            raise ValueError(f"unsupported policy {policy!r} for the linear demo")
-        x = best_response(supplier, p)
-        unmet = max(0.0, demand - x)
-        cost_inc = supplier.cost(x) - cost_eq
-        pay_inc = p * x - pay_eq
-        unmet_sum += unmet
-        cost_sum += cost_inc
-        pay_sum += pay_inc
-        totals[t] = unmet + cost_inc + pay_inc
-        if p != unit_cost and totals[t] < bound - 1e-12:
-            violations += 1
-        if policy == "fixed_interval":
-            state = fixed_observe(state, x, demand)
+    totals = rec.unmet_inc + rec.cost_inc + rec.pay_inc
+    violations = np.count_nonzero((rec.price != unit_cost) & (totals < bound - 1e-12))
 
     cum = np.cumsum(totals)
     ts = np.arange(1, horizon + 1, dtype=np.float64)
@@ -231,12 +219,12 @@ def linear_cost_demo(
         unit_cost=unit_cost,
         cap=cap,
         demand=demand,
-        unmet=unmet_sum,
-        cost_regret=cost_sum,
-        payment_regret=pay_sum,
+        unmet=rec.unmet,
+        cost_regret=rec.cost_regret,
+        payment_regret=rec.payment_regret,
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r2,
         per_period_bound=bound,
-        bound_violations=violations,
+        bound_violations=int(violations),
     )

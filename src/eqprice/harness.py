@@ -48,9 +48,16 @@ from .market import (
     equilibrium_price_batch,
 )
 from .oracle import ClassMember, FunctionClass, default_eta
-from .policy_contextual import default_gamma, default_grid_size
+from .policy_contextual import IGWParams, default_gamma, default_grid_size
 
 POLICIES = ("fixed_interval", "demand_grid", "contextual_igw", "constant_price")
+#: The ``policy_params`` keys each policy reads; any other key is rejected.
+POLICY_PARAMS = {
+    "fixed_interval": (),
+    "demand_grid": ("gamma_demand", "freeze_width"),
+    "contextual_igw": ("n_prices", "gamma_explore", "eta", "delta"),
+    "constant_price": ("p",),
+}
 
 PER_PERIOD_HEADER = "t,demand,price,production,unmet_inc,cost_inc,pay_inc"
 SUMMARY_HEADER = "policy,T,replication,seed,U_T,C_T,P_T,proxy_reg"
@@ -64,10 +71,11 @@ def _fmt(x: float) -> str:
 class ExperimentConfig:
     """One experiment: an instance, one policy, horizons x replications.
 
-    ``policy_params`` may carry: p (constant_price), gamma_demand and
-    freeze_width (demand_grid), n_prices / gamma_explore / eta / delta /
-    oracle_mode (contextual_igw). Missing entries fall back to the
-    theory-default tunings.
+    ``policy_params`` may carry the keys listed in :data:`POLICY_PARAMS`:
+    p (constant_price), gamma_demand and freeze_width (demand_grid),
+    n_prices / gamma_explore / eta / delta (contextual_igw). Missing
+    entries fall back to the theory-default tunings; unknown keys and
+    out-of-range values are rejected.
     """
 
     instance: InstanceSpec
@@ -87,6 +95,12 @@ class ExperimentConfig:
             raise ValueError("horizons must be sorted ascending")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        unknown = sorted(set(self.policy_params) - set(POLICY_PARAMS[self.policy]))
+        if unknown:
+            raise ValueError(
+                f"unknown policy_params {unknown} for {self.policy}; "
+                f"accepted: {list(POLICY_PARAMS[self.policy])}"
+            )
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
@@ -128,7 +142,6 @@ class RunRecord:
     unmet_inc: np.ndarray
     cost_inc: np.ndarray
     pay_inc: np.ndarray
-    context_hash: np.ndarray | None = None
     proxy_inc: np.ndarray | None = None
     unmet: float = 0.0
     cost_regret: float = 0.0
@@ -180,17 +193,8 @@ def _equilibrium_paths(inst: MarketInstance) -> tuple[np.ndarray, np.ndarray, np
     if families == {QUADRATIC}:
         mus = np.array([s.mu for s in inst.suppliers])
         ints = np.array([s.a for s in inst.suppliers])
-        if inst.demands.min() == inst.demands.max():
-            p = equilibrium_price_batch(mus, ints, inst.demands[:1])
-            p_stars = np.full(inst.horizon, p[0])
-        else:
-            p_stars = equilibrium_price_batch(mus, ints, inst.demands)
-        cost_eq = np.zeros(inst.horizon)
-        tot_eq = np.zeros(inst.horizon)
-        for mu_i, a_i in zip(mus, ints):
-            x = np.maximum(0.0, (p_stars - a_i) / mu_i)
-            cost_eq += 0.5 * mu_i * x * x + a_i * x
-            tot_eq += x
+        p_stars = equilibrium_price_batch(mus, ints, inst.demands)
+        tot_eq, cost_eq = _production_paths(inst, p_stars)
         return p_stars, cost_eq, p_stars * tot_eq
     if families == {LINEAR}:
         if len(inst.suppliers) != 1:
@@ -265,8 +269,10 @@ def _run_demand_grid(inst: MarketInstance, params: dict) -> dict:
     if not all(s.family == QUADRATIC for s in inst.suppliers):
         raise ValueError("demand_grid requires strongly convex quadratic suppliers")
     T = inst.horizon
-    gamma = params.get("gamma_demand") or (1.0 / math.sqrt(T))
-    freeze = params.get("freeze_width") or (1.0 / math.sqrt(T))
+    gamma = float(params.get("gamma_demand", 1.0 / math.sqrt(T)))
+    freeze = float(params.get("freeze_width", 1.0 / math.sqrt(T)))
+    if not (gamma > 0 and freeze > 0):
+        raise ValueError("gamma_demand and freeze_width must be positive")
     d_lo, d_hi = inst.demand_bounds
     n_cells = max(1, math.ceil((d_hi - d_lo) / gamma))
     p_stars, cost_eq, pay_eq = _equilibrium_paths(inst)
@@ -299,25 +305,35 @@ def _run_contextual(
         raise ValueError("contextual_igw requires a context sequence")
     T = inst.horizon
     n_members = len(cls)
-    K = int(params.get("n_prices") or default_grid_size(T, n_members))
-    delta = float(params.get("delta", 0.05))
-    gamma = float(
-        params.get("gamma_explore")
-        or default_gamma(T, K, n_members, delta=delta)
-    )
-    eta = float(params.get("eta") or default_eta(cls.bound))
+    K = params.get("n_prices", default_grid_size(T, n_members))
+    delta = params.get("delta", 0.05)
+    if "gamma_explore" in params:
+        gamma = params["gamma_explore"]
+    else:
+        gamma = default_gamma(T, K, n_members, delta=delta)
+    igw = IGWParams(gamma_explore=float(gamma), n_prices=K, delta=float(delta))
+    eta = float(params.get("eta", default_eta(cls.bound)))
+    if not eta > 0:
+        raise ValueError("eta must be positive")
 
+    u_true = inst.aggregate_coefficient_path()
+    if u_true.max() > cls.bound:
+        # The kernel does not clip observations to [0, B] as the oracle does.
+        raise ValueError(
+            f"true production at p=1 reaches {u_true.max():.6g}, above the "
+            f"class_bound {cls.bound}"
+        )
     phi = cls.coefficient_matrix()
     feats = apply_feature_map_batch(cls.feature_map_id(), inst.contexts)
     member_u = phi @ feats.T
-    u_true = inst.aggregate_coefficient_path()
     p_stars = inst.demands / u_true
-    grid = np.linspace(0.0, 1.0, K)
+    grid = np.linspace(0.0, 1.0, igw.n_prices)
     uniforms = rng.uniform(0.0, 1.0, T)
     log_w0 = np.full(n_members, -math.log(n_members))
 
     (_, price, prod, unmet, cost, pay, proxy, _, _, _) = kernels.contextual_trajectory(
-        member_u, log_w0, eta, u_true, inst.demands, p_stars, grid, gamma, uniforms
+        member_u, log_w0, eta, u_true, inst.demands, p_stars, grid,
+        igw.gamma_explore, uniforms,
     )
     return dict(
         price=price, production=prod, unmet_inc=unmet, cost_inc=cost,
@@ -356,7 +372,6 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
                     replication=rep,
                     seed=key,
                     demand=inst.demands,
-                    context_hash=inst.context_hashes(),
                     **cols,
                 )
             )

@@ -16,7 +16,6 @@ clearing price would fall outside that range.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -27,12 +26,6 @@ from .features import apply_feature_map, apply_feature_map_batch
 QUADRATIC = "quadratic"
 LINEAR = "linear"
 CONTEXT_QUADRATIC = "context_quadratic"
-
-#: Bisection stops once aggregate production is within this of the demand.
-#: Far below any regret tolerance used in tests.
-TOL_EQ = 1e-10
-MAX_BISECT_ITERS = 200
-
 
 class InfeasibleMarket(ValueError):
     """Demand cannot be met at any price in [0, 1]."""
@@ -195,19 +188,45 @@ def aggregate_production(
     return Allocation(per_supplier=per, total=total)
 
 
-def equilibrium_price(
-    suppliers: Sequence[CostSpec],
-    d: float,
-    theta=None,
-    tol: float = TOL_EQ,
-    max_iters: int = MAX_BISECT_ITERS,
-) -> float:
-    """Market-clearing price: bisection on the monotone map p -> total production.
+def _clearing_prices(
+    slopes: np.ndarray, intercepts: np.ndarray, demands: np.ndarray
+) -> np.ndarray:
+    """Exact clearing prices of a market whose supplier ``i`` produces
+    ``slopes[i] * max(0, p - intercepts[i])`` at price ``p``.
 
-    Requires every supplier strongly convex and the demand feasible at p = 1.
-    The returned price satisfies |total(p) - d| <= tol. By the first-order
-    conditions it equals every active supplier's marginal cost, so it also
-    minimizes total cost and total payment among demand-feasible allocations.
+    Aggregate supply is piecewise linear with kinks at the sorted
+    intercepts. Supply at each kink locates every demand's active set (the
+    suppliers whose intercept lies below its clearing price) by
+    ``searchsorted``; over that set S(p) = p * sum(s) - sum(s * a), so
+    p* = (d + sum(s * a)) / sum(s). Demands must be positive and the slopes
+    positive; feasibility at p = 1 is the caller's check.
+    """
+    slopes = np.asarray(slopes, dtype=np.float64)
+    intercepts = np.asarray(intercepts, dtype=np.float64)
+    demands = np.asarray(demands, dtype=np.float64)
+    if np.any(demands <= 0):
+        raise ValueError("demand must be positive")
+    order = np.argsort(intercepts, kind="stable")
+    a = intercepts[order]
+    s = slopes[order]
+    cum_s = np.cumsum(s)
+    cum_sa = np.cumsum(s * a)
+    # Supply at the k-th kink; rounding can break ties in a, so keep it monotone.
+    kink_supply = np.maximum.accumulate(a * cum_s - cum_sa)
+    k = np.searchsorted(kink_supply, demands, side="left") - 1
+    return np.minimum((demands + cum_sa[k]) / cum_s[k], 1.0)
+
+
+def equilibrium_price(suppliers: Sequence[CostSpec], d: float, theta=None) -> float:
+    """Market-clearing price: the exact root of total production(p) = d.
+
+    Requires every supplier strongly convex and the demand feasible at
+    p = 1. A quadratic supplier responds with slope 1/mu above its
+    intercept a, a contextual one with slope <phi, sigma(theta)> above 0,
+    so mixed markets solve through the same exact formula. By the
+    first-order conditions the price equals every active supplier's
+    marginal cost, so it also minimizes total cost and total payment among
+    demand-feasible allocations.
     """
     if d <= 0:
         raise ValueError("demand must be positive")
@@ -221,31 +240,18 @@ def equilibrium_price(
         raise InfeasibleMarket(
             f"aggregate production at p=1 is below demand {d}; no clearing price in [0, 1]"
         )
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        total = aggregate_production(suppliers, mid, theta).total
-        if abs(total - d) <= tol:
-            return mid
-        if total < d:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    slopes = [1.0 / s.mu if s.family == QUADRATIC else s.coefficient(theta) for s in suppliers]
+    intercepts = [s.a if s.family == QUADRATIC else 0.0 for s in suppliers]
+    return float(_clearing_prices(slopes, intercepts, [d])[0])
 
 
 def equilibrium_price_batch(
-    mus: np.ndarray,
-    intercepts: np.ndarray,
-    demands: np.ndarray,
-    tol: float = TOL_EQ,
-    max_iters: int = MAX_BISECT_ITERS,
+    mus: np.ndarray, intercepts: np.ndarray, demands: np.ndarray
 ) -> np.ndarray:
-    """Vectorized clearing prices for an all-quadratic market over many demands.
+    """Exact clearing prices of an all-quadratic market over many demands.
 
     Element-for-element identical to calling :func:`equilibrium_price` per
-    demand: each element freezes at the first midpoint within tolerance.
+    demand.
     """
     mus = np.asarray(mus, dtype=np.float64)
     intercepts = np.asarray(intercepts, dtype=np.float64)
@@ -253,26 +259,7 @@ def equilibrium_price_batch(
     cap = np.sum(np.maximum(0.0, (1.0 - intercepts) / mus))
     if np.any(demands > cap):
         raise InfeasibleMarket("some demands infeasible at p=1")
-    lo = np.zeros_like(demands)
-    hi = np.ones_like(demands)
-    out = np.full_like(demands, 0.5)
-    done = np.zeros(demands.shape, dtype=bool)
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        total = np.zeros_like(demands)
-        for mu_i, a_i in zip(mus, intercepts):
-            total += np.maximum(0.0, (mid - a_i) / mu_i)
-        hit = (np.abs(total - demands) <= tol) & ~done
-        out[hit] = mid[hit]
-        done |= hit
-        low = (total < demands) & ~done
-        lo[low] = mid[low]
-        high = (total >= demands) & ~done
-        hi[high] = mid[high]
-        if done.all():
-            break
-    out[~done] = 0.5 * (lo[~done] + hi[~done])
-    return out
+    return _clearing_prices(1.0 / mus, intercepts, demands)
 
 
 @dataclass
@@ -565,12 +552,3 @@ class MarketInstance:
                 raise ValueError("aggregate coefficient path requires contextual suppliers")
             total += self.coefficient_path(s)
         return total
-
-    def context_hashes(self) -> np.ndarray | None:
-        """CRC-32 of each context row's float64 bytes (stable across runs)."""
-        if self.contexts is None:
-            return None
-        out = np.empty(self.horizon, dtype=np.uint32)
-        for t in range(self.horizon):
-            out[t] = zlib.crc32(self.contexts[t].tobytes())
-        return out

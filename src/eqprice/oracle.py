@@ -8,17 +8,6 @@ the default eta = 2/B^2 (B the output bound) the excess squared error over
 the best member stays at most (1/eta) * ln(n_members) on the streams this
 package tests, the finite-class estimation guarantee the contextual policy
 consumes.
-
-Two labeled modes:
-
-- ``aggregating`` (default): fixed eta = 2/B^2, excess ~ ln|F|.
-- ``hedge``: horizon-tuned eta = sqrt(8 ln|F| / T) / B^2, the plain
-  exponentially-weighted-mean tuning with the weaker O(sqrt(T log |F|))
-  excess-loss behavior. Kept for comparison runs; not used by default.
-
-A recursive ridge forecaster for linear-in-feature production functions is
-provided behind the same predict/update interface for infinite linear
-classes.
 """
 
 from __future__ import annotations
@@ -130,13 +119,8 @@ class FunctionClass:
 
 
 def default_eta(bound: float) -> float:
-    """Learning rate 2/B^2 of the aggregating mode."""
+    """Learning rate 2/B^2 of the exponential-weights oracle."""
     return 2.0 / (bound * bound)
-
-
-def hedge_eta(n_members: int, horizon: int, bound: float) -> float:
-    """Horizon-tuned rate of the plain weighted-mean (hedge) mode."""
-    return math.sqrt(8.0 * math.log(n_members) / horizon) / (bound * bound)
 
 
 @dataclass(frozen=True)
@@ -162,22 +146,10 @@ class OracleState:
         return w / w.sum()
 
 
-def make_oracle_state(
-    cls: FunctionClass,
-    eta: float | None = None,
-    mode: str = "aggregating",
-    horizon: int | None = None,
-) -> OracleState:
-    """Uniform-weight state. mode selects the eta default; an explicit eta wins."""
+def make_oracle_state(cls: FunctionClass, eta: float | None = None) -> OracleState:
+    """Uniform-weight state; eta defaults to :func:`default_eta` of the bound."""
     if eta is None:
-        if mode == "aggregating":
-            eta = default_eta(cls.bound)
-        elif mode == "hedge":
-            if horizon is None:
-                raise ValueError("hedge mode needs the horizon to tune eta")
-            eta = hedge_eta(len(cls), horizon, cls.bound)
-        else:
-            raise ValueError(f"unknown oracle mode {mode!r}")
+        eta = default_eta(cls.bound)
     if not eta > 0:
         raise ValueError("eta must be positive")
     n = len(cls)
@@ -232,9 +204,9 @@ def oracle_excess_loss(state: OracleState) -> float:
 class FiniteClassOracle:
     """Stateful wrapper over the functional oracle ops, for policy drivers."""
 
-    def __init__(self, cls: FunctionClass, eta: float | None = None, mode: str = "aggregating", horizon: int | None = None):
+    def __init__(self, cls: FunctionClass, eta: float | None = None):
         self.cls = cls
-        self.state = make_oracle_state(cls, eta=eta, mode=mode, horizon=horizon)
+        self.state = make_oracle_state(cls, eta=eta)
 
     @property
     def bound(self) -> float:
@@ -255,36 +227,3 @@ class FiniteClassOracle:
     def excess_loss(self) -> float:
         return oracle_excess_loss(self.state)
 
-
-class LinearProductionForecaster:
-    """Recursive ridge forecaster for linear production classes.
-
-    Predicts with features z = p * sigma(theta): the forward-regularized
-    least-squares recursion (the current feature enters the Gram matrix
-    before predicting), clipped to [0, B]. Achieves O(dim log T) excess
-    squared loss against the best linear coefficient vector.
-    """
-
-    def __init__(self, dim: int, bound: float, ridge: float = 1.0, feature_map_id: str = "identity"):
-        if dim < 1:
-            raise ValueError("feature dimension must be >= 1")
-        self.bound = float(bound)
-        self.feature_map_id = feature_map_id
-        self.gram = np.eye(dim) * float(ridge)
-        self.moment = np.zeros(dim)
-
-    def _features(self, p: float, theta) -> np.ndarray:
-        return p * apply_feature_map(self.feature_map_id, theta)
-
-    def predict(self, p: float, theta=None) -> float:
-        z = self._features(p, theta)
-        w = np.linalg.solve(self.gram + np.outer(z, z), self.moment)
-        return float(min(max(z @ w, 0.0), self.bound))
-
-    def predict_at_prices(self, prices: np.ndarray, theta=None) -> np.ndarray:
-        return np.array([self.predict(float(p), theta) for p in prices])
-
-    def update(self, p: float, theta, x_observed: float) -> None:
-        z = self._features(p, theta)
-        self.gram += np.outer(z, z)
-        self.moment += float(x_observed) * z

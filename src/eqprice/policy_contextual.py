@@ -47,10 +47,10 @@ class IGWParams:
     delta: float = 0.05
 
     def __post_init__(self):
+        if not isinstance(self.n_prices, (int, np.integer)) or self.n_prices < 2:
+            raise ValueError("n_prices must be an integer >= 2")
         if not self.gamma_explore > 0:
             raise ValueError("gamma_explore must be positive")
-        if self.n_prices < 2:
-            raise ValueError("n_prices must be >= 2")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -81,6 +81,8 @@ def default_gamma(
 ) -> float:
     """gamma = sqrt(K*T / (ln|F| + eps^2 T + ln(1/delta))), the rate-optimal
     exploration weight for a finite class (eps = 0 when well-specified)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     est_bound = math.log(max(n_members, 2))
     denom = est_bound + miss_spec * miss_spec * horizon + math.log(1.0 / delta)
     return math.sqrt(n_prices * horizon / denom)

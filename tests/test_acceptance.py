@@ -25,7 +25,6 @@ from eqprice.market import (
     CostSpec,
     GeneratorSpec,
     InstanceSpec,
-    TOL_EQ,
     aggregate_production,
     best_response,
     equilibrium_price,
@@ -41,6 +40,8 @@ from eqprice.oracle import (
 from eqprice.policy_contextual import igw_distribution
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+#: Criterion 7's tolerance on the clearing-price KKT conditions.
+KKT_TOL = 1e-12
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -401,12 +402,12 @@ def test_criterion_7_lemma_suite():
         d = rng.uniform(0.05, cap)
         p = equilibrium_price(sup, d)
         alloc = aggregate_production(sup, p)
-        if abs(alloc.total - d) > TOL_EQ:
+        if abs(alloc.total - d) > KKT_TOL:
             kkt_viol += 1
         for s, x in zip(sup, alloc.per_supplier):
-            if x > 0 and abs(s.marginal_cost(x) - p) > TOL_EQ:
+            if x > 0 and abs(s.marginal_cost(x) - p) > KKT_TOL:
                 kkt_viol += 1
-            if x == 0 and s.marginal_cost(0.0) < p - TOL_EQ:
+            if x == 0 and s.marginal_cost(0.0) < p - KKT_TOL:
                 kkt_viol += 1
     detail.append(f"KKT violations {kkt_viol}/1000 instances")
     ok = ok and kkt_viol == 0

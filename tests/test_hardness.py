@@ -16,8 +16,8 @@ from eqprice.market import CostSpec, equilibrium_price
 
 def test_iid_instance_clearing_prices():
     inst = IidCostInstance()
-    assert equilibrium_price([inst.cost_a], 1.0) == pytest.approx(0.25, abs=1e-9)
-    assert equilibrium_price([inst.cost_b], 1.0) == pytest.approx(0.125, abs=1e-9)
+    assert equilibrium_price([inst.cost_a], 1.0) == pytest.approx(0.25, abs=1e-12)
+    assert equilibrium_price([inst.cost_b], 1.0) == pytest.approx(0.125, abs=1e-12)
 
 
 def test_expected_total_regret_values():

@@ -156,6 +156,62 @@ def test_config_validation():
         )
 
 
+def test_policy_params_unknown_key_rejected():
+    with pytest.raises(ValueError, match="n_prise"):
+        ExperimentConfig(
+            instance=contextual_spec(), policy="contextual_igw", horizons=(100,),
+            policy_params={"n_prise": 5},
+        )
+    with pytest.raises(ValueError, match="oracle_mode"):
+        ExperimentConfig(
+            instance=contextual_spec(), policy="contextual_igw", horizons=(100,),
+            policy_params={"oracle_mode": "hedge"},
+        )
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"n_prices": 1}, "n_prices"),
+        ({"n_prices": 0}, "n_prices"),
+        ({"delta": 5}, "delta"),
+        ({"gamma_explore": 10.0, "delta": 5}, "delta"),
+        ({"eta": 0.0}, "eta"),
+    ],
+)
+def test_contextual_params_out_of_range_rejected(params, message):
+    cfg = ExperimentConfig(
+        instance=contextual_spec(), policy="contextual_igw", horizons=(100,),
+        policy_params=params,
+    )
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
+
+
+def test_demand_grid_params_must_be_positive():
+    inst = InstanceSpec(
+        suppliers=(CostSpec.quadratic(0.5),),
+        demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
+        horizon=100,
+    )
+    cfg = ExperimentConfig(
+        instance=inst, policy="demand_grid", horizons=(100,),
+        policy_params={"gamma_demand": 0.0},
+    )
+    with pytest.raises(ValueError, match="gamma_demand"):
+        run_experiment(cfg)
+
+
+def test_contextual_rejects_production_above_class_bound():
+    # true production at p = 1 reaches sum(phi) * 1.5 = 6 > B = 2, where the
+    # reference oracle would clip observations and the kernel would not
+    cfg = ExperimentConfig(
+        instance=contextual_spec(bound=2.0), policy="contextual_igw", horizons=(100,)
+    )
+    with pytest.raises(ValueError, match="class_bound"):
+        run_experiment(cfg)
+
+
 def test_fit_scaling_power_law_exact():
     Ts = [10**3, 10**4, 10**5, 10**6]
     fit = fit_scaling(Ts, [5.0 * math.sqrt(t) for t in Ts], "power_law")
@@ -227,7 +283,6 @@ def test_record_cumulative_fields_match_columns():
     assert rec.payment_regret == float(np.cumsum(rec.pay_inc)[-1])
     assert rec.proxy_reg == float(np.cumsum(rec.proxy_inc)[-1])
     assert rec.cost_pos >= rec.cost_regret
-    assert rec.context_hash is not None and len(rec.context_hash) == 250
 
 
 def test_config_json_and_instance_path(tmp_path):

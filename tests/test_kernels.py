@@ -65,11 +65,11 @@ def test_fixed_kernel_matches_reference(backend):
     ref_prices, led, ref_state = reference_fixed(suppliers, d, T)
     assert np.array_equal(price, ref_prices)
     inc = np.array(led.per_period)
-    # ledger increments use the bisected clearing price; the kernel uses the
-    # same quantities, so agreement is to solver tolerance
-    assert np.allclose(unmet, inc[:, 0], atol=1e-9)
-    assert np.allclose(cost, inc[:, 1], atol=1e-9)
-    assert np.allclose(pay, inc[:, 2], atol=1e-9)
+    # the ledger and the kernel share the exact clearing price and differ
+    # only in summation order
+    assert np.allclose(unmet, inc[:, 0], atol=1e-12)
+    assert np.allclose(cost, inc[:, 1], atol=1e-12)
+    assert np.allclose(pay, inc[:, 2], atol=1e-12)
     assert shrinks == ref_state.shrink_count
     assert resets == ref_state.resets
     assert (a, b) == (ref_state.a, ref_state.b)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqprice.market import (
     CostSpec,
@@ -11,13 +13,16 @@ from eqprice.market import (
     InstanceSpec,
     MarketInstance,
     RegretLedger,
-    TOL_EQ,
     aggregate_production,
     best_response,
     equilibrium_price,
     equilibrium_price_batch,
     record_step,
 )
+
+#: Exact clearing prices meet the demand and the first-order conditions to
+#: within a few units of float64 rounding.
+KKT_TOL = 1e-12
 
 
 # --- best responses -------------------------------------------------------
@@ -95,20 +100,20 @@ def test_aggregate_monotone_in_price():
 # --- clearing price -------------------------------------------------------
 
 def test_equilibrium_price_paper_instances():
-    assert equilibrium_price([CostSpec.quadratic(0.25)], 1.0) == pytest.approx(0.25, abs=1e-9)
-    assert equilibrium_price([CostSpec.quadratic(0.125)], 1.0) == pytest.approx(0.125, abs=1e-9)
+    assert equilibrium_price([CostSpec.quadratic(0.25)], 1.0) == pytest.approx(0.25, abs=1e-12)
+    assert equilibrium_price([CostSpec.quadratic(0.125)], 1.0) == pytest.approx(0.125, abs=1e-12)
 
 
 def test_equilibrium_price_two_suppliers_closed_form():
     # p* = d / sum(1/mu)
     p = equilibrium_price([CostSpec.quadratic(1.0), CostSpec.quadratic(2.0)], 1.5)
-    assert p == pytest.approx(1.0, abs=1e-9)
+    assert p == pytest.approx(1.0, abs=1e-12)
 
 
 def test_equilibrium_price_production_matches_demand():
     sup = [CostSpec.quadratic(0.4, a=0.1), CostSpec.quadratic(0.9)]
     p = equilibrium_price(sup, 1.3)
-    assert abs(aggregate_production(sup, p).total - 1.3) <= TOL_EQ
+    assert abs(aggregate_production(sup, p).total - 1.3) <= KKT_TOL
 
 
 def test_equilibrium_price_rejects_linear():
@@ -148,9 +153,36 @@ def test_kkt_consistency_at_equilibrium():
         alloc = aggregate_production(sup, p)
         for s, x in zip(sup, alloc.per_supplier):
             if x > 0:
-                assert abs(s.marginal_cost(x) - p) <= TOL_EQ
+                assert abs(s.marginal_cost(x) - p) <= KKT_TOL
             else:
-                assert s.marginal_cost(0.0) >= p - TOL_EQ
+                assert s.marginal_cost(0.0) >= p - KKT_TOL
+
+
+_quadratic = st.builds(
+    CostSpec.quadratic, mu=st.floats(0.05, 2.0), a=st.floats(0.0, 0.9)
+)
+_contextual = st.builds(
+    CostSpec.context_quadratic, phi=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sup=st.lists(st.one_of(_quadratic, _contextual), min_size=1, max_size=5),
+    theta=st.lists(st.floats(0.5, 1.5), min_size=2, max_size=2),
+    frac=st.floats(1e-6, 1.0),
+)
+def test_clearing_price_kkt_mixed_markets(sup, theta, frac):
+    theta = np.array(theta)
+    d = frac * aggregate_production(sup, 1.0, theta).total
+    p = equilibrium_price(sup, d, theta)
+    alloc = aggregate_production(sup, p, theta)
+    assert abs(alloc.total - d) <= KKT_TOL
+    for s, x in zip(sup, alloc.per_supplier):
+        if x > 0:
+            assert abs(s.marginal_cost(x, theta) - p) <= KKT_TOL
+        else:
+            assert s.marginal_cost(0.0, theta) >= p - KKT_TOL
 
 
 # --- Lipschitz properties -------------------------------------------------

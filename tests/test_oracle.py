@@ -7,9 +7,7 @@ from eqprice.oracle import (
     ClassMember,
     FiniteClassOracle,
     FunctionClass,
-    LinearProductionForecaster,
     default_eta,
-    hedge_eta,
     make_oracle_state,
     oracle_excess_loss,
     oracle_predict,
@@ -128,13 +126,11 @@ def test_miss_specified_class():
     assert float(state.cum_member_loss.min()) <= eps * eps * T + 1e-9
 
 
-def test_hedge_mode_is_weaker_tuning():
-    cls = constant_class([0.2, 0.6], bound=1.0)
-    agg = make_oracle_state(cls, mode="aggregating")
-    hed = make_oracle_state(cls, mode="hedge", horizon=10_000)
-    assert agg.eta == default_eta(1.0)
-    assert hed.eta == hedge_eta(2, 10_000, 1.0)
-    assert hed.eta < agg.eta
+def test_default_eta_is_two_over_bound_squared():
+    cls = constant_class([0.2, 0.6], bound=1.5)
+    assert make_oracle_state(cls).eta == default_eta(1.5) == 2.0 / 1.5**2
+    with pytest.raises(ValueError):
+        make_oracle_state(cls, eta=0.0)
 
 
 def test_finite_class_oracle_wrapper():
@@ -173,19 +169,3 @@ def test_coefficient_matrix_requires_homogeneous_members():
     with pytest.raises(ValueError):
         cls.coefficient_matrix()
 
-
-def test_linear_forecaster_recovers_truth():
-    rng = np.random.Generator(np.random.Philox(key=64))
-    phi_true = np.array([1.2, 0.7])
-    fc = LinearProductionForecaster(dim=2, bound=4.0)
-    sq_err = 0.0
-    for t in range(400):
-        theta = rng.uniform(0.5, 1.5, 2)
-        p = float(rng.uniform(0.0, 1.0))
-        x = p * float(phi_true @ theta)
-        if t > 100:
-            sq_err += (fc.predict(p, theta) - x) ** 2
-        fc.update(p, theta, x)
-    assert sq_err <= 0.5
-    theta = np.array([1.0, 1.0])
-    assert fc.predict(0.5, theta) == pytest.approx(0.5 * 1.9, abs=5e-2)
