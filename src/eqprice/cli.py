@@ -24,9 +24,11 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    SUMMARY_METRICS,
     ExperimentConfig,
     fit_scaling,
     load_config,
+    read_summary_csv,
     run_experiment,
     write_run_csv,
 )
@@ -99,8 +101,6 @@ def _cmd_hardness(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .harness import read_summary_csv
-
     rows = read_summary_csv(args.summary)
     horizons = sorted({r["T"] for r in rows})
     values = []
@@ -151,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="scaling-exponent fit over a summary CSV")
     p_fit.add_argument("--summary", required=True)
-    p_fit.add_argument("--metric", default="U_T",
-                       choices=("U_T", "C_T", "P_T", "proxy_reg"))
+    p_fit.add_argument("--metric", default="U_T", choices=SUMMARY_METRICS)
     p_fit.add_argument("--model", default="power_law", choices=("power_law", "loglog"))
     p_fit.add_argument("--out")
     p_fit.set_defaults(fn=_cmd_fit)

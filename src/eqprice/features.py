@@ -30,15 +30,6 @@ FEATURE_MAPS = {
 }
 
 
-def feature_dim(map_id: str, context_dim: int) -> int:
-    """Output dimension of the named map for a given context dimension."""
-    if map_id == "identity":
-        return context_dim
-    if map_id == "tanh_affine":
-        return context_dim + 1
-    raise KeyError(f"unknown feature map {map_id!r}")
-
-
 def apply_feature_map(map_id: str, theta: np.ndarray) -> np.ndarray:
     """Apply the named map to one context vector."""
     try:

@@ -15,7 +15,7 @@ configuration and seed, output CSV files are byte-identical across runs.
 CSV schemas (fixed headers, fixed column order, 17 significant digits):
 
 - per-period: ``t,demand,price,production,unmet_inc,cost_inc,pay_inc``
-- summary:    ``policy,T,replication,seed,U_T,C_T,P_T,proxy_reg``
+- summary:    ``policy,T,replication,seed,U_T,C_T,P_T,C_T_pos,P_T_pos,proxy_reg``
   (proxy_reg is nan for policies without a sampling distribution)
 
 Rate fits
@@ -25,7 +25,8 @@ chosen model: ``power_law`` fits log(value) on log(T); ``loglog`` fits
 value on log(log(T)). Cumulative cost and payment regret are signed and go
 negative for persistently under-priced trajectories, so rate fits use the
 overshoot-only accumulations (sums of positive increments) exposed on each
-run record; those are the quantities whose growth the theory controls.
+run record and in the summary CSV; those are the quantities whose growth
+the theory controls.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .market import (
 )
 from .oracle import ClassMember, FunctionClass, default_eta
 from .policy_contextual import IGWParams, default_gamma, default_grid_size
+from .policy_demand import DemandGrid, make_demand_state
 
 POLICIES = ("fixed_interval", "demand_grid", "contextual_igw", "constant_price")
 #: The ``policy_params`` keys each policy reads; any other key is rejected.
@@ -60,7 +62,9 @@ POLICY_PARAMS = {
 }
 
 PER_PERIOD_HEADER = "t,demand,price,production,unmet_inc,cost_inc,pay_inc"
-SUMMARY_HEADER = "policy,T,replication,seed,U_T,C_T,P_T,proxy_reg"
+#: Summary CSV metric columns, in order; each is a :meth:`RunRecord.metric` name.
+SUMMARY_METRICS = ("U_T", "C_T", "P_T", "C_T_pos", "P_T_pos", "proxy_reg")
+SUMMARY_HEADER = "policy,T,replication,seed," + ",".join(SUMMARY_METRICS)
 
 
 def _fmt(x: float) -> str:
@@ -186,102 +190,101 @@ def replication_stream(seed: int, replication: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _equilibrium_paths(inst: MarketInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p_star_t, cost_eq_t, pay_eq_t) per period for quadratic or single-
-    linear instances."""
+def _supplier_mix(inst: MarketInstance) -> str:
+    """The one supplier family of an instance the policies run on:
+    all-quadratic, a single linear supplier, or all-contextual."""
     families = {s.family for s in inst.suppliers}
-    if families == {QUADRATIC}:
+    if len(families) != 1:
+        raise ValueError(
+            "harness trajectories support all-quadratic, single-linear, or "
+            f"all-contextual instances; got families {sorted(families)}"
+        )
+    if families == {LINEAR} and len(inst.suppliers) != 1:
+        raise ValueError("linear instances support a single supplier")
+    return families.pop()
+
+
+def _equilibrium_paths(inst: MarketInstance, mix: str) -> tuple[np.ndarray, np.ndarray]:
+    """(cost_eq_t, pay_eq_t): total cost and payment of every period's
+    clearing allocation, for a supplier mix from :func:`_supplier_mix`."""
+    if mix == LINEAR:
+        # p* = c, where the supplier is indifferent and the clearing
+        # allocation produces exactly the demand.
+        base = inst.suppliers[0].c * inst.demands
+        return base, base
+    if mix == QUADRATIC:
         mus = np.array([s.mu for s in inst.suppliers])
         ints = np.array([s.a for s in inst.suppliers])
         p_stars = equilibrium_price_batch(mus, ints, inst.demands)
-        tot_eq, cost_eq = _production_paths(inst, p_stars)
-        return p_stars, cost_eq, p_stars * tot_eq
-    if families == {LINEAR}:
-        if len(inst.suppliers) != 1:
-            raise ValueError("linear instances support a single supplier")
-        s = inst.suppliers[0]
-        if s.cap < inst.demands.max():
-            raise ValueError("linear supplier cap below demand: no clearing price")
-        if s.c > 1.0:
-            raise ValueError("linear clearing price above 1")
-        p_stars = np.full(inst.horizon, s.c)
-        base = s.c * inst.demands
-        return p_stars, base.copy(), base.copy()
-    raise ValueError(
-        "harness trajectories support all-quadratic, single-linear, or "
-        f"all-contextual instances; got families {sorted(families)}"
-    )
+    else:
+        p_stars = inst.demands / inst.aggregate_coefficient_path()
+    tot_eq, cost_eq = _production_paths(inst, p_stars, mix)
+    return cost_eq, p_stars * tot_eq
 
 
-def _production_paths(inst: MarketInstance, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(total production, total cost) per period at the given price path."""
+def _production_paths(
+    inst: MarketInstance, prices: np.ndarray, mix: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(total production, total cost) per period at the given price path,
+    for a supplier mix from :func:`_supplier_mix`.
+
+    An all-contextual market produces the price times the aggregate
+    coefficient path u_t, the value the contextual oracle observes; each
+    supplier's cost x_i^2 / (2 u_i) = p x_i / 2, so the total is p x / 2.
+    """
+    if mix == CONTEXT_QUADRATIC:
+        tot = prices * inst.aggregate_coefficient_path()
+        return tot, 0.5 * prices * tot
     tot = np.zeros(inst.horizon)
     cost = np.zeros(inst.horizon)
     for s in inst.suppliers:
-        if s.family == QUADRATIC:
+        if mix == QUADRATIC:
             x = np.maximum(0.0, (prices - s.a) / s.mu)
             cost += 0.5 * s.mu * x * x + s.a * x
-        elif s.family == LINEAR:
+        else:
             x = np.where(prices >= s.c, s.cap, 0.0)
             cost += s.c * x
-        else:
-            u = inst.coefficient_path(s)
-            x = prices * u
-            cost += x * x / (2.0 * u)
         tot += x
     return tot, cost
 
 
-def _run_constant_price(inst: MarketInstance, p: float) -> dict:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("constant price must lie in [0, 1]")
-    prices = np.full(inst.horizon, float(p))
-    if all(s.family == CONTEXT_QUADRATIC for s in inst.suppliers):
-        u = inst.aggregate_coefficient_path()
-        p_stars = inst.demands / u
-        prod = prices * u
-        cost_inc = (prices**2 - p_stars**2) * u * 0.5
-        pay_inc = (prices**2 - p_stars**2) * u
-    else:
-        p_stars, cost_eq, pay_eq = _equilibrium_paths(inst)
-        prod, cost_actual = _production_paths(inst, prices)
-        cost_inc = cost_actual - cost_eq
-        pay_inc = prices * prod - pay_eq
-    unmet = np.maximum(0.0, inst.demands - prod)
+def _regret_columns(inst: MarketInstance, prices: np.ndarray, mix: str) -> dict:
+    """Per-period production and regret increments of a posted price path,
+    measured against every period's clearing allocation; the same for
+    every policy."""
+    cost_eq, pay_eq = _equilibrium_paths(inst, mix)
+    prod, cost = _production_paths(inst, prices, mix)
     return dict(
-        price=prices, production=prod, unmet_inc=unmet, cost_inc=cost_inc, pay_inc=pay_inc
+        price=prices,
+        production=prod,
+        unmet_inc=np.maximum(0.0, inst.demands - prod),
+        cost_inc=cost - cost_eq,
+        pay_inc=prices * prod - pay_eq,
     )
 
 
-def _run_fixed_interval(inst: MarketInstance) -> dict:
+def _fixed_prices(inst: MarketInstance) -> np.ndarray:
     if inst.demands.min() != inst.demands.max():
         raise ValueError("fixed_interval expects a constant demand sequence")
-    d = float(inst.demands[0])
-    p_stars, cost_eq, pay_eq = _equilibrium_paths(inst)
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
-    price, prod, unmet, cost, pay, *_ = kernels.fixed_trajectory(
-        fam, p1, p2, d, inst.horizon, float(cost_eq[0]), float(pay_eq[0])
-    )
-    return dict(price=price, production=prod, unmet_inc=unmet, cost_inc=cost, pay_inc=pay)
+    return kernels.fixed_trajectory(fam, p1, p2, float(inst.demands[0]), inst.horizon)[0]
 
 
-def _run_demand_grid(inst: MarketInstance, params: dict) -> dict:
-    if not all(s.family == QUADRATIC for s in inst.suppliers):
+def _demand_prices(inst: MarketInstance, mix: str, params: dict) -> np.ndarray:
+    if mix != QUADRATIC:
         raise ValueError("demand_grid requires strongly convex quadratic suppliers")
     T = inst.horizon
     gamma = float(params.get("gamma_demand", 1.0 / math.sqrt(T)))
     freeze = float(params.get("freeze_width", 1.0 / math.sqrt(T)))
     if not (gamma > 0 and freeze > 0):
         raise ValueError("gamma_demand and freeze_width must be positive")
-    d_lo, d_hi = inst.demand_bounds
-    n_cells = max(1, math.ceil((d_hi - d_lo) / gamma))
-    p_stars, cost_eq, pay_eq = _equilibrium_paths(inst)
+    grid = DemandGrid.from_width(*inst.demand_bounds, gamma)
+    state = make_demand_state(grid, T, freeze)
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
-    price, prod, unmet, cost, pay, _ = kernels.demand_trajectory(
-        fam, p1, p2, inst.demands, p_stars, cost_eq, pay_eq,
-        d_lo, gamma, n_cells, freeze,
-    )
-    return dict(price=price, production=prod, unmet_inc=unmet, cost_inc=cost, pay_inc=pay)
+    return kernels.demand_trajectory(
+        fam, p1, p2, inst.demands, state.s_lo, state.s_hi, state.eps,
+        grid.d_lo, grid.gamma, grid.n_cells, state.freeze_width,
+    )[0]
 
 
 def _contextual_class(inst_spec: InstanceSpec) -> FunctionClass:
@@ -293,13 +296,15 @@ def _contextual_class(inst_spec: InstanceSpec) -> FunctionClass:
     return FunctionClass(members=members, bound=float(inst_spec.class_bound))
 
 
-def _run_contextual(
+def _contextual_prices(
     inst: MarketInstance,
+    mix: str,
     cls: FunctionClass,
     params: dict,
     rng: np.random.Generator,
-) -> dict:
-    if not all(s.family == CONTEXT_QUADRATIC for s in inst.suppliers):
+) -> tuple[np.ndarray, np.ndarray]:
+    """(price path, proxy increments) of the sampling policy."""
+    if mix != CONTEXT_QUADRATIC:
         raise ValueError("contextual_igw requires context_quadratic suppliers")
     if inst.contexts is None:
         raise ValueError("contextual_igw requires a context sequence")
@@ -326,19 +331,14 @@ def _run_contextual(
     phi = cls.coefficient_matrix()
     feats = apply_feature_map_batch(cls.feature_map_id(), inst.contexts)
     member_u = phi @ feats.T
-    p_stars = inst.demands / u_true
     grid = np.linspace(0.0, 1.0, igw.n_prices)
     uniforms = rng.uniform(0.0, 1.0, T)
     log_w0 = np.full(n_members, -math.log(n_members))
 
-    (_, price, prod, unmet, cost, pay, proxy, _, _, _) = kernels.contextual_trajectory(
-        member_u, log_w0, eta, u_true, inst.demands, p_stars, grid,
-        igw.gamma_explore, uniforms,
+    _, price, proxy, *_ = kernels.contextual_trajectory(
+        member_u, log_w0, eta, u_true, inst.demands, uniforms, grid, igw.gamma_explore
     )
-    return dict(
-        price=price, production=prod, unmet_inc=unmet, cost_inc=cost,
-        pay_inc=pay, proxy_inc=proxy,
-    )
+    return price, proxy
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
@@ -354,17 +354,22 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
             key = config.seed + rep
             rng = replication_stream(config.seed, rep)
             inst = spec_T.materialize(rng)
+            mix = _supplier_mix(inst)
+            proxy = None
             if config.policy == "constant_price":
                 if "p" not in config.policy_params:
                     raise ValueError("constant_price requires policy_params['p']")
-                cols = _run_constant_price(inst, float(config.policy_params["p"]))
+                p = float(config.policy_params["p"])
+                if not 0.0 <= p <= 1.0:
+                    raise ValueError("constant price must lie in [0, 1]")
+                prices = np.full(T, p)
             elif config.policy == "fixed_interval":
-                cols = _run_fixed_interval(inst)
+                prices = _fixed_prices(inst)
             elif config.policy == "demand_grid":
-                cols = _run_demand_grid(inst, config.policy_params)
+                prices = _demand_prices(inst, mix, config.policy_params)
             else:
                 cls = _contextual_class(spec_T)
-                cols = _run_contextual(inst, cls, config.policy_params, rng)
+                prices, proxy = _contextual_prices(inst, mix, cls, config.policy_params, rng)
             records.append(
                 RunRecord(
                     policy=config.policy,
@@ -372,7 +377,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
                     replication=rep,
                     seed=key,
                     demand=inst.demands,
-                    **cols,
+                    proxy_inc=proxy,
+                    **_regret_columns(inst, prices, mix),
                 )
             )
     if config.out is not None:
@@ -468,20 +474,9 @@ def write_run_csv(record: RunRecord, path: str | Path) -> None:
 def write_summary_csv(records: list[RunRecord], path: str | Path) -> None:
     lines = [SUMMARY_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                (
-                    r.policy,
-                    str(r.horizon),
-                    str(r.replication),
-                    str(r.seed),
-                    _fmt(r.unmet),
-                    _fmt(r.cost_regret),
-                    _fmt(r.payment_regret),
-                    _fmt(r.proxy_reg),
-                )
-            )
-        )
+        fields = [r.policy, str(r.horizon), str(r.replication), str(r.seed)]
+        fields += [_fmt(r.metric(name)) for name in SUMMARY_METRICS]
+        lines.append(",".join(fields))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -491,19 +486,10 @@ def read_summary_csv(path: str | Path) -> list[dict]:
         raise ValueError(f"unexpected summary header in {path}")
     rows = []
     for line in text[1:]:
-        policy, T, rep, seed, u, c, p, proxy = line.split(",")
-        rows.append(
-            {
-                "policy": policy,
-                "T": int(T),
-                "replication": int(rep),
-                "seed": int(seed),
-                "U_T": float(u),
-                "C_T": float(c),
-                "P_T": float(p),
-                "proxy_reg": float(proxy),
-            }
-        )
+        policy, T, rep, seed, *values = line.split(",")
+        row = {"policy": policy, "T": int(T), "replication": int(rep), "seed": int(seed)}
+        row.update(zip(SUMMARY_METRICS, map(float, values), strict=True))
+        rows.append(row)
     return rows
 
 

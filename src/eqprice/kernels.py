@@ -8,6 +8,15 @@ sequentially so both paths execute the identical operation order; the
 step-level policy modules are the reference implementations and the test
 suite checks kernel trajectories against them.
 
+A kernel computes only what its online loop needs: the production the
+policy observes as feedback and the policy state. It returns the posted
+price path, the final policy state and its counters (the contextual kernel
+also returns the arms, the expected mismatch ``proxy`` and the oracle's
+losses). Unmet demand, cost and payment regret depend only on the instance
+and the price path, so :mod:`eqprice.harness` computes them once for every
+policy. Argument and result positions are a fixed interface:
+``perfbench/tracer.py`` reads some of them by index.
+
 Supplier encoding: family code 0 = quadratic with (param1, param2) =
 (mu, a); family code 1 = linear with (param1, param2) = (c, cap).
 
@@ -26,13 +35,11 @@ FAMILY_QUADRATIC = 0
 FAMILY_LINEAR = 1
 
 
-def _fixed_trajectory(fam, param1, param2, d, T, cost_eq, pay_eq):
+def _fixed_trajectory(fam, param1, param2, d, T):
+    """Interval tracking at constant demand ``d``: returns
+    (price, a, b, eps, frozen, shrinks, resets)."""
     n = fam.shape[0]
     price = np.empty(T)
-    production = np.empty(T)
-    unmet = np.empty(T)
-    cost = np.empty(T)
-    pay = np.empty(T)
 
     a = 0.0
     b = 1.0
@@ -44,79 +51,63 @@ def _fixed_trajectory(fam, param1, param2, d, T, cost_eq, pay_eq):
 
     for t in range(T):
         if frozen:
-            p = a
-        else:
-            p = a + cursor * eps
-            if p > b:
-                p = b
+            price[t] = a
+            continue
+        p = a + cursor * eps
+        if p > b:
+            p = b
+        price[t] = p
+
         tot = 0.0
-        c_actual = 0.0
         for i in range(n):
             if fam[i] == FAMILY_QUADRATIC:
                 x = (p - param2[i]) / param1[i]
                 if x < 0.0:
                     x = 0.0
-                c_actual += 0.5 * param1[i] * x * x + param2[i] * x
             else:
                 x = param2[i] if p >= param1[i] else 0.0
-                c_actual += param1[i] * x
             tot += x
-        price[t] = p
-        production[t] = tot
-        unmet[t] = d - tot if tot < d else 0.0
-        cost[t] = c_actual - cost_eq
-        pay[t] = p * tot - pay_eq
-
-        if not frozen:
-            if tot >= d:
-                if cursor == 0:
-                    new_a = a
-                else:
-                    new_a = a + (cursor - 1) * eps
-                    if new_a > b:
-                        new_a = b
-                a = new_a
-                b = p
-                eps = eps * eps
-                cursor = 0
-                shrinks += 1
-                if b - a <= 1.0 / T:
-                    frozen = True
+        if tot >= d:
+            if cursor == 0:
+                new_a = a
             else:
-                if p >= b:
-                    cursor = 0
-                    resets += 1
-                else:
-                    cursor += 1
+                new_a = a + (cursor - 1) * eps
+                if new_a > b:
+                    new_a = b
+            a = new_a
+            b = p
+            eps = eps * eps
+            cursor = 0
+            shrinks += 1
+            if b - a <= 1.0 / T:
+                frozen = True
+        else:
+            if p >= b:
+                cursor = 0
+                resets += 1
+            else:
+                cursor += 1
 
-    return price, production, unmet, cost, pay, shrinks, resets, a, b, eps, frozen
+    return price, a, b, eps, frozen, shrinks, resets
 
 
 def _demand_trajectory(
-    fam,
-    param1,
-    param2,
-    demands,
-    p_stars,
-    cost_eq,
-    pay_eq,
-    d_lo,
-    gamma,
-    n_cells,
-    freeze_width,
+    fam, param1, param2, demands, s_lo, s_hi, eps, d_lo, gamma, n_cells, freeze_width
 ):
+    """One interval search per demand cell, starting from the per-cell
+    feasible sets (s_lo, s_hi] and precisions ``eps`` of a
+    :class:`~eqprice.policy_demand.DemandPolicyState`, each cell priced at
+    the low end of its set. The inputs are not modified. Returns
+    (price, s_lo, s_hi, cell_price, eps, shrinks): the price path and the
+    final per-cell state in the order of the state's fields."""
     n = fam.shape[0]
     T = demands.shape[0]
     price = np.empty(T)
-    production = np.empty(T)
-    unmet = np.empty(T)
-    cost = np.empty(T)
-    pay = np.empty(T)
 
-    s_lo = np.zeros(n_cells)
-    s_hi = np.ones(n_cells)
-    cell_price = np.zeros(n_cells)
-    cell_eps = np.full(n_cells, 0.5)
+    s_lo = s_lo.copy()
+    s_hi = s_hi.copy()
+    cell_price = s_lo.copy()
+    cell_eps = eps.copy()
     shrinks = 0
 
     for t in range(T):
@@ -127,60 +118,43 @@ def _demand_trajectory(
         if k >= n_cells:
             k = n_cells - 1
         p = cell_price[k]
+        price[t] = p
+        if s_hi[k] - s_lo[k] <= freeze_width:
+            continue
+
         tot = 0.0
-        c_actual = 0.0
         for i in range(n):
             if fam[i] == FAMILY_QUADRATIC:
                 x = (p - param2[i]) / param1[i]
                 if x < 0.0:
                     x = 0.0
-                c_actual += 0.5 * param1[i] * x * x + param2[i] * x
             else:
                 x = param2[i] if p >= param1[i] else 0.0
-                c_actual += param1[i] * x
             tot += x
-        price[t] = p
-        production[t] = tot
-        unmet[t] = d - tot if tot < d else 0.0
-        cost[t] = c_actual - cost_eq[t]
-        pay[t] = p * tot - pay_eq[t]
+        a_k = d_lo + k * gamma
+        if tot >= a_k:
+            s_lo[k] = p - cell_eps[k]
+            s_hi[k] = p
+            cell_price[k] = p - cell_eps[k]
+            cell_eps[k] = cell_eps[k] * cell_eps[k]
+            shrinks += 1
+        else:
+            nxt = p + cell_eps[k]
+            cell_price[k] = 1.0 if nxt > 1.0 else nxt
 
-        if s_hi[k] - s_lo[k] > freeze_width:
-            a_k = d_lo + k * gamma
-            if tot >= a_k:
-                s_lo[k] = p - cell_eps[k]
-                s_hi[k] = p
-                cell_price[k] = p - cell_eps[k]
-                cell_eps[k] = cell_eps[k] * cell_eps[k]
-                shrinks += 1
-            else:
-                nxt = p + cell_eps[k]
-                cell_price[k] = 1.0 if nxt > 1.0 else nxt
-
-    return price, production, unmet, cost, pay, shrinks
+    return price, s_lo, s_hi, cell_price, cell_eps, shrinks
 
 
-def _contextual_trajectory(
-    member_u,
-    log_w0,
-    eta,
-    u_true,
-    demands,
-    p_stars,
-    grid,
-    gamma,
-    uniforms,
-):
+def _contextual_trajectory(member_u, log_w0, eta, u_true, demands, uniforms, grid, gamma):
+    """Inverse-gap-weighted sampling driven by the exponential-weights
+    oracle, which observes production p_t * u_true[t]: returns (arm, price,
+    proxy, forecast_loss, final log-weights, cumulative member losses)."""
     F = member_u.shape[0]
     T = u_true.shape[0]
     K = grid.shape[0]
 
     arm_idx = np.empty(T, dtype=np.int64)
     price = np.empty(T)
-    production = np.empty(T)
-    unmet = np.empty(T)
-    cost = np.empty(T)
-    pay = np.empty(T)
     proxy = np.empty(T)
     forecast_loss = np.empty(T)
 
@@ -252,13 +226,8 @@ def _contextual_trajectory(
 
         p_t = grid[arm]
         x = p_t * u_t
-        ps = p_stars[t]
         arm_idx[t] = arm
         price[t] = p_t
-        production[t] = x
-        unmet[t] = d - x if x < d else 0.0
-        cost[t] = (p_t * p_t - ps * ps) * u_t * 0.5
-        pay[t] = (p_t * p_t - ps * ps) * u_t
 
         # exact expected mismatch under the sampling distribution
         e = 0.0
@@ -287,18 +256,7 @@ def _contextual_trajectory(
         for i in range(F):
             lw[i] -= log_z
 
-    return (
-        arm_idx,
-        price,
-        production,
-        unmet,
-        cost,
-        pay,
-        proxy,
-        forecast_loss,
-        lw,
-        cum_member_loss,
-    )
+    return arm_idx, price, proxy, forecast_loss, lw, cum_member_loss
 
 
 _fixed_trajectory_jit = compile_kernel(_fixed_trajectory)

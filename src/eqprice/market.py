@@ -256,7 +256,10 @@ def equilibrium_price_batch(
     mus = np.asarray(mus, dtype=np.float64)
     intercepts = np.asarray(intercepts, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
-    cap = np.sum(np.maximum(0.0, (1.0 - intercepts) / mus))
+    # Production at p = 1, summed in supplier order as aggregate_production does.
+    cap = 0.0
+    for mu, a in zip(mus, intercepts):
+        cap += max(0.0, (1.0 - a) / mu)
     if np.any(demands > cap):
         raise InfeasibleMarket("some demands infeasible at p=1")
     return _clearing_prices(1.0 / mus, intercepts, demands)
@@ -482,7 +485,9 @@ class MarketInstance:
     """Concrete instance: suppliers, a demand path, optional contexts, horizon.
 
     The constructor checks sequence lengths, demand bounds, and that the
-    clearing price lies in [0, 1] at every period (feasibility at p = 1).
+    clearing price lies in [0, 1] at every period: production at p = 1 must
+    cover every demand, with no slack, the same rule the clearing-price
+    solvers apply.
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -517,7 +522,7 @@ class MarketInstance:
         max_d = float(self.demands.max())
         if self.contexts is None:
             top = aggregate_production(self.suppliers, 1.0).total
-            if top < max_d - 1e-12:
+            if top < max_d:
                 raise InfeasibleMarket(
                     "clearing price above 1 for some period: production at "
                     f"p=1 is {top}, maximum demand {max_d}"
@@ -535,7 +540,7 @@ class MarketInstance:
                 totals += u
             else:
                 totals += best_response(s, 1.0)
-        if np.any(totals < self.demands - 1e-12):
+        if np.any(totals < self.demands):
             raise InfeasibleMarket("clearing price above 1 for some period")
 
     def coefficient_path(self, supplier: CostSpec) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,63 +23,36 @@ from .features import apply_feature_map
 
 @dataclass(frozen=True)
 class ClassMember:
-    """One candidate production function.
-
-    kinds: ``context_quadratic`` maps (p, theta) -> p * <phi, sigma(theta)>;
-    ``constant`` ignores its inputs; ``custom`` wraps an arbitrary callable
-    (not serializable).
+    """One candidate production function of the ``context_quadratic`` family:
+    (p, theta) -> p * <phi, sigma(theta)>, with sigma the named feature map.
     """
 
-    kind: str
-    phi: tuple[float, ...] = ()
+    phi: tuple[float, ...]
     feature_map_id: str = "identity"
-    value: float = 0.0
-    fn: Callable[[float, np.ndarray], float] | None = None
 
     @classmethod
     def context_quadratic(cls, phi: Sequence[float], feature_map_id: str = "identity"):
-        return cls(
-            kind="context_quadratic",
-            phi=tuple(float(v) for v in phi),
-            feature_map_id=feature_map_id,
-        )
+        return cls(phi=tuple(float(v) for v in phi), feature_map_id=feature_map_id)
 
-    @classmethod
-    def constant(cls, value: float):
-        return cls(kind="constant", value=float(value))
-
-    @classmethod
-    def custom(cls, fn: Callable[[float, np.ndarray], float]):
-        return cls(kind="custom", fn=fn)
-
-    def evaluate(self, p: float, theta=None) -> float:
-        if self.kind == "context_quadratic":
-            return p * float(
-                np.dot(self.phi, apply_feature_map(self.feature_map_id, theta))
-            )
-        if self.kind == "constant":
-            return self.value
-        return float(self.fn(p, theta))
+    def evaluate(self, p: float, theta) -> float:
+        if theta is None:
+            # a missing context would map to NaN features, not an error
+            raise ValueError("class members require a context")
+        return p * float(np.dot(self.phi, apply_feature_map(self.feature_map_id, theta)))
 
     def to_json_dict(self) -> dict:
-        if self.kind == "context_quadratic":
-            return {
-                "family": "context_quadratic",
-                "phi": list(self.phi),
-                "feature_map_id": self.feature_map_id,
-            }
-        if self.kind == "constant":
-            return {"family": "constant", "value": self.value}
-        raise ValueError("custom members are not serializable")
+        return {
+            "family": "context_quadratic",
+            "phi": list(self.phi),
+            "feature_map_id": self.feature_map_id,
+        }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ClassMember":
         fam = doc["family"]
-        if fam == "context_quadratic":
-            return cls.context_quadratic(doc["phi"], doc.get("feature_map_id", "identity"))
-        if fam == "constant":
-            return cls.constant(doc["value"])
-        raise ValueError(f"unknown class member family {fam!r}")
+        if fam != "context_quadratic":
+            raise ValueError(f"unknown class member family {fam!r}")
+        return cls.context_quadratic(doc["phi"], doc.get("feature_map_id", "identity"))
 
 
 @dataclass(frozen=True)
@@ -102,17 +75,13 @@ class FunctionClass:
         return np.array([m.evaluate(p, theta) for m in self.members])
 
     def coefficient_matrix(self) -> np.ndarray:
-        """Member phi matrix when every member is context_quadratic with the
-        same feature map; used by the fused simulation kernel."""
-        if not all(m.kind == "context_quadratic" for m in self.members):
-            raise ValueError("coefficient matrix requires context_quadratic members")
-        map_ids = {m.feature_map_id for m in self.members}
-        if len(map_ids) != 1:
-            raise ValueError("members must share one feature map")
+        """Member phi matrix when every member uses the same feature map;
+        used by the fused simulation kernel."""
+        self.feature_map_id()  # raises unless the members share one map
         return np.array([m.phi for m in self.members])
 
     def feature_map_id(self) -> str:
-        ids = {m.feature_map_id for m in self.members if m.kind == "context_quadratic"}
+        ids = {m.feature_map_id for m in self.members}
         if len(ids) != 1:
             raise ValueError("members must share one feature map")
         return next(iter(ids))

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from eqprice.cli import main
+from eqprice.harness import load_config, run_experiment
 from eqprice.market import CostSpec, GeneratorSpec, InstanceSpec
 
 
@@ -46,6 +48,14 @@ def test_sweep_and_fit(tmp_path, config_path, capsys):
     assert doc["model"] == "power_law"
     assert doc["metric"] == "U_T"
     assert len(doc["horizons"]) == 3
+
+    # the overshoot-only sums the rate fits use are in the summary too
+    assert main(["fit", "--summary", str(summary), "--metric", "C_T_pos"]) == 0
+    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert doc["metric"] == "C_T_pos"
+    records = run_experiment(load_config(config_path))
+    for T, mean in zip(doc["horizons"], doc["means"]):
+        assert mean == pytest.approx(np.mean([r.cost_pos for r in records if r.horizon == T]))
 
 
 def test_seed_override_changes_output(tmp_path, config_path):

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eqprice import kernels
 from eqprice.harness import (
     ExperimentConfig,
     fit_scaling,
@@ -15,7 +18,15 @@ from eqprice.harness import (
     write_run_csv,
     write_summary_csv,
 )
-from eqprice.market import CostSpec, GeneratorSpec, InstanceSpec, equilibrium_price
+from eqprice.market import (
+    CostSpec,
+    GeneratorSpec,
+    InstanceSpec,
+    RegretLedger,
+    aggregate_production,
+    equilibrium_price,
+    record_step,
+)
 
 QUAD_FIXED = InstanceSpec(
     suppliers=(CostSpec.quadratic(0.3),),
@@ -63,6 +74,110 @@ def test_constant_price_at_equilibrium_zero_regret():
     assert np.all(np.abs(rec.unmet_inc) <= 1e-9)
     assert np.all(np.abs(rec.cost_inc) <= 1e-9)
     assert np.all(np.abs(rec.pay_inc) <= 1e-9)
+
+
+QUAD_INTERCEPTS = (CostSpec.quadratic(0.3, a=0.05), CostSpec.quadratic(0.8))
+
+
+@pytest.mark.parametrize(
+    "policy, instance, params",
+    [
+        (
+            "fixed_interval",
+            InstanceSpec(
+                suppliers=QUAD_INTERCEPTS,
+                demands=GeneratorSpec(kind="constant", value=1.7),
+                horizon=4000,
+            ),
+            {},
+        ),
+        (
+            "demand_grid",
+            InstanceSpec(
+                suppliers=(CostSpec.quadratic(0.5), CostSpec.quadratic(1.0, a=0.1)),
+                demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
+                horizon=2500,
+            ),
+            {},
+        ),
+        (
+            "constant_price",
+            InstanceSpec(
+                suppliers=QUAD_INTERCEPTS,
+                demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
+                horizon=500,
+            ),
+            {"p": 0.6},
+        ),
+        ("constant_price", contextual_spec().with_horizon(300), {"p": 0.4}),
+        ("contextual_igw", contextual_spec().with_horizon(300), {}),
+    ],
+)
+def test_regret_columns_match_record_step(policy, instance, params):
+    cfg = ExperimentConfig(
+        instance=instance, policy=policy, horizons=(instance.horizon,), seed=31,
+        policy_params=params,
+    )
+    rec = run_experiment(cfg)[0]
+    inst = instance.materialize(replication_stream(31, 0))
+    led = RegretLedger()
+    for t in range(instance.horizon):
+        theta = None if inst.contexts is None else inst.contexts[t]
+        p = float(rec.price[t])
+        record_step(led, inst.suppliers, float(inst.demands[t]), theta, p)
+        assert rec.production[t] == pytest.approx(
+            aggregate_production(inst.suppliers, p, theta).total, abs=1e-12
+        )
+    inc = np.array(led.per_period)
+    # the ledger and the harness share the exact clearing price and differ
+    # only in summation order
+    assert np.allclose(rec.unmet_inc, inc[:, 0], rtol=0.0, atol=1e-12)
+    assert np.allclose(rec.cost_inc, inc[:, 1], rtol=0.0, atol=1e-12)
+    assert np.allclose(rec.pay_inc, inc[:, 2], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "policy, params",
+    [("fixed_interval", {}), ("constant_price", {"p": 0.2}), ("constant_price", {"p": 0.7})],
+)
+def test_regret_columns_single_linear_supplier(policy, params):
+    # p* = c = 0.4 and the clearing allocation produces exactly the demand
+    supplier = CostSpec.linear(c=0.4, cap=2.0)
+    d, T = 1.0, 3000
+    instance = InstanceSpec(
+        suppliers=(supplier,), demands=GeneratorSpec(kind="constant", value=d), horizon=T
+    )
+    cfg = ExperimentConfig(
+        instance=instance, policy=policy, horizons=(T,), policy_params=params
+    )
+    rec = run_experiment(cfg)[0]
+    for t in range(T):
+        p = float(rec.price[t])
+        x = aggregate_production((supplier,), p).total
+        assert rec.production[t] == x
+        assert rec.unmet_inc[t] == max(0.0, d - x)
+        assert rec.cost_inc[t] == pytest.approx(supplier.cost(x) - supplier.cost(d), abs=1e-12)
+        assert rec.pay_inc[t] == pytest.approx(p * x - 0.4 * d, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "suppliers",
+    [
+        (CostSpec.quadratic(0.5), CostSpec.linear(c=0.4, cap=2.0)),
+        (CostSpec.linear(c=0.4, cap=2.0), CostSpec.linear(c=0.6, cap=2.0)),
+    ],
+)
+def test_unsupported_supplier_mix_rejected_before_policy_runs(suppliers, monkeypatch):
+    def never(*args):
+        raise AssertionError("kernel ran on an unsupported supplier mix")
+
+    monkeypatch.setattr(kernels, "fixed_trajectory", never)
+    instance = InstanceSpec(
+        suppliers=suppliers, demands=GeneratorSpec(kind="constant", value=1.0), horizon=100
+    )
+    cfg = ExperimentConfig(instance=instance, policy="fixed_interval", horizons=(100,))
+    with pytest.raises(ValueError, match="support"):
+        run_experiment(cfg)
 
 
 def test_fixed_interval_converges_to_clearing_price():
@@ -268,6 +383,8 @@ def test_summary_csv_round_trip(tmp_path):
     assert len(rows) == 6
     assert rows[0]["policy"] == "fixed_interval"
     assert rows[0]["U_T"] == records[0].unmet
+    assert rows[0]["C_T_pos"] == records[0].cost_pos
+    assert rows[0]["P_T_pos"] == records[0].pay_pos
     assert math.isnan(rows[0]["proxy_reg"])
     horizons, means = mean_metric_by_horizon(records, "U_T")
     assert horizons == [50, 100, 200]
@@ -305,3 +422,35 @@ def test_config_json_and_instance_path(tmp_path):
     assert cfg.seed == 11
     records = run_experiment(cfg)
     assert len(records) == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_json(heading):
+    """The first JSON block after ``heading`` in the README, parsed."""
+    section = README.read_text().split(heading, 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("policy, params", [("contextual_igw", {}), ("constant_price", {"p": 0.5})])
+def test_readme_instance_runs(policy, params):
+    spec = InstanceSpec.from_json_dict(readme_json("### Instance file"))
+    cfg = ExperimentConfig(
+        instance=spec, policy=policy, horizons=(spec.horizon,), policy_params=params
+    )
+    rec = run_experiment(cfg)[0]
+    assert rec.horizon == spec.horizon
+    assert np.all(rec.unmet_inc >= 0.0)
+
+
+def test_readme_config_runs_with_readme_instance(tmp_path):
+    (tmp_path / "instance.json").write_text(json.dumps(readme_json("### Instance file")))
+    doc = readme_json("### Config file")
+    doc["out"] = str(tmp_path / doc["out"])
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    cfg = load_config(tmp_path / "config.json")
+    # the first horizon of one replication keeps the test short
+    records = run_experiment(dataclasses.replace(cfg, horizons=cfg.horizons[:1], replications=1))
+    assert len(records) == 1
+    assert (tmp_path / "results" / "summary.csv").exists()

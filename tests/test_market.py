@@ -274,7 +274,7 @@ def test_instance_round_trip_lossless():
         class_bound=6.0,
         function_class=(
             {"family": "context_quadratic", "phi": [0.5, 0.25], "feature_map_id": "tanh_affine"},
-            {"family": "constant", "value": 0.7},
+            {"family": "context_quadratic", "phi": [0.7, 0.1], "feature_map_id": "tanh_affine"},
         ),
     )
     again = InstanceSpec.from_json(spec.to_json())
@@ -292,6 +292,24 @@ def test_instance_rejects_out_of_range_price():
             horizon=4,
             demand_bounds=(1.0, 1.0),
         )
+
+
+def test_capacity_rule_is_shared_by_instance_and_solver():
+    # production at p = 1 is exactly 2: a demand just above it is rejected
+    # when the instance is materialized, not later by the clearing-price solve
+    spec = InstanceSpec(
+        suppliers=(CostSpec.quadratic(0.5),),
+        demands=GeneratorSpec(kind="constant", value=2.0 + 5e-13),
+        horizon=8,
+    )
+    rng = np.random.Generator(np.random.Philox(key=3))
+    with pytest.raises(InfeasibleMarket):
+        spec.materialize(rng)
+    at_capacity = InstanceSpec(
+        suppliers=spec.suppliers, demands=GeneratorSpec(kind="constant", value=2.0), horizon=8
+    )
+    inst = at_capacity.materialize(rng)
+    assert np.all(equilibrium_price_batch(np.array([0.5]), np.zeros(1), inst.demands) == 1.0)
 
 
 def test_instance_rejects_mismatched_lengths():

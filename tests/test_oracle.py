@@ -15,26 +15,28 @@ from eqprice.oracle import (
 )
 
 
+# Members phi = (v,) predict exactly v at price P and context THETA.
+P, THETA = 1.0, np.array([1.0])
+
+
 def constant_class(values, bound=1.0):
     return FunctionClass(
-        members=tuple(ClassMember.constant(v) for v in values), bound=bound
+        members=tuple(ClassMember.context_quadratic((v,)) for v in values), bound=bound
     )
 
 
 def test_uniform_weights_predict_mean():
     cls = constant_class([0.2, 0.6])
     state = make_oracle_state(cls)
-    assert oracle_predict(state, cls, 0.5) == pytest.approx(0.4)
+    assert oracle_predict(state, cls, P, THETA) == pytest.approx(0.4)
 
 
 def test_singleton_class_is_exact():
-    cls = FunctionClass(
-        members=(ClassMember.custom(lambda p, th: 0.3 + 0.2 * p),), bound=1.0
-    )
+    cls = FunctionClass(members=(ClassMember.context_quadratic((1.4,)),), bound=1.0)
     state = make_oracle_state(cls)
-    assert oracle_predict(state, cls, 0.25) == pytest.approx(0.35)
+    assert oracle_predict(state, cls, 0.25, THETA) == pytest.approx(0.35)
     for _ in range(5):
-        state = oracle_update(state, cls, 0.25, None, 0.35)
+        state = oracle_update(state, cls, 0.25, THETA, 0.35)
     assert oracle_excess_loss(state) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -45,12 +47,12 @@ def test_convergence_to_truth_in_class():
     lw = np.full(3, -math.log(3.0))
     preds = np.array([0.2, 0.6, 0.9])
     for _ in range(1000):
-        state = oracle_update(state, cls, 0.5, None, 0.6)
+        state = oracle_update(state, cls, P, THETA, 0.6)
         lw = lw - state.eta * (preds - 0.6) ** 2
         lw = lw - (lw.max() + math.log(np.exp(lw - lw.max()).sum()))
     w = np.exp(lw)
     expected = float(w @ preds / w.sum())
-    got = oracle_predict(state, cls, 0.5)
+    got = oracle_predict(state, cls, P, THETA)
     assert got == pytest.approx(expected, abs=1e-12)
     assert abs(got - 0.6) <= 1e-3
 
@@ -59,14 +61,14 @@ def test_zero_loss_member_keeps_max_weight():
     cls = constant_class([0.3, 0.8])
     state = make_oracle_state(cls)
     for _ in range(10):
-        state = oracle_update(state, cls, 0.0, None, 0.3)
+        state = oracle_update(state, cls, P, THETA, 0.3)
     assert int(np.argmax(state.weights())) == 0
 
 
 def test_weight_ratio_after_one_update():
     cls = constant_class([1.0, 0.0])
     state = make_oracle_state(cls, eta=1.0)
-    state = oracle_update(state, cls, 0.0, None, 1.0)  # losses (0, 1)
+    state = oracle_update(state, cls, P, THETA, 1.0)  # losses (0, 1)
     w = state.weights()
     assert w[0] / w[1] == pytest.approx(math.e)
 
@@ -76,7 +78,7 @@ def test_weights_normalize_after_every_update():
     cls = constant_class(list(rng.uniform(0.0, 1.0, 6)))
     state = make_oracle_state(cls)
     for _ in range(200):
-        state = oracle_update(state, cls, 0.5, None, float(rng.uniform(0.0, 1.0)))
+        state = oracle_update(state, cls, P, THETA, float(rng.uniform(0.0, 1.0)))
         assert state.weights().sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.isfinite(state.log_weights))
 
@@ -86,14 +88,14 @@ def test_predictions_stay_in_bounds():
     cls = constant_class(list(rng.uniform(0.0, 1.0, 5)), bound=1.0)
     state = make_oracle_state(cls)
     for _ in range(100):
-        state = oracle_update(state, cls, 0.5, None, float(rng.uniform(0.0, 1.0)))
-        assert 0.0 <= oracle_predict(state, cls, 0.5) <= 1.0
+        state = oracle_update(state, cls, P, THETA, float(rng.uniform(0.0, 1.0)))
+        assert 0.0 <= oracle_predict(state, cls, P, THETA) <= 1.0
 
 
 def test_clamp_diagnostic():
     cls = constant_class([0.5], bound=1.0)
     state = make_oracle_state(cls)
-    state = oracle_update(state, cls, 0.5, None, 1.7)
+    state = oracle_update(state, cls, P, THETA, 1.7)
     assert state.clamped == 1
 
 
@@ -109,7 +111,7 @@ def test_excess_loss_bound_adversarial_stream():
         target = values[1] if t < T // 2 else values[4]
         x = target + float(rng.uniform(-0.05, 0.05))
         x = min(max(x, 0.0), 1.0)
-        state = oracle_update(state, cls, 0.5, None, x)
+        state = oracle_update(state, cls, P, THETA, x)
         assert oracle_excess_loss(state) <= c_bound
 
 
@@ -121,7 +123,7 @@ def test_miss_specified_class():
     c_bound = (1.0 / state.eta) * math.log(2)
     T = 2000
     for _ in range(T):
-        state = oracle_update(state, cls, 0.5, None, truth)
+        state = oracle_update(state, cls, P, THETA, truth)
     assert oracle_excess_loss(state) <= c_bound
     assert float(state.cum_member_loss.min()) <= eps * eps * T + 1e-9
 
@@ -136,11 +138,11 @@ def test_default_eta_is_two_over_bound_squared():
 def test_finite_class_oracle_wrapper():
     cls = constant_class([0.2, 0.6])
     oracle = FiniteClassOracle(cls)
-    assert oracle.predict(0.5) == pytest.approx(0.4)
-    oracle.update(0.5, None, 0.2)
-    assert oracle.predict(0.5) < 0.4  # weight moved toward the low member
+    assert oracle.predict(P, THETA) == pytest.approx(0.4)
+    oracle.update(P, THETA, 0.2)
+    assert oracle.predict(P, THETA) < 0.4  # weight moved toward the low member
     grid = np.array([0.0, 0.5, 1.0])
-    preds = oracle.predict_at_prices(grid)
+    preds = oracle.predict_at_prices(grid, THETA)
     assert preds.shape == (3,)
 
 
@@ -148,22 +150,27 @@ def test_contextual_members_evaluate():
     m = ClassMember.context_quadratic(phi=(2.0, 1.0))
     theta = np.array([0.5, 1.0])
     assert m.evaluate(0.5, theta) == pytest.approx(0.5 * (1.0 + 1.0))
+    with pytest.raises(ValueError, match="context"):
+        oracle_predict(make_oracle_state(constant_class([0.4])), constant_class([0.4]), P)
 
 
 def test_member_serialization_round_trip():
     members = (
         ClassMember.context_quadratic(phi=(1 / 3, 0.7), feature_map_id="tanh_affine"),
-        ClassMember.constant(0.4),
+        ClassMember.context_quadratic(phi=(0.4,)),
     )
     for m in members:
         assert ClassMember.from_json_dict(m.to_json_dict()) == m
-    with pytest.raises(ValueError):
-        ClassMember.custom(lambda p, th: 0.0).to_json_dict()
+    with pytest.raises(ValueError, match="constant"):
+        ClassMember.from_json_dict({"family": "constant", "value": 0.4})
 
 
 def test_coefficient_matrix_requires_homogeneous_members():
     cls = FunctionClass(
-        members=(ClassMember.context_quadratic((1.0,)), ClassMember.constant(0.2)),
+        members=(
+            ClassMember.context_quadratic((1.0,)),
+            ClassMember.context_quadratic((0.2, 0.3), feature_map_id="tanh_affine"),
+        ),
         bound=1.0,
     )
     with pytest.raises(ValueError):

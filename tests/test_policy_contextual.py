@@ -123,20 +123,24 @@ class _FixedDraw:
         return self.value
 
 
+THETA = np.array([1.0])
+
+
 def test_first_round_is_uniform():
-    # an uninformed oracle over constant members gives equal gaps
+    # members that predict zero production at every price give equal gaps
     cls = FunctionClass(
-        members=(ClassMember.constant(0.4), ClassMember.constant(0.4)), bound=1.0
+        members=(ClassMember.context_quadratic((0.0,)), ClassMember.context_quadratic((0.0,))),
+        bound=1.0,
     )
     state = make_contextual_state(FiniteClassOracle(cls))
     grid = PriceGrid.uniform(4)
     params = IGWParams(gamma_explore=10.0, n_prices=4)
-    _, state = contextual_step(state, grid, params, None, 0.4, _FixedDraw(0.1))
+    _, state = contextual_step(state, grid, params, THETA, 0.4, _FixedDraw(0.1))
     assert np.allclose(state.last_distribution.probs, 0.25)
 
 
 def test_observe_requires_pending_step():
-    cls = FunctionClass(members=(ClassMember.constant(0.4),), bound=1.0)
+    cls = FunctionClass(members=(ClassMember.context_quadratic((0.4,)),), bound=1.0)
     state = make_contextual_state(FiniteClassOracle(cls))
     with pytest.raises(ValueError):
         contextual_observe(state, 0.5)
@@ -170,12 +174,13 @@ def test_long_run_greedy_converges_to_clearing_price():
 
 def test_distribution_attached_to_state():
     cls = FunctionClass(
-        members=(ClassMember.constant(0.2), ClassMember.constant(0.8)), bound=1.0
+        members=(ClassMember.context_quadratic((0.2,)), ClassMember.context_quadratic((0.8,))),
+        bound=1.0,
     )
     state = make_contextual_state(FiniteClassOracle(cls))
     grid = PriceGrid.uniform(3)
     params = IGWParams(gamma_explore=5.0, n_prices=3)
-    price, state = contextual_step(state, grid, params, None, 0.5, _FixedDraw(0.0))
+    price, state = contextual_step(state, grid, params, THETA, 0.5, _FixedDraw(0.0))
     assert price == grid.prices[0]  # draw 0 lands on the first arm
     assert state.last_distribution is not None
     assert state.pending_price == price
