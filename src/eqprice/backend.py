@@ -1,9 +1,11 @@
 """Kernel backend selection: numba-jitted hot loops with a plain-Python fallback.
 
-The kernels in :mod:`eqprice.kernels` are written once in numba-compatible
-style. When numba is importable they are compiled with ``@njit``; the exact
-same function objects serve as the fallback path otherwise. The active path
-is chosen by the ``EQPRICE_BACKEND`` environment variable (``numba`` or
+The per-period step functions and fused loops in :mod:`eqprice.kernels` are
+written once in numba-compatible style and compiled with ``@njit`` when numba
+is importable. The steps then always run compiled (the step-level API and
+both loop paths call them), and the active path selects the jitted or the
+plain-Python loop; without numba everything runs as plain Python. The active
+path is chosen by the ``EQPRICE_BACKEND`` environment variable (``numba`` or
 ``numpy``) read at import time, or at runtime via :func:`set_backend`.
 
 Both paths execute the identical sequence of IEEE-754 double operations, so

@@ -48,9 +48,10 @@ from .market import (
     MarketInstance,
     equilibrium_price_batch,
 )
-from .oracle import ClassMember, FunctionClass, default_eta
-from .policy_contextual import IGWParams, default_gamma, default_grid_size
+from .oracle import ClassMember, FunctionClass, make_oracle_state
+from .policy_contextual import IGWParams, PriceGrid, default_gamma, default_grid_size
 from .policy_demand import DemandGrid, make_demand_state
+from .policy_demand import default_gamma as demand_default_gamma
 
 POLICIES = ("fixed_interval", "demand_grid", "contextual_igw", "constant_price")
 #: The ``policy_params`` keys each policy reads; any other key is rejected.
@@ -274,10 +275,12 @@ def _demand_prices(inst: MarketInstance, mix: str, params: dict) -> np.ndarray:
     if mix != QUADRATIC:
         raise ValueError("demand_grid requires strongly convex quadratic suppliers")
     T = inst.horizon
-    gamma = float(params.get("gamma_demand", 1.0 / math.sqrt(T)))
-    freeze = float(params.get("freeze_width", 1.0 / math.sqrt(T)))
-    if not (gamma > 0 and freeze > 0):
-        raise ValueError("gamma_demand and freeze_width must be positive")
+    gamma = float(params.get("gamma_demand", demand_default_gamma(T)))
+    freeze = params.get("freeze_width")  # None: make_demand_state's default
+    freeze = None if freeze is None else float(freeze)
+    for key, value in (("gamma_demand", gamma), ("freeze_width", freeze)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{key} must be finite and positive, got {value}")
     grid = DemandGrid.from_width(*inst.demand_bounds, gamma)
     state = make_demand_state(grid, T, freeze)
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
@@ -317,9 +320,7 @@ def _contextual_prices(
     else:
         gamma = default_gamma(T, K, n_members, delta=delta)
     igw = IGWParams(gamma_explore=float(gamma), n_prices=K, delta=float(delta))
-    eta = float(params.get("eta", default_eta(cls.bound)))
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    oracle = make_oracle_state(cls, params.get("eta"))
 
     u_true = inst.aggregate_coefficient_path()
     if u_true.max() > cls.bound:
@@ -331,12 +332,12 @@ def _contextual_prices(
     phi = cls.coefficient_matrix()
     feats = apply_feature_map_batch(cls.feature_map_id(), inst.contexts)
     member_u = phi @ feats.T
-    grid = np.linspace(0.0, 1.0, igw.n_prices)
+    grid = PriceGrid.uniform(igw.n_prices)
     uniforms = rng.uniform(0.0, 1.0, T)
-    log_w0 = np.full(n_members, -math.log(n_members))
 
     _, price, proxy, *_ = kernels.contextual_trajectory(
-        member_u, log_w0, eta, u_true, inst.demands, uniforms, grid, igw.gamma_explore
+        member_u, oracle.log_weights, oracle.eta, u_true, inst.demands, uniforms,
+        grid.prices, igw.gamma_explore,
     )
     return price, proxy
 

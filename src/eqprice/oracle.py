@@ -8,6 +8,9 @@ the default eta = 2/B^2 (B the output bound) the excess squared error over
 the best member stays at most (1/eta) * ln(n_members) on the streams this
 package tests, the finite-class estimation guarantee the contextual policy
 consumes.
+
+The arithmetic is :func:`eqprice.kernels.mixture_coefficient` and
+:func:`eqprice.kernels.exp_weights_update`, shared with the fused kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernels
 from .features import apply_feature_map
 
 
@@ -104,35 +108,39 @@ class OracleState:
 
     log_weights: np.ndarray
     eta: float
-    history_len: int = 0
     cum_loss: float = 0.0
     cum_member_loss: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     clamped: int = 0
 
     def weights(self) -> np.ndarray:
-        w = np.exp(self.log_weights - self.log_weights.max())
-        return w / w.sum()
+        w = np.empty(len(self.log_weights))
+        kernels.oracle_weights(self.log_weights, w)
+        return w
 
 
 def make_oracle_state(cls: FunctionClass, eta: float | None = None) -> OracleState:
     """Uniform-weight state; eta defaults to :func:`default_eta` of the bound."""
-    if eta is None:
-        eta = default_eta(cls.bound)
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    eta = default_eta(cls.bound) if eta is None else float(eta)
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     n = len(cls)
     return OracleState(
         log_weights=np.full(n, -math.log(n)),
-        eta=float(eta),
+        eta=eta,
         cum_member_loss=np.zeros(n),
     )
 
 
+def _coefficients(state: OracleState, cls: FunctionClass, theta) -> tuple[np.ndarray, float]:
+    """Member productions u at (p = 1, theta) and their mixture coefficient."""
+    u = cls.evaluate_all(1.0, theta)
+    return u, kernels.mixture_coefficient(state.log_weights, u, np.empty(len(u)))
+
+
 def oracle_predict(state: OracleState, cls: FunctionClass, p: float, theta=None) -> float:
     """Weighted mean of member predictions under the current weights."""
-    preds = cls.evaluate_all(p, theta)
-    return float(state.weights() @ preds)
+    return p * _coefficients(state, cls, theta)[1]
 
 
 def oracle_update(
@@ -148,19 +156,15 @@ def oracle_update(
     if x < 0.0 or x > cls.bound:
         x = min(max(x, 0.0), cls.bound)
         clamped += 1
-    preds = cls.evaluate_all(p, theta)
-    forecast = float(state.weights() @ preds)
-    losses = (preds - x) ** 2
-    lw = state.log_weights - state.eta * losses
-    # Renormalize in log space so weights stay a probability vector.
-    m = lw.max()
-    lw = lw - (m + math.log(np.exp(lw - m).sum()))
+    u, c_hat = _coefficients(state, cls, theta)
+    lw = state.log_weights.copy()
+    cum_member_loss = state.cum_member_loss.copy()
+    loss = kernels.exp_weights_update(lw, cum_member_loss, u, c_hat, p, x, state.eta)
     return replace(
         state,
         log_weights=lw,
-        history_len=state.history_len + 1,
-        cum_loss=state.cum_loss + (forecast - x) ** 2,
-        cum_member_loss=state.cum_member_loss + losses,
+        cum_loss=state.cum_loss + loss,
+        cum_member_loss=cum_member_loss,
         clamped=clamped,
     )
 
@@ -185,14 +189,9 @@ class FiniteClassOracle:
         return oracle_predict(self.state, self.cls, p, theta)
 
     def predict_at_prices(self, prices: np.ndarray, theta=None) -> np.ndarray:
-        w = self.state.weights()
-        return np.array(
-            [float(w @ self.cls.evaluate_all(float(p), theta)) for p in prices]
-        )
+        c_hat = _coefficients(self.state, self.cls, theta)[1]
+        return np.asarray(prices, dtype=np.float64) * c_hat
 
     def update(self, p: float, theta, x_observed: float) -> None:
         self.state = oracle_update(self.state, self.cls, p, theta, x_observed)
-
-    def excess_loss(self) -> float:
-        return oracle_excess_loss(self.state)
 

@@ -7,6 +7,9 @@ inversely proportional to each price's mismatch gap above the greedy one:
 prob_i = 1 / (lambda + 2*gamma*gap_i), with lambda in (0, K] the
 normalization constant. Heavier gamma concentrates on the greedy price;
 every price keeps probability at least 1/(K + 2*gamma*max_gap).
+
+The arithmetic is :func:`eqprice.kernels.igw_gaps`, ``igw_probs`` and
+``sample_arm``, shared with the fused kernel.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+
+from . import kernels
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,8 @@ class IGWParams:
     def __post_init__(self):
         if not isinstance(self.n_prices, (int, np.integer)) or self.n_prices < 2:
             raise ValueError("n_prices must be an integer >= 2")
-        if not self.gamma_explore > 0:
-            raise ValueError("gamma_explore must be positive")
+        if not (math.isfinite(self.gamma_explore) and self.gamma_explore > 0):
+            raise ValueError("gamma_explore must be finite and positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -103,43 +108,24 @@ def greedy_price(
 
 
 def igw_distribution(gaps: np.ndarray, gamma_explore: float) -> IgwDistribution:
-    """Solve for lambda and return probs_i = 1/(lambda + 2*gamma*gap_i).
-
-    Requires min(gaps) == 0 (the greedy gap). The map lambda -> sum of probs
-    is strictly decreasing with sum >= 1 at lambda = 1 (the greedy term
-    alone contributes 1) and sum <= 1 at lambda = K, so bisection on [1, K]
-    finds the unique root; probabilities are then renormalized by exact
-    division so they sum to 1 in floating point.
-    """
+    """Solve for lambda and return probs_i = 1/(lambda + 2*gamma*gap_i),
+    renormalised (see :func:`eqprice.kernels.igw_probs`). Requires
+    min(gaps) == 0, the greedy gap."""
     gaps = np.asarray(gaps, dtype=np.float64)
     if gaps.min() < 0:
         raise ValueError("gaps must be nonnegative")
     if gaps.min() > 0:
         raise ValueError("the greedy gap must be zero")
-    if not gamma_explore > 0:
-        raise ValueError("gamma_explore must be positive")
-    n = len(gaps)
-    lo, hi = 1.0, float(n)
-    lam = hi
-    for _ in range(200):
-        lam = 0.5 * (lo + hi)
-        total = float(np.sum(1.0 / (lam + 2.0 * gamma_explore * gaps)))
-        if abs(total - 1.0) <= 1e-12:
-            break
-        if total > 1.0:
-            lo = lam
-        else:
-            hi = lam
-    probs = 1.0 / (lam + 2.0 * gamma_explore * gaps)
-    probs = probs / probs.sum()
+    if not (math.isfinite(gamma_explore) and gamma_explore > 0):
+        raise ValueError("gamma_explore must be finite and positive")
+    probs = np.empty(len(gaps))
+    lam = kernels.igw_probs(gaps, float(gamma_explore), probs)
     return IgwDistribution(probs=probs, lam=lam)
 
 
 def sample_price(dist: IgwDistribution, u: float) -> int:
     """Inverse-CDF draw: smallest index whose cumulative probability covers u."""
-    cdf = np.cumsum(dist.probs)
-    idx = int(np.searchsorted(cdf, u, side="left"))
-    return min(idx, len(dist.probs) - 1)
+    return kernels.sample_arm(np.asarray(dist.probs, dtype=np.float64), float(u))
 
 
 @dataclass(frozen=True)
@@ -176,9 +162,8 @@ def contextual_step(
     distribution is exposed on the returned state so a simulator can take
     exact expectations against it.
     """
-    estimates = state.oracle.predict_at_prices(grid.prices, theta)
-    mismatch = np.abs(estimates - d)
-    gaps = mismatch - mismatch.min()
+    gaps = np.empty(len(grid))
+    kernels.igw_gaps(state.oracle.predict_at_prices(grid.prices, theta), d, gaps)
     dist = igw_distribution(gaps, params.gamma_explore)
     arm = sample_price(dist, float(rng.uniform()))
     price = float(grid.prices[arm])

@@ -9,6 +9,9 @@ squared. A cell freezes once its set is narrower than the freeze width
 (1/sqrt(T) by default). With gamma = 1/sqrt(T) the policy's regret is
 O(sqrt(T) log log T); setting one cell per distinct demand recovers the
 small-support variant.
+
+The arithmetic is :func:`eqprice.kernels.cell_index` and
+:func:`eqprice.kernels.demand_update`, shared with the fused kernel.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import kernels
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,8 @@ class DemandGrid:
     def from_width(cls, d_lo: float, d_hi: float, gamma: float) -> "DemandGrid":
         if not (0.0 < d_lo <= d_hi):
             raise ValueError("need 0 < d_lo <= d_hi")
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ValueError("gamma must be finite and positive")
         n = max(1, math.ceil((d_hi - d_lo) / gamma))
         return cls(d_lo=d_lo, d_hi=d_hi, gamma=gamma, n_cells=n)
 
@@ -56,8 +61,7 @@ def interval_index(grid: DemandGrid, d: float) -> int:
     """1-based cell index of demand d: floor((d - d_lo)/gamma) + 1, clamped."""
     if d < grid.d_lo - 1e-12 or d > grid.d_hi + 1e-12:
         raise ValueError(f"demand {d} outside grid bounds [{grid.d_lo}, {grid.d_hi}]")
-    k = int((d - grid.d_lo) / grid.gamma) + 1
-    return min(max(k, 1), grid.n_cells)
+    return kernels.cell_index(d, grid.d_lo, grid.gamma, grid.n_cells) + 1
 
 
 @dataclass(frozen=True)
@@ -110,31 +114,21 @@ def demand_step(
     """One period: returns (price offered, updated state).
 
     ``total_production`` is the aggregate best response observed at the
-    cell's current price. While the cell's feasible set is wider than the
-    freeze width: production at or above the cell's lower demand bound
-    shrinks the set to (p - eps, p], moves the price to p - eps, and squares
-    eps; otherwise the price probes upward by eps (clamped at 1). Comparing
-    against the cell lower bound rather than d itself is what rounds demands
-    down within a cell.
+    cell's current price; a cell wider than the freeze width updates as
+    :func:`eqprice.kernels.demand_update` describes. Comparing against the
+    cell lower bound rather than d itself is what rounds demands down
+    within a cell.
     """
-    k = interval_index(grid, d) - 1
-    offered = float(state.price[k])
-    if state.s_hi[k] - state.s_lo[k] <= state.freeze_width:
+    k = interval_index(grid, d)
+    offered = float(state.price[k - 1])
+    if state.cell_frozen(k):
         return offered, state
-    s_lo = state.s_lo.copy()
-    s_hi = state.s_hi.copy()
-    price = state.price.copy()
-    eps = state.eps.copy()
-    shrinks = state.shrink_count
-    a_k = grid.cell_lower_bound(k + 1)
-    if total_production >= a_k:
-        s_lo[k] = offered - eps[k]
-        s_hi[k] = offered
-        price[k] = offered - eps[k]
-        eps[k] = eps[k] * eps[k]
-        shrinks += 1
-    else:
-        price[k] = min(offered + eps[k], 1.0)
+    s_lo, s_hi, price, eps = (
+        x.copy() for x in (state.s_lo, state.s_hi, state.price, state.eps)
+    )
+    shrinks = state.shrink_count + kernels.demand_update(
+        s_lo, s_hi, price, eps, k - 1, total_production, grid.d_lo, grid.gamma
+    )
     return offered, replace(
         state, s_lo=s_lo, s_hi=s_hi, price=price, eps=eps, shrink_count=shrinks
     )

@@ -6,12 +6,17 @@ at b) until production reaches the demand, then shrinks the interval to the
 bracketing pair of offers and squares the precision. Once the interval is
 narrower than 1/T the price freezes at the lower end. Squaring eps means the
 number of shrink events over a horizon T is O(log log T).
+
+The arithmetic is :func:`eqprice.kernels.fixed_offer` and
+:func:`eqprice.kernels.fixed_update`, shared with the fused kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+from . import kernels
 
 SEARCHING = "searching"
 FROZEN = "frozen"
@@ -36,65 +41,44 @@ class FixedPolicyState:
     shrink_count: int = 0
     resets: int = 0
 
-    @property
-    def width(self) -> float:
-        return self.b - self.a
+
+def _state(horizon: int, a, b, eps, cursor, frozen, shrinks, resets) -> FixedPolicyState:
+    """Repack a kernel tracker tuple (see :func:`eqprice.kernels.fixed_update`)."""
+    return FixedPolicyState(
+        a=a, b=b, eps=eps, cursor=cursor, phase=FROZEN if frozen else SEARCHING,
+        horizon=horizon, shrink_count=shrinks, resets=resets,
+    )
 
 
 def make_fixed_state(horizon: int) -> FixedPolicyState:
     """Fresh tracker over [0, 1] with eps = 1/2."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    phase = FROZEN if 1.0 <= 1.0 / horizon else SEARCHING
-    return FixedPolicyState(
-        a=0.0, b=1.0, eps=0.5, cursor=0, phase=phase, horizon=horizon
-    )
+    return _state(horizon, *kernels.fixed_start(horizon))
 
 
 def fixed_next_price(state: FixedPolicyState) -> float:
     """Price to post this period: the cursor offer, or a once frozen."""
-    if state.phase == FROZEN:
-        return state.a
-    return min(state.a + state.cursor * state.eps, state.b)
+    return kernels.fixed_offer(
+        state.a, state.b, state.eps, state.cursor, state.phase == FROZEN
+    )
 
 
 def fixed_observe(
     state: FixedPolicyState, total_production: float, d: float
 ) -> FixedPolicyState:
-    """Advance the tracker given production observed at fixed_next_price(state).
-
-    Production >= d (boundary counts as covering) shrinks the interval to
-    [previous offer, current offer] and squares eps; production < d advances
-    the cursor, or resets the sub-phase if the offer already sat at b.
-    Observing while frozen is a no-op.
-    """
+    """Advance the tracker given production observed at fixed_next_price(state)
+    (see :func:`eqprice.kernels.fixed_update`); a no-op once frozen."""
     if state.phase == FROZEN:
         return state
-    price = fixed_next_price(state)
-    if total_production >= d:
-        if state.cursor == 0:
-            # First offer of the sub-phase already covers demand: the
-            # clearing price is at (or below) a, so the interval collapses.
-            new_a, new_b = state.a, price
-        else:
-            new_a = min(state.a + (state.cursor - 1) * state.eps, state.b)
-            new_b = price
-        frozen = (new_b - new_a) <= 1.0 / state.horizon
-        return replace(
-            state,
-            a=new_a,
-            b=new_b,
-            eps=state.eps * state.eps,
-            cursor=0,
-            phase=FROZEN if frozen else SEARCHING,
-            shrink_count=state.shrink_count + 1,
-        )
-    if price >= state.b:
-        # Reached the top of the interval without covering demand; under the
-        # exact-response model this is impossible, so restart the sub-phase
-        # and count the anomaly instead of stepping past b.
-        return replace(state, cursor=0, resets=state.resets + 1)
-    return replace(state, cursor=state.cursor + 1)
+    return _state(
+        state.horizon,
+        *kernels.fixed_update(
+            state.a, state.b, state.eps, state.cursor, state.shrink_count,
+            state.resets, fixed_next_price(state), total_production, d,
+            state.horizon,
+        ),
+    )
 
 
 def max_shrink_events(horizon: int) -> int:

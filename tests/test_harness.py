@@ -292,6 +292,8 @@ def test_policy_params_unknown_key_rejected():
         ({"delta": 5}, "delta"),
         ({"gamma_explore": 10.0, "delta": 5}, "delta"),
         ({"eta": 0.0}, "eta"),
+        ({"eta": math.inf}, "eta"),
+        ({"gamma_explore": math.inf}, "gamma_explore"),
     ],
 )
 def test_contextual_params_out_of_range_rejected(params, message):
@@ -314,6 +316,23 @@ def test_demand_grid_params_must_be_positive():
         policy_params={"gamma_demand": 0.0},
     )
     with pytest.raises(ValueError, match="gamma_demand"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("key", ["gamma_demand", "freeze_width"])
+def test_demand_grid_params_must_be_finite(key):
+    # gamma_demand = inf made every cell bound d_lo + 0 * inf NaN, so no
+    # cell ever shrank; freeze_width = inf froze every cell at price 0
+    inst = InstanceSpec(
+        suppliers=(CostSpec.quadratic(0.5),),
+        demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
+        horizon=100,
+    )
+    cfg = ExperimentConfig(
+        instance=inst, policy="demand_grid", horizons=(100,),
+        policy_params={key: math.inf},
+    )
+    with pytest.raises(ValueError, match=key):
         run_experiment(cfg)
 
 

@@ -1,10 +1,14 @@
-"""Kernel trajectories against the step-level reference implementations,
-and numba against the plain-Python path."""
+"""Kernel trajectories against the step-level API driven period by period
+(both run the step functions of ``eqprice.kernels``; the step-level drivers
+use ``market.aggregate_production`` for the feedback), and numba against the
+plain-Python path."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqprice import kernels
 from eqprice.backend import NUMBA_AVAILABLE, active_backend, set_backend
@@ -91,6 +95,62 @@ def test_demand_kernel_matches_reference(backend):
     assert np.array_equal(eps, state.eps)
 
 
+_quadratic_market = st.lists(
+    st.builds(CostSpec.quadratic, mu=st.floats(0.05, 2.0), a=st.floats(0.0, 0.9)),
+    min_size=1,
+    max_size=4,
+)
+_linear_market = st.builds(
+    CostSpec.linear, c=st.floats(0.01, 0.99), cap=st.floats(0.1, 3.0)
+).map(lambda s: [s])
+_markets = st.one_of(_quadratic_market, _linear_market)
+
+
+@settings(max_examples=100, deadline=None)
+@given(suppliers=_markets, d=st.floats(0.01, 3.0), T=st.integers(1, 300))
+def test_fixed_kernel_equals_step_api_property(suppliers, d, T):
+    # demands above production at p = 1 are included: both sides then reset
+    fam, p1, p2 = kernels.encode_suppliers(suppliers)
+    price, a, b, eps, frozen, shrinks, resets = kernels.fixed_trajectory(fam, p1, p2, d, T)
+    ref_prices, ref = reference_fixed(suppliers, d, T)
+    assert np.array_equal(price, ref_prices)
+    assert (a, b, eps, frozen) == (ref.a, ref.b, ref.eps, ref.phase == FROZEN)
+    assert (shrinks, resets) == (ref.shrink_count, ref.resets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    suppliers=_markets,
+    d_lo=st.floats(0.01, 2.0),
+    spread=st.floats(0.0, 1.5),
+    gamma=st.floats(0.01, 1.0),
+    freeze_width=st.floats(1e-4, 0.5),
+    T=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_demand_kernel_equals_step_api_property(
+    suppliers, d_lo, spread, gamma, freeze_width, T, seed
+):
+    grid = DemandGrid.from_width(d_lo, d_lo + spread, gamma)
+    demands = np.random.Generator(np.random.Philox(key=seed)).uniform(
+        grid.d_lo, grid.d_hi, T
+    )
+    state = make_demand_state(grid, T, freeze_width)
+    fam, p1, p2 = kernels.encode_suppliers(suppliers)
+    price, s_lo, s_hi, cell_prices, eps, shrinks = kernels.demand_trajectory(
+        fam, p1, p2, demands, state.s_lo, state.s_hi, state.eps,
+        grid.d_lo, grid.gamma, grid.n_cells, state.freeze_width,
+    )
+    for t in range(T):
+        x = aggregate_production(suppliers, cell_price(state, grid, demands[t])).total
+        offered, state = demand_step(state, grid, demands[t], x)
+        assert price[t] == offered
+    assert shrinks == state.shrink_count
+    final = (state.s_lo, state.s_hi, state.price, state.eps)
+    for got, want in zip((s_lo, s_hi, cell_prices, eps), final):
+        assert np.array_equal(got, want)
+
+
 def _contextual_setup(T, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     phi_true = np.array([1.5, 1.5, 1.0])
@@ -140,10 +200,11 @@ def test_contextual_kernel_matches_ops(backend):
         assert price[t] == p  # same arm from the same draw
         assert grid_prices[arm[t]] == p
         e = float(state.last_distribution.probs @ np.abs(grid.prices * u_true[t] - demands[t]))
-        assert proxy[t] == pytest.approx(e, rel=1e-9, abs=1e-12)
-    assert np.allclose(lw, oracle.state.log_weights, atol=1e-9)
-    assert np.allclose(cml, oracle.state.cum_member_loss, rtol=1e-9, atol=1e-9)
-    assert np.cumsum(floss)[-1] == pytest.approx(oracle.state.cum_loss, rel=1e-9)
+        # the test sums the expectation with a dot product, the kernel in order
+        assert proxy[t] == pytest.approx(e, rel=1e-15, abs=0.0)
+    assert np.array_equal(lw, oracle.state.log_weights)
+    assert np.array_equal(cml, oracle.state.cum_member_loss)
+    assert np.cumsum(floss)[-1] == oracle.state.cum_loss
 
 
 @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="needs both backends")

@@ -133,6 +133,8 @@ def test_default_eta_is_two_over_bound_squared():
     assert make_oracle_state(cls).eta == default_eta(1.5) == 2.0 / 1.5**2
     with pytest.raises(ValueError):
         make_oracle_state(cls, eta=0.0)
+    with pytest.raises(ValueError, match="eta"):
+        make_oracle_state(cls, eta=math.inf)
 
 
 def test_finite_class_oracle_wrapper():

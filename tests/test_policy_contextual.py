@@ -113,6 +113,8 @@ def test_params_validation():
         IGWParams(gamma_explore=1.0, n_prices=1)
     with pytest.raises(ValueError):
         IGWParams(gamma_explore=1.0, n_prices=4, delta=1.5)
+    with pytest.raises(ValueError, match="gamma_explore"):
+        IGWParams(gamma_explore=math.inf, n_prices=4)
 
 
 class _FixedDraw:
