@@ -53,7 +53,6 @@ from .policy_contextual import (
     PriceGrid,
     contextual_observe,
     contextual_step,
-    greedy_price,
     igw_distribution,
     make_contextual_state,
     sample_price,

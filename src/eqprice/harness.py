@@ -277,12 +277,10 @@ def _demand_prices(inst: MarketInstance, mix: str, params: dict) -> np.ndarray:
     T = inst.horizon
     gamma = float(params.get("gamma_demand", demand_default_gamma(T)))
     freeze = params.get("freeze_width")  # None: make_demand_state's default
-    freeze = None if freeze is None else float(freeze)
-    for key, value in (("gamma_demand", gamma), ("freeze_width", freeze)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{key} must be finite and positive, got {value}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma_demand must be finite and positive, got {gamma}")
     grid = DemandGrid.from_width(*inst.demand_bounds, gamma)
-    state = make_demand_state(grid, T, freeze)
+    state = make_demand_state(grid, T, None if freeze is None else float(freeze))
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
     return kernels.demand_trajectory(
         fam, p1, p2, inst.demands, state.s_lo, state.s_hi, state.eps,

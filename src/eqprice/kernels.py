@@ -157,25 +157,31 @@ def igw_gaps(estimates, d, gaps):
 @compile_kernel
 def igw_probs(gaps, gamma, probs):
     """Write 1/(lam + 2*gamma*gap_j), renormalised to sum 1, into ``probs``
-    and return lam. With min(gaps) == 0 the unnormalised sum decreases in
-    lam from >= 1 at lam = 1 to <= 1 at lam = K: bisection finds its root."""
+    and return lam, the root of g(lam) = sum_j 1/(lam + 2*gamma*gap_j) - 1.
+
+    With min(gaps) == 0, g is convex and decreasing with g(1) >= 0 and
+    g(K) <= 0. Newton's method from lam = 1 therefore rises monotonically
+    to the root without overshooting; the cap at K only absorbs rounding.
+    It stops once g(lam) <= 1e-12, after still taking the step computed
+    there (free, and it brings lam to the root at machine precision), or
+    when a step no longer increases lam, or after 100 steps."""
     K = gaps.shape[0]
     g2 = 2.0 * gamma  # 2*gamma*gap evaluates as (2*gamma)*gap
-    lo = 1.0
-    hi = float(K)
-    lam = hi
-    for _ in range(200):
-        lam = 0.5 * (lo + hi)
+    lam = 1.0
+    for _ in range(100):
         ssum = 0.0
+        slope = 0.0  # -g'(lam)
         for j in range(K):
-            ssum += 1.0 / (lam + g2 * gaps[j])
+            q = 1.0 / (lam + g2 * gaps[j])
+            ssum += q
+            slope += q * q
         diff = ssum - 1.0
-        if -1e-12 <= diff <= 1e-12:
+        nxt = min(lam + diff / slope, float(K))
+        if nxt <= lam:
             break
-        if ssum > 1.0:
-            lo = lam
-        else:
-            hi = lam
+        lam = nxt
+        if diff <= 1e-12:
+            break
     psum = 0.0
     for j in range(K):
         probs[j] = 1.0 / (lam + g2 * gaps[j])

@@ -4,7 +4,7 @@ online regression oracle, for time-varying costs with contexts.
 Each period the oracle estimates production at every grid price; the greedy
 price minimizes the absolute mismatch with the demand. Sampling weights are
 inversely proportional to each price's mismatch gap above the greedy one:
-prob_i = 1 / (lambda + 2*gamma*gap_i), with lambda in (0, K] the
+prob_i = 1 / (lambda + 2*gamma*gap_i), with lambda in [1, K] the
 normalization constant. Heavier gamma concentrates on the greedy price;
 every price keeps probability at least 1/(K + 2*gamma*max_gap).
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -93,25 +92,17 @@ def default_gamma(
     return math.sqrt(n_prices * horizon / denom)
 
 
-def greedy_price(
-    f_hat: Callable[[float, object], float],
-    grid: PriceGrid,
-    theta,
-    d: float,
-) -> int:
-    """Index of the grid price whose estimated production is closest to d.
-
-    Ties break toward the lower price so replays are deterministic.
-    """
-    estimates = np.array([f_hat(float(p), theta) for p in grid.prices])
-    return int(np.argmin(np.abs(estimates - d)))
-
-
 def igw_distribution(gaps: np.ndarray, gamma_explore: float) -> IgwDistribution:
     """Solve for lambda and return probs_i = 1/(lambda + 2*gamma*gap_i),
-    renormalised (see :func:`eqprice.kernels.igw_probs`). Requires
-    min(gaps) == 0, the greedy gap."""
+    renormalised. Requires finite gaps with min(gaps) == 0, the greedy gap.
+
+    lambda is found by :func:`eqprice.kernels.igw_probs`: Newton's method
+    from lambda = 1, which rises monotonically to the root of
+    sum_i 1/(lambda + 2*gamma*gap_i) = 1 without overshooting it, so
+    lambda lies in [1, K]."""
     gaps = np.asarray(gaps, dtype=np.float64)
+    if not np.all(np.isfinite(gaps)):
+        raise ValueError("gaps must be finite")
     if gaps.min() < 0:
         raise ValueError("gaps must be nonnegative")
     if gaps.min() > 0:

@@ -87,16 +87,19 @@ class DemandPolicyState:
 
 
 def make_demand_state(grid: DemandGrid, horizon: int, freeze_width: float | None = None) -> DemandPolicyState:
-    """Fresh state: every cell at S=(0,1], price 0, eps 1/2."""
+    """Fresh state: every cell at S=(0,1], price 0, eps 1/2. The freeze
+    width defaults to 1/sqrt(horizon) and must be finite and positive."""
+    if freeze_width is None:
+        freeze_width = 1.0 / math.sqrt(horizon)
+    if not (math.isfinite(freeze_width) and freeze_width > 0):
+        raise ValueError(f"freeze_width must be finite and positive, got {freeze_width}")
     n = grid.n_cells
     return DemandPolicyState(
         s_lo=np.zeros(n),
         s_hi=np.ones(n),
         price=np.zeros(n),
         eps=np.full(n, 0.5),
-        freeze_width=(
-            freeze_width if freeze_width is not None else 1.0 / math.sqrt(horizon)
-        ),
+        freeze_width=freeze_width,
     )
 
 

@@ -166,27 +166,28 @@ def _contextual_setup(T, seed):
     return cls, phi_true, demands, thetas, uniforms
 
 
-def test_contextual_kernel_matches_ops(backend):
-    T = 600
-    cls, phi_true, demands, thetas, uniforms = _contextual_setup(T, seed=82)
-    K, gamma = 9, 40.0
-    grid_prices = np.linspace(0.0, 1.0, K)
+class _Replay:
+    def __init__(self, draws):
+        self.draws = iter(draws)
 
-    feats = apply_feature_map_batch("identity", thetas)
-    member_u = cls.coefficient_matrix() @ feats.T
-    u_true = feats @ phi_true
+    def uniform(self):
+        return float(next(self.draws))
+
+
+def _assert_contextual_kernel_matches_ops(
+    cls, member_u, phi_true, demands, thetas, uniforms, K, gamma
+):
+    """The fused kernel on member coefficients ``member_u`` and the step API,
+    fed the same draws, agree bit for bit: arms, proxy, log-weights, member
+    losses and forecast loss."""
+    T = len(demands)
+    grid_prices = np.linspace(0.0, 1.0, K)
+    u_true = apply_feature_map_batch("identity", thetas) @ phi_true
     log_w0 = np.full(len(cls), -math.log(len(cls)))
     eta = 2.0 / (cls.bound ** 2)
     arm, price, proxy, floss, lw, cml = kernels.contextual_trajectory(
         member_u, log_w0, eta, u_true, demands, uniforms, grid_prices, gamma
     )
-
-    class _Replay:
-        def __init__(self, draws):
-            self.draws = iter(draws)
-
-        def uniform(self):
-            return float(next(self.draws))
 
     oracle = FiniteClassOracle(cls, eta=eta)
     state = make_contextual_state(oracle)
@@ -199,12 +200,56 @@ def test_contextual_kernel_matches_ops(backend):
         state = contextual_observe(state, x)
         assert price[t] == p  # same arm from the same draw
         assert grid_prices[arm[t]] == p
-        e = float(state.last_distribution.probs @ np.abs(grid.prices * u_true[t] - demands[t]))
-        # the test sums the expectation with a dot product, the kernel in order
-        assert proxy[t] == pytest.approx(e, rel=1e-15, abs=0.0)
+        # the expected mismatch, summed in the kernel's order
+        e = 0.0
+        for q, gp in zip(state.last_distribution.probs, grid.prices):
+            e += q * abs(gp * u_true[t] - demands[t])
+        assert proxy[t] == e
+    assert oracle.state.clamped == 0  # the kernel has no [0, B] clamp
     assert np.array_equal(lw, oracle.state.log_weights)
     assert np.array_equal(cml, oracle.state.cum_member_loss)
     assert np.cumsum(floss)[-1] == oracle.state.cum_loss
+
+
+def test_contextual_kernel_matches_ops(backend):
+    cls, phi_true, demands, thetas, uniforms = _contextual_setup(600, seed=82)
+    member_u = cls.coefficient_matrix() @ apply_feature_map_batch("identity", thetas).T
+    _assert_contextual_kernel_matches_ops(
+        cls, member_u, phi_true, demands, thetas, uniforms, K=9, gamma=40.0
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_members=st.integers(1, 6),
+    dim=st.integers(1, 4),
+    misspecified=st.booleans(),
+    K=st.integers(2, 40),
+    log_gamma=st.floats(math.log(1e-2), math.log(1e5)),
+    T=st.integers(1, 200),
+    seed=st.integers(0, 2**32),
+)
+def test_contextual_kernel_equals_step_api_property(
+    n_members, dim, misspecified, K, log_gamma, T, seed
+):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    phis = rng.uniform(0.1, 2.0, (n_members, dim))
+    phi_true = rng.uniform(0.1, 2.0, dim) if misspecified else phis[0]
+    thetas = rng.uniform(0.5, 1.5, (T, dim))
+    # B covers every member's and the truth's production at p = 1
+    bound = rng.uniform(1.0, 2.0) * max(phis.sum(axis=1).max(), phi_true.sum()) * 1.5
+    cls = FunctionClass(
+        members=tuple(ClassMember.context_quadratic(tuple(phi)) for phi in phis),
+        bound=float(bound),
+    )
+    demands = rng.uniform(0.1, 3.0, T)
+    uniforms = rng.uniform(0.0, 1.0, T)
+    # the oracle's own per-member coefficients: the harness's matrix product
+    # can differ from them in the last bit (for example at one member, dim 2)
+    member_u = np.column_stack([cls.evaluate_all(1.0, theta) for theta in thetas])
+    _assert_contextual_kernel_matches_ops(
+        cls, member_u, phi_true, demands, thetas, uniforms, K, math.exp(log_gamma)
+    )
 
 
 @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="needs both backends")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqprice.oracle import ClassMember, FiniteClassOracle, FunctionClass
 from eqprice.policy_contextual import (
@@ -12,7 +14,6 @@ from eqprice.policy_contextual import (
     contextual_step,
     default_gamma,
     default_grid_size,
-    greedy_price,
     igw_distribution,
     make_contextual_state,
     sample_price,
@@ -29,26 +30,13 @@ def test_grid_spacing():
         PriceGrid.uniform(1)
 
 
-def test_greedy_price_matches_truth():
-    grid = PriceGrid.uniform(5)
-    f_hat = lambda p, th: 4.0 * p  # production of cost x^2/8
-    assert greedy_price(f_hat, grid, None, 1.0) == 1  # grid price 0.25
-
-
-def test_greedy_price_tie_breaks_low():
-    grid = PriceGrid.uniform(4)
-    assert greedy_price(lambda p, th: 0.7, grid, None, 1.0) == 0
-
-
-def test_greedy_price_saturates_at_top():
-    grid = PriceGrid.uniform(6)
-    assert greedy_price(lambda p, th: 2.0 * p, grid, None, 5.0) == 5
-
-
 def test_igw_uniform_when_all_gaps_zero():
     dist = igw_distribution(np.zeros(7), gamma_explore=3.0)
     assert np.allclose(dist.probs, 1.0 / 7.0)
     assert dist.lam == pytest.approx(7.0, abs=1e-9)
+    # the root is K itself, so a rounding overshoot would leave [1, K]
+    for K in range(2, 201):
+        assert 1.0 <= igw_distribution(np.zeros(K), 3.0).lam <= K
 
 
 def test_igw_two_arm_closed_form():
@@ -70,6 +58,10 @@ def test_igw_rejects_bad_gaps():
         igw_distribution(np.array([-0.1, 0.0]), 1.0)
     with pytest.raises(ValueError):
         igw_distribution(np.array([0.2, 0.4]), 1.0)  # greedy gap missing
+    for bad in (math.nan, math.inf, -math.inf):
+        # a NaN gap made gaps.min() NaN, so no check fired and probs were NaN
+        with pytest.raises(ValueError, match="finite"):
+            igw_distribution(np.array([0.0, bad]), 1.0)
 
 
 def test_igw_distribution_properties_random():
@@ -89,6 +81,40 @@ def test_igw_distribution_properties_random():
         floor = 1.0 / (K + 2.0 * gamma * gaps.max())
         assert np.all(dist.probs >= floor - 1e-12)
         assert 0.0 < dist.lam <= K + 1e-12
+
+
+def _bisect_lambda(c):
+    """Root of sum 1/(lam + c) = 1 on [1, K], bisected until the midpoint
+    no longer moves."""
+    lo, hi = 1.0, float(len(c))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if np.sum(1.0 / (mid + c)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gaps=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=199),
+    zero_at=st.integers(0, 199),
+    log_gamma=st.floats(math.log(1e-3), math.log(1e8)),
+)
+def test_igw_lambda_solve_property(gaps, zero_at, log_gamma):
+    gaps.insert(zero_at % (len(gaps) + 1), 0.0)  # the greedy gap
+    gaps = np.array(gaps)
+    K = len(gaps)
+    gamma = math.exp(log_gamma)
+    dist = igw_distribution(gaps, gamma)
+    c = 2.0 * gamma * gaps
+    assert 1.0 <= dist.lam <= K
+    assert abs(np.sum(1.0 / (dist.lam + c)) - 1.0) <= 1e-12
+    assert abs(dist.probs.sum() - 1.0) <= 1e-12
+    assert np.all(np.diff(dist.probs[np.argsort(gaps, kind="stable")]) <= 0.0)
+    assert dist.lam == pytest.approx(_bisect_lambda(c), rel=1e-12, abs=0.0)
 
 
 def test_sample_price_inverse_cdf():
@@ -169,7 +195,7 @@ def test_long_run_greedy_converges_to_clearing_price():
     theta = np.array([1.0, 1.0])
     u = 3.0  # <phi_truth, theta>
     p_star = d / u
-    greedy = greedy_price(lambda p, th: oracle.predict(p, th), grid, theta, d)
+    greedy = int(np.argmin(np.abs(oracle.predict_at_prices(grid.prices, theta) - d)))
     nearest = int(np.argmin(np.abs(grid.prices - p_star)))
     assert greedy == nearest
 

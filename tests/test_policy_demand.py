@@ -43,6 +43,14 @@ def test_initialization():
     assert s.freeze_width == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("width", [math.inf, math.nan, 0.0, -1.0])
+def test_freeze_width_must_be_finite_and_positive(width):
+    # freeze_width = inf froze every cell, which then posted price 0 forever
+    grid = DemandGrid.from_width(0.5, 1.5, 0.25)
+    with pytest.raises(ValueError, match="freeze_width"):
+        make_demand_state(grid, horizon=100, freeze_width=width)
+
+
 def test_probe_step_keeps_feasible_set():
     # production below the cell bound: additive probe, set unchanged
     grid = DemandGrid.from_width(0.9, 1.15, 0.25)
