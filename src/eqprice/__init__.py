@@ -30,11 +30,9 @@ from .market import (
     GeneratorSpec,
     InstanceSpec,
     MarketInstance,
-    RegretLedger,
     aggregate_production,
     best_response,
     equilibrium_price,
-    record_step,
 )
 from .oracle import (
     ClassMember,

@@ -12,6 +12,10 @@ impossible:
   cap at p = c, so any price below the clearing price forfeits the whole
   demand while any price above overpays, and the three metrics cannot all
   be sub-linear.
+
+Realized regret comes from :meth:`eqprice.market.MarketInstance.regret_columns`,
+the pass the harness applies to every policy's price path, so the
+demonstrations measure regret exactly as the policy runs do.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harness import ExperimentConfig, run_experiment
-from .market import CostSpec, GeneratorSpec, InstanceSpec, RegretLedger, record_step
+from .market import CostSpec, GeneratorSpec, InstanceSpec, MarketInstance
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,16 @@ def expected_total_regret(p: float) -> float:
 
 def per_period_total_regret(instance: IidCostInstance, p: float, stiff_draw: bool) -> float:
     """Realized total regret of one period given which cost was drawn,
-    computed through the market machinery (not the closed form)."""
+    computed by :meth:`~eqprice.market.MarketInstance.regret_columns` on a
+    one-period market (not the closed form)."""
     cost = instance.cost_a if stiff_draw else instance.cost_b
-    ledger = record_step(RegretLedger(), (cost,), instance.demand, None, p)
-    u, c, pay = ledger.per_period[0]
-    return u + c + pay
+    d = instance.demand
+    market = MarketInstance(
+        suppliers=(cost,), demands=np.array([d]), contexts=None, horizon=1,
+        demand_bounds=(d, d),
+    )
+    cols = market.regret_columns(np.array([p]))
+    return float(cols["unmet_inc"][0] + cols["cost_inc"][0] + cols["pay_inc"][0])
 
 
 @dataclass(frozen=True)

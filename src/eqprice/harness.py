@@ -1,5 +1,11 @@
 """Experiment runner: seeded policy executions, CSV export, scaling fits.
 
+Each run materialises the instance, lets the policy's kernel produce a price
+path, and takes production and regret increments from
+:meth:`~eqprice.market.MarketInstance.regret_columns`, the same pass for
+every policy. The instance has already rejected supplier mixes the policies
+do not support.
+
 Reproducibility contract
 ------------------------
 All randomness flows from the Philox 4x64-10 counter-based generator as
@@ -40,14 +46,7 @@ import numpy as np
 
 from . import kernels
 from .features import apply_feature_map_batch
-from .market import (
-    CONTEXT_QUADRATIC,
-    LINEAR,
-    QUADRATIC,
-    InstanceSpec,
-    MarketInstance,
-    equilibrium_price_batch,
-)
+from .market import CONTEXT_QUADRATIC, QUADRATIC, InstanceSpec, MarketInstance
 from .oracle import ClassMember, FunctionClass, make_oracle_state
 from .policy_contextual import IGWParams, PriceGrid, default_gamma, default_grid_size
 from .policy_demand import DemandGrid, make_demand_state
@@ -191,79 +190,6 @@ def replication_stream(seed: int, replication: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _supplier_mix(inst: MarketInstance) -> str:
-    """The one supplier family of an instance the policies run on:
-    all-quadratic, a single linear supplier, or all-contextual."""
-    families = {s.family for s in inst.suppliers}
-    if len(families) != 1:
-        raise ValueError(
-            "harness trajectories support all-quadratic, single-linear, or "
-            f"all-contextual instances; got families {sorted(families)}"
-        )
-    if families == {LINEAR} and len(inst.suppliers) != 1:
-        raise ValueError("linear instances support a single supplier")
-    return families.pop()
-
-
-def _equilibrium_paths(inst: MarketInstance, mix: str) -> tuple[np.ndarray, np.ndarray]:
-    """(cost_eq_t, pay_eq_t): total cost and payment of every period's
-    clearing allocation, for a supplier mix from :func:`_supplier_mix`."""
-    if mix == LINEAR:
-        # p* = c, where the supplier is indifferent and the clearing
-        # allocation produces exactly the demand.
-        base = inst.suppliers[0].c * inst.demands
-        return base, base
-    if mix == QUADRATIC:
-        mus = np.array([s.mu for s in inst.suppliers])
-        ints = np.array([s.a for s in inst.suppliers])
-        p_stars = equilibrium_price_batch(mus, ints, inst.demands)
-    else:
-        p_stars = inst.demands / inst.aggregate_coefficient_path()
-    tot_eq, cost_eq = _production_paths(inst, p_stars, mix)
-    return cost_eq, p_stars * tot_eq
-
-
-def _production_paths(
-    inst: MarketInstance, prices: np.ndarray, mix: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(total production, total cost) per period at the given price path,
-    for a supplier mix from :func:`_supplier_mix`.
-
-    An all-contextual market produces the price times the aggregate
-    coefficient path u_t, the value the contextual oracle observes; each
-    supplier's cost x_i^2 / (2 u_i) = p x_i / 2, so the total is p x / 2.
-    """
-    if mix == CONTEXT_QUADRATIC:
-        tot = prices * inst.aggregate_coefficient_path()
-        return tot, 0.5 * prices * tot
-    tot = np.zeros(inst.horizon)
-    cost = np.zeros(inst.horizon)
-    for s in inst.suppliers:
-        if mix == QUADRATIC:
-            x = np.maximum(0.0, (prices - s.a) / s.mu)
-            cost += 0.5 * s.mu * x * x + s.a * x
-        else:
-            x = np.where(prices >= s.c, s.cap, 0.0)
-            cost += s.c * x
-        tot += x
-    return tot, cost
-
-
-def _regret_columns(inst: MarketInstance, prices: np.ndarray, mix: str) -> dict:
-    """Per-period production and regret increments of a posted price path,
-    measured against every period's clearing allocation; the same for
-    every policy."""
-    cost_eq, pay_eq = _equilibrium_paths(inst, mix)
-    prod, cost = _production_paths(inst, prices, mix)
-    return dict(
-        price=prices,
-        production=prod,
-        unmet_inc=np.maximum(0.0, inst.demands - prod),
-        cost_inc=cost - cost_eq,
-        pay_inc=prices * prod - pay_eq,
-    )
-
-
 def _fixed_prices(inst: MarketInstance) -> np.ndarray:
     if inst.demands.min() != inst.demands.max():
         raise ValueError("fixed_interval expects a constant demand sequence")
@@ -271,8 +197,8 @@ def _fixed_prices(inst: MarketInstance) -> np.ndarray:
     return kernels.fixed_trajectory(fam, p1, p2, float(inst.demands[0]), inst.horizon)[0]
 
 
-def _demand_prices(inst: MarketInstance, mix: str, params: dict) -> np.ndarray:
-    if mix != QUADRATIC:
+def _demand_prices(inst: MarketInstance, params: dict) -> np.ndarray:
+    if inst.mix != QUADRATIC:
         raise ValueError("demand_grid requires strongly convex quadratic suppliers")
     T = inst.horizon
     gamma = float(params.get("gamma_demand", demand_default_gamma(T)))
@@ -299,16 +225,13 @@ def _contextual_class(inst_spec: InstanceSpec) -> FunctionClass:
 
 def _contextual_prices(
     inst: MarketInstance,
-    mix: str,
     cls: FunctionClass,
     params: dict,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(price path, proxy increments) of the sampling policy."""
-    if mix != CONTEXT_QUADRATIC:
+    if inst.mix != CONTEXT_QUADRATIC:
         raise ValueError("contextual_igw requires context_quadratic suppliers")
-    if inst.contexts is None:
-        raise ValueError("contextual_igw requires a context sequence")
     T = inst.horizon
     n_members = len(cls)
     K = params.get("n_prices", default_grid_size(T, n_members))
@@ -320,7 +243,7 @@ def _contextual_prices(
     igw = IGWParams(gamma_explore=float(gamma), n_prices=K, delta=float(delta))
     oracle = make_oracle_state(cls, params.get("eta"))
 
-    u_true = inst.aggregate_coefficient_path()
+    u_true = inst.coefficients
     if u_true.max() > cls.bound:
         # The kernel does not clip observations to [0, B] as the oracle does.
         raise ValueError(
@@ -353,7 +276,6 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
             key = config.seed + rep
             rng = replication_stream(config.seed, rep)
             inst = spec_T.materialize(rng)
-            mix = _supplier_mix(inst)
             proxy = None
             if config.policy == "constant_price":
                 if "p" not in config.policy_params:
@@ -365,10 +287,10 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
             elif config.policy == "fixed_interval":
                 prices = _fixed_prices(inst)
             elif config.policy == "demand_grid":
-                prices = _demand_prices(inst, mix, config.policy_params)
+                prices = _demand_prices(inst, config.policy_params)
             else:
                 cls = _contextual_class(spec_T)
-                prices, proxy = _contextual_prices(inst, mix, cls, config.policy_params, rng)
+                prices, proxy = _contextual_prices(inst, cls, config.policy_params, rng)
             records.append(
                 RunRecord(
                     policy=config.policy,
@@ -377,7 +299,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
                     seed=key,
                     demand=inst.demands,
                     proxy_inc=proxy,
-                    **_regret_columns(inst, prices, mix),
+                    **inst.regret_columns(prices),
                 )
             )
     if config.out is not None:
@@ -416,6 +338,8 @@ def fit_scaling(horizons, values, model: str) -> ScalingFit:
         raise ValueError("scaling fits need at least 3 horizons")
     if len(horizons) != len(values):
         raise ValueError("horizons and values must have equal length")
+    if not (np.all(np.isfinite(horizons)) and np.all(np.isfinite(values))):
+        raise ValueError("scaling fits need finite horizons and values")
     if np.all(values == values[0]):
         raise ValueError("degenerate fit: regret values have zero variance")
     if model == POWER_LAW:

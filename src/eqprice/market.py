@@ -1,5 +1,5 @@
-"""Market model: cost families, best responses, the clearing-price oracle,
-and regret accounting.
+"""Market model: cost families, best responses, exact clearing prices, and
+the per-period regret of a posted price path.
 
 A market instance is a list of supplier cost functions, a demand sequence,
 an optional context sequence, and a horizon. Suppliers are price takers: at
@@ -7,15 +7,21 @@ a posted price ``p`` each produces the quantity maximizing ``p*x - cost(x)``
 over ``x >= 0``. The clearing price of a demand ``d`` is the price at which
 aggregate best-response production equals ``d``; for convex costs it is also
 the price minimizing total production cost and total payment among all
-allocations meeting ``d``, which is what the regret ledger measures against.
+allocations meeting ``d``, which is what :meth:`MarketInstance.regret_columns`
+measures against.
 
-Prices are normalized to [0, 1]; instance constructors reject inputs whose
-clearing price would fall outside that range.
+The scalar functions (:func:`best_response`, :func:`aggregate_production`,
+:func:`equilibrium_price`, :meth:`CostSpec.cost`) serve one price at a time;
+:class:`MarketInstance` computes the same quantities over a whole horizon
+for the supplier mixes the policies run on. Prices are normalized to
+[0, 1]; instance constructors reject inputs whose clearing price would fall
+outside that range.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -58,6 +64,10 @@ class CostSpec:
     feature_map_id: str = "identity"
 
     def __post_init__(self):
+        for name in ("mu", "a", "c", "cap", "phi"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"cost parameter {name} must be finite, got {value}")
         if self.family == QUADRATIC:
             if not self.mu > 0:
                 raise ValueError("quadratic family requires curvature mu > 0")
@@ -265,50 +275,6 @@ def equilibrium_price_batch(
     return _clearing_prices(1.0 / mus, intercepts, demands)
 
 
-@dataclass
-class RegretLedger:
-    """Running unmet demand, cost regret, and payment regret.
-
-    ``unmet`` accumulates the positive part of (demand - total production),
-    so it is nonnegative. Cost and payment increments are signed: a price
-    below the clearing price yields negative increments. Cumulative fields
-    are exact running sums of the stored per-period increments.
-    """
-
-    unmet: float = 0.0
-    cost_regret: float = 0.0
-    payment_regret: float = 0.0
-    per_period: list[tuple[float, float, float]] = field(default_factory=list)
-
-
-def record_step(
-    ledger: RegretLedger,
-    suppliers: Sequence[CostSpec],
-    d: float,
-    theta,
-    p: float,
-) -> RegretLedger:
-    """Append one period's regret increments for posted price ``p``.
-
-    Increments are measured against the clearing price for (suppliers, d,
-    theta): unmet_inc = (d - total(p))_+, cost_inc and pay_inc are actual
-    minus equilibrium totals. Returns the updated ledger.
-    """
-    p_star = equilibrium_price(suppliers, d, theta)
-    alloc = aggregate_production(suppliers, p, theta)
-    alloc_eq = aggregate_production(suppliers, p_star, theta)
-    unmet_inc = max(0.0, d - alloc.total)
-    cost_inc = 0.0
-    for s, x, x_eq in zip(suppliers, alloc.per_supplier, alloc_eq.per_supplier):
-        cost_inc += s.cost(x, theta) - s.cost(x_eq, theta)
-    pay_inc = p * alloc.total - p_star * alloc_eq.total
-    ledger.unmet += unmet_inc
-    ledger.cost_regret += cost_inc
-    ledger.payment_regret += pay_inc
-    ledger.per_period.append((unmet_inc, cost_inc, pay_inc))
-    return ledger
-
-
 # ---------------------------------------------------------------------------
 # Instances and their JSON form
 # ---------------------------------------------------------------------------
@@ -484,10 +450,16 @@ class InstanceSpec:
 class MarketInstance:
     """Concrete instance: suppliers, a demand path, optional contexts, horizon.
 
-    The constructor checks sequence lengths, demand bounds, and that the
-    clearing price lies in [0, 1] at every period: production at p = 1 must
-    cover every demand, with no slack, the same rule the clearing-price
-    solvers apply.
+    The constructor checks sequence lengths, that demands and contexts are
+    finite, the demand bounds, and that the clearing price lies in [0, 1]
+    at every period: production at p = 1 must cover every demand, with no
+    slack, the same rule the clearing-price solvers apply.
+
+    It also fixes the supplier ``mix`` the policies run on, rejecting any
+    other: all ``quadratic``, a single ``linear`` supplier, or all
+    ``context_quadratic``. An all-contextual market produces p * u_t in
+    period t, where ``coefficients`` is the path u_t = sum_i <phi_i,
+    sigma(theta_t)>, computed once here (``None`` for the other mixes).
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -495,6 +467,8 @@ class MarketInstance:
     contexts: np.ndarray | None
     horizon: int
     demand_bounds: tuple[float, float]
+    mix: str = field(init=False)
+    coefficients: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.suppliers = tuple(self.suppliers)
@@ -503,57 +477,117 @@ class MarketInstance:
             raise ValueError("horizon must be >= 1")
         if self.demands.shape != (self.horizon,):
             raise ValueError("demand sequence length must equal the horizon")
+        # min and max are NaN when any demand is, so this also rejects NaN
+        d_min, d_max = float(self.demands.min()), float(self.demands.max())
+        if not (math.isfinite(d_min) and math.isfinite(d_max)):
+            raise ValueError("demands must be finite")
         d_lo, d_hi = self.demand_bounds
-        if not (0.0 < d_lo <= d_hi):
-            raise ValueError("demand bounds must satisfy 0 < d_lo <= d_hi")
-        if self.demands.min() < d_lo - 1e-12 or self.demands.max() > d_hi + 1e-12:
+        if not (0.0 < d_lo <= d_hi < math.inf):
+            raise ValueError("demand bounds must satisfy 0 < d_lo <= d_hi < inf")
+        if d_min < d_lo - 1e-12 or d_max > d_hi + 1e-12:
             raise ValueError("demands fall outside the declared bounds")
         if self.contexts is not None:
             self.contexts = np.asarray(self.contexts, dtype=np.float64)
             if self.contexts.ndim != 2 or self.contexts.shape[0] != self.horizon:
                 raise ValueError("context sequence must be (horizon, dim)")
-        if any(s.family == CONTEXT_QUADRATIC for s in self.suppliers):
+            if not np.all(np.isfinite(self.contexts)):
+                raise ValueError("contexts must be finite")
+
+        families = {s.family for s in self.suppliers}
+        if len(families) != 1:
+            raise ValueError(
+                "harness trajectories support all-quadratic, single-linear, or "
+                f"all-contextual instances; got families {sorted(families)}"
+            )
+        if families == {LINEAR} and len(self.suppliers) != 1:
+            raise ValueError("linear instances support a single supplier")
+        self.mix = families.pop()
+
+        self.coefficients = None
+        if self.mix == CONTEXT_QUADRATIC:
             if self.contexts is None:
                 raise ValueError("contextual suppliers require a context sequence")
-        self._validate_price_range()
-
-    def _validate_price_range(self) -> None:
-        # Clearing price <= 1 iff production at p=1 covers the demand.
-        max_d = float(self.demands.max())
-        if self.contexts is None:
-            top = aggregate_production(self.suppliers, 1.0).total
-            if top < max_d:
-                raise InfeasibleMarket(
-                    "clearing price above 1 for some period: production at "
-                    f"p=1 is {top}, maximum demand {max_d}"
-                )
-            return
-        totals = np.zeros(self.horizon)
-        for s in self.suppliers:
-            if s.family == CONTEXT_QUADRATIC:
-                u = self.coefficient_path(s)
-                if u.min() <= 0:
+            total = np.zeros(self.horizon)
+            for s in self.suppliers:
+                u = apply_feature_map_batch(s.feature_map_id, self.contexts) @ np.asarray(s.phi)
+                if not u.min() > 0:
                     raise ValueError(
                         "context_quadratic requires <phi, sigma(theta)> > 0 "
                         "for every period"
                     )
-                totals += u
-            else:
-                totals += best_response(s, 1.0)
-        if np.any(totals < self.demands):
-            raise InfeasibleMarket("clearing price above 1 for some period")
+                total += u
+            self.coefficients = total
 
-    def coefficient_path(self, supplier: CostSpec) -> np.ndarray:
-        """<phi, sigma(theta_t)> for every period of one contextual supplier."""
-        feats = apply_feature_map_batch(supplier.feature_map_id, self.contexts)
-        return feats @ np.asarray(supplier.phi)
+        # Clearing price <= 1 iff production at p = 1 covers the demand. That
+        # production is one number unless the market is contextual.
+        top, _ = self._production(1.0)
+        if np.any(top < (self.demands if np.ndim(top) else d_max)):
+            raise InfeasibleMarket(
+                "clearing price above 1 for some period: production at p=1 "
+                f"falls short of the demand (maximum demand {d_max})"
+            )
 
-    def aggregate_coefficient_path(self) -> np.ndarray:
-        """Sum over suppliers of coefficient paths; aggregate production is
-        p times this when all suppliers are contextual with zero intercepts."""
-        total = np.zeros(self.horizon)
+    def _production(self, prices):
+        """(total production, total cost) of the best responses at posted
+        prices, one price or one per period.
+
+        Each contextual supplier's cost x_i^2 / (2 u_i) equals p x_i / 2, so
+        an all-contextual market costs p x / 2 in total.
+        """
+        if self.mix == CONTEXT_QUADRATIC:
+            tot = prices * self.coefficients
+            return tot, 0.5 * prices * tot
+        tot = np.zeros(np.shape(prices))
+        cost = np.zeros(np.shape(prices))
         for s in self.suppliers:
-            if s.family != CONTEXT_QUADRATIC:
-                raise ValueError("aggregate coefficient path requires contextual suppliers")
-            total += self.coefficient_path(s)
-        return total
+            if self.mix == QUADRATIC:
+                x = np.maximum(0.0, (prices - s.a) / s.mu)
+                cost += 0.5 * s.mu * x * x + s.a * x
+            else:
+                x = np.where(prices >= s.c, s.cap, 0.0)
+                cost += s.c * x
+            tot += x
+        return tot, cost
+
+    def _clearing_cost_and_payment(self) -> tuple[np.ndarray, np.ndarray]:
+        """Total cost and total payment of every period's clearing allocation."""
+        if self.mix == LINEAR:
+            # p* = c, where the supplier is indifferent and the clearing
+            # allocation produces exactly the demand.
+            base = self.suppliers[0].c * self.demands
+            return base, base
+        if self.mix == QUADRATIC:
+            p_stars = equilibrium_price_batch(
+                np.array([s.mu for s in self.suppliers]),
+                np.array([s.a for s in self.suppliers]),
+                self.demands,
+            )
+        else:
+            p_stars = self.demands / self.coefficients
+        tot_eq, cost_eq = self._production(p_stars)
+        return cost_eq, p_stars * tot_eq
+
+    def regret_columns(self, prices: np.ndarray) -> dict:
+        """Per-period production and regret increments of a posted price path.
+
+        Measured against every period's clearing allocation:
+        ``unmet_inc`` = (d_t - x_t)_+, and ``cost_inc`` and ``pay_inc`` are
+        the total cost and payment at the posted price minus those of the
+        clearing allocation (signed). Keys are the
+        :class:`~eqprice.harness.RunRecord` column names ``price``,
+        ``production``, ``unmet_inc``, ``cost_inc`` and ``pay_inc``.
+        """
+        prices = np.asarray(prices, dtype=np.float64)
+        if prices.shape != (self.horizon,):
+            raise ValueError("price path length must equal the horizon")
+        if not (0.0 <= prices.min() and prices.max() <= 1.0):
+            raise ValueError("prices must lie in [0, 1]")
+        cost_eq, pay_eq = self._clearing_cost_and_payment()
+        prod, cost = self._production(prices)
+        return dict(
+            price=prices,
+            production=prod,
+            unmet_inc=np.maximum(0.0, self.demands - prod),
+            cost_inc=cost - cost_eq,
+            pay_inc=prices * prod - pay_eq,
+        )

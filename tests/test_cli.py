@@ -90,3 +90,17 @@ def test_error_is_machine_readable(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     doc = json.loads(err)
     assert "error" in doc
+
+
+def test_fit_rejects_nan_metric(tmp_path, config_path, capsys):
+    # proxy_reg is nan for every non-sampling policy, so a fit over it has no
+    # meaning and must fail with the one-line error, not print a nan slope
+    out_dir = tmp_path / "results"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    code = main(["fit", "--summary", str(out_dir / "summary.csv"), "--metric", "proxy_reg"])
+    assert code != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err.strip())
+    assert "finite" in doc["error"]

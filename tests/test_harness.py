@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqprice import kernels
+from eqprice import kernels, market
 from eqprice.harness import (
     ExperimentConfig,
     fit_scaling,
@@ -22,10 +22,8 @@ from eqprice.market import (
     CostSpec,
     GeneratorSpec,
     InstanceSpec,
-    RegretLedger,
     aggregate_production,
     equilibrium_price,
-    record_step,
 )
 
 QUAD_FIXED = InstanceSpec(
@@ -79,6 +77,19 @@ def test_constant_price_at_equilibrium_zero_regret():
 QUAD_INTERCEPTS = (CostSpec.quadratic(0.3, a=0.05), CostSpec.quadratic(0.8))
 
 
+def record_step(suppliers, d, theta, p):
+    """One period's (unmet, cost, payment) increments at posted price ``p``,
+    from the scalar API one supplier at a time: the clearing price, both
+    allocations, and each supplier's cost."""
+    p_star = equilibrium_price(suppliers, d, theta)
+    alloc = aggregate_production(suppliers, p, theta)
+    alloc_eq = aggregate_production(suppliers, p_star, theta)
+    cost_inc = 0.0
+    for s, x, x_eq in zip(suppliers, alloc.per_supplier, alloc_eq.per_supplier):
+        cost_inc += s.cost(x, theta) - s.cost(x_eq, theta)
+    return max(0.0, d - alloc.total), cost_inc, p * alloc.total - p_star * alloc_eq.total
+
+
 @pytest.mark.parametrize(
     "policy, instance, params",
     [
@@ -120,17 +131,17 @@ def test_regret_columns_match_record_step(policy, instance, params):
     )
     rec = run_experiment(cfg)[0]
     inst = instance.materialize(replication_stream(31, 0))
-    led = RegretLedger()
+    inc = []
     for t in range(instance.horizon):
         theta = None if inst.contexts is None else inst.contexts[t]
         p = float(rec.price[t])
-        record_step(led, inst.suppliers, float(inst.demands[t]), theta, p)
+        inc.append(record_step(inst.suppliers, float(inst.demands[t]), theta, p))
         assert rec.production[t] == pytest.approx(
             aggregate_production(inst.suppliers, p, theta).total, abs=1e-12
         )
-    inc = np.array(led.per_period)
-    # the ledger and the harness share the exact clearing price and differ
-    # only in summation order
+    inc = np.array(inc)
+    # both sides use the exact clearing price and differ only in summation
+    # order
     assert np.allclose(rec.unmet_inc, inc[:, 0], rtol=0.0, atol=1e-12)
     assert np.allclose(rec.cost_inc, inc[:, 1], rtol=0.0, atol=1e-12)
     assert np.allclose(rec.pay_inc, inc[:, 2], rtol=0.0, atol=1e-12)
@@ -178,6 +189,23 @@ def test_unsupported_supplier_mix_rejected_before_policy_runs(suppliers, monkeyp
     cfg = ExperimentConfig(instance=instance, policy="fixed_interval", horizons=(100,))
     with pytest.raises(ValueError, match="support"):
         run_experiment(cfg)
+
+
+def test_contextual_coefficients_computed_once_per_run(monkeypatch):
+    # one feature-map pass per contextual supplier, when the instance is
+    # materialised; the policy and the regret pass reuse the path
+    calls = []
+    original = market.apply_feature_map_batch
+
+    def counting(map_id, contexts):
+        calls.append(map_id)
+        return original(map_id, contexts)
+
+    monkeypatch.setattr(market, "apply_feature_map_batch", counting)
+    spec = contextual_spec()
+    cfg = ExperimentConfig(instance=spec, policy="contextual_igw", horizons=(100,))
+    run_experiment(cfg)
+    assert len(calls) == len(spec.suppliers)
 
 
 def test_fixed_interval_converges_to_clearing_price():
@@ -370,6 +398,17 @@ def test_fit_scaling_errors():
         fit_scaling([10, 100, 1000], [1.0, -2.0, 3.0], "power_law")  # nonpositive
     with pytest.raises(ValueError):
         fit_scaling([10, 100, 1000], [1.0, 2.0, 3.0], "parabola")
+    non_finite = [
+        ([10, 100, 1000], [1.0, math.nan, 3.0]),
+        ([10, 100, 1000], [math.nan] * 3),
+        ([10, 100, 1000], [1.0, 2.0, math.inf]),
+        ([10, math.nan, 1000], [1.0, 2.0, 3.0]),
+        ([10, 100, math.inf], [1.0, 2.0, 3.0]),
+    ]
+    for horizons, values in non_finite:
+        for model in ("power_law", "loglog"):
+            with pytest.raises(ValueError, match="finite"):
+                fit_scaling(horizons, values, model)
 
 
 def test_run_csv_schema(tmp_path):

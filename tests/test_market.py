@@ -12,13 +12,12 @@ from eqprice.market import (
     InfeasibleMarket,
     InstanceSpec,
     MarketInstance,
-    RegretLedger,
     aggregate_production,
     best_response,
     equilibrium_price,
     equilibrium_price_batch,
-    record_step,
 )
+from eqprice.oracle import ClassMember
 
 #: Exact clearing prices meet the demand and the first-order conditions to
 #: within a few units of float64 rounding.
@@ -221,43 +220,203 @@ def test_price_lipschitz_in_demand():
     assert np.all(gap <= 2.0 / inv_sum * np.abs(d1 - d2) + 1e-8)
 
 
-# --- regret ledger --------------------------------------------------------
+# --- regret columns -------------------------------------------------------
 
-def test_record_step_zero_at_equilibrium():
-    sup = [CostSpec.quadratic(0.25)]
-    led = record_step(RegretLedger(), sup, 1.0, None, equilibrium_price(sup, 1.0))
-    u, c, p = led.per_period[0]
-    assert abs(u) <= 1e-9 and abs(c) <= 1e-9 and abs(p) <= 1e-9
+def one_period(cost, p, d=1.0):
+    """Regret columns of posting ``p`` once against demand ``d``."""
+    inst = MarketInstance(
+        suppliers=(cost,), demands=np.array([d]), contexts=None, horizon=1,
+        demand_bounds=(d, d),
+    )
+    cols = inst.regret_columns(np.array([p]))
+    return cols["unmet_inc"][0], cols["cost_inc"][0], cols["pay_inc"][0]
 
 
-def test_record_step_payment_regret_above_equilibrium():
+def test_regret_columns_zero_at_equilibrium():
+    sup = CostSpec.quadratic(0.25)
+    assert one_period(sup, equilibrium_price([sup], 1.0)) == (0.0, 0.0, 0.0)
+
+
+def test_regret_columns_payment_regret_above_equilibrium():
     # payment regret p(4p) - 1/4 at p = 1/2 is 0.75
-    led = record_step(RegretLedger(), [CostSpec.quadratic(0.25)], 1.0, None, 0.5)
-    assert led.per_period[0][2] == pytest.approx(0.75, abs=1e-9)
+    assert one_period(CostSpec.quadratic(0.25), 0.5)[2] == 0.75
 
 
-def test_record_step_unmet_below_equilibrium():
+def test_regret_columns_unmet_below_equilibrium():
     # unmet demand 1 - 4p at p = 1/8 is one half
-    led = record_step(RegretLedger(), [CostSpec.quadratic(0.25)], 1.0, None, 0.125)
-    assert led.per_period[0][0] == pytest.approx(0.5, abs=1e-9)
+    assert one_period(CostSpec.quadratic(0.25), 0.125)[0] == 0.5
 
 
-def test_ledger_additivity_and_sign():
+def test_regret_columns_signs_follow_price_gap():
+    # supply rises strictly in p here, so a price above the clearing price
+    # overpays and overproduces, and one below leaves demand unmet
     rng = np.random.Generator(np.random.Philox(key=55))
-    sup = [CostSpec.quadratic(0.5, a=0.1), CostSpec.quadratic(1.1)]
-    led = RegretLedger()
-    for _ in range(300):
-        record_step(led, sup, rng.uniform(0.2, 1.0), None, rng.uniform(0.0, 1.0))
-    u = c = p = 0.0
-    for du, dc, dp in led.per_period:
-        assert du >= 0.0
-        u += du
-        c += dc
-        p += dp
-    # cumulative fields are exact running sums, no drift
-    assert led.unmet == u
-    assert led.cost_regret == c
-    assert led.payment_regret == p
+    sup = (CostSpec.quadratic(0.5, a=0.1), CostSpec.quadratic(1.1))
+    T = 300
+    demands = rng.uniform(0.2, 1.0, T)
+    prices = rng.uniform(0.0, 1.0, T)
+    inst = MarketInstance(
+        suppliers=sup, demands=demands, contexts=None, horizon=T, demand_bounds=(0.2, 1.0)
+    )
+    cols = inst.regret_columns(prices)
+    p_stars = equilibrium_price_batch(np.array([0.5, 1.1]), np.array([0.1, 0.0]), demands)
+    gap = np.sign(prices - p_stars)
+    assert np.all(cols["unmet_inc"] >= 0.0)
+    assert np.array_equal(cols["unmet_inc"] > 0.0, gap < 0)
+    assert np.array_equal(np.sign(cols["pay_inc"]), gap)
+    assert np.array_equal(np.sign(cols["cost_inc"]), gap)
+
+
+def test_regret_columns_reject_bad_price_paths():
+    inst = MarketInstance(
+        suppliers=(CostSpec.quadratic(0.5),), demands=np.ones(3), contexts=None,
+        horizon=3, demand_bounds=(1.0, 1.0),
+    )
+    for prices in ([0.5, 0.5], [0.5, 1.5, 0.5], [0.5, -0.1, 0.5], [0.5, math.nan, 0.5]):
+        with pytest.raises(ValueError):
+            inst.regret_columns(np.array(prices))
+
+
+def test_capacity_at_one_matches_scalar_reference():
+    # the instance's feasibility rule uses production at p = 1 from the same
+    # pass as the regret columns; it must agree bitwise with the scalar
+    # best responses summed in supplier order
+    rng = np.random.Generator(np.random.Philox(key=77))
+    for _ in range(2000):
+        n = int(rng.integers(1, 6))
+        sup = tuple(
+            CostSpec.quadratic(
+                rng.uniform(0.05, 3.0), a=rng.uniform(0.0, 1.2) * (rng.uniform() < 0.5)
+            )
+            for _ in range(n)
+        )
+        cap = aggregate_production(sup, 1.0).total
+        if cap <= 0.0:
+            continue
+        inst = MarketInstance(
+            suppliers=sup, demands=np.array([cap]), contexts=None, horizon=1,
+            demand_bounds=(cap, cap),
+        )
+        assert inst.regret_columns(np.ones(1))["production"][0] == cap
+        above = float(np.nextafter(cap, np.inf))
+        with pytest.raises(InfeasibleMarket):
+            MarketInstance(
+                suppliers=sup, demands=np.array([above]), contexts=None, horizon=1,
+                demand_bounds=(above, above),
+            )
+
+
+@pytest.mark.parametrize(
+    "suppliers, mix",
+    [
+        ((CostSpec.quadratic(0.5), CostSpec.quadratic(1.0, a=0.1)), "quadratic"),
+        ((CostSpec.linear(c=0.4, cap=2.0),), "linear"),
+        (
+            (CostSpec.context_quadratic((1.0,)), CostSpec.context_quadratic((0.5,))),
+            "context_quadratic",
+        ),
+    ],
+)
+def test_instance_fixes_supplier_mix(suppliers, mix):
+    inst = MarketInstance(
+        suppliers=suppliers, demands=np.full(2, 0.5), contexts=np.array([[1.0], [2.0]]),
+        horizon=2, demand_bounds=(0.5, 0.5),
+    )
+    assert inst.mix == mix
+    if mix == "context_quadratic":
+        assert np.array_equal(inst.coefficients, [1.5, 3.0])
+    else:
+        assert inst.coefficients is None
+
+
+@pytest.mark.parametrize(
+    "suppliers",
+    [
+        (CostSpec.quadratic(0.5), CostSpec.linear(c=0.4, cap=2.0)),
+        (CostSpec.linear(c=0.4, cap=2.0), CostSpec.linear(c=0.6, cap=2.0)),
+        (CostSpec.quadratic(0.5), CostSpec.context_quadratic((1.0,))),
+        (),
+    ],
+)
+def test_unsupported_supplier_mix_rejected_at_materialize(suppliers):
+    spec = InstanceSpec(
+        suppliers=suppliers,
+        demands=GeneratorSpec(kind="constant", value=0.5),
+        contexts=GeneratorSpec(kind="uniform_cube", lo=0.5, hi=1.5, dim=1),
+        horizon=4,
+    )
+    with pytest.raises(ValueError, match="support"):
+        spec.materialize(np.random.Generator(np.random.Philox(key=0)))
+
+
+# --- non-finite inputs -----------------------------------------------------
+
+NON_FINITE_COSTS = [
+    {"family": "quadratic", "mu": math.inf, "a": 0.0},
+    {"family": "quadratic", "mu": math.nan, "a": 0.0},
+    {"family": "quadratic", "mu": 1.0, "a": math.nan},
+    {"family": "quadratic", "mu": 1.0, "a": math.inf},
+    {"family": "linear", "c": math.inf, "cap": 2.0},
+    {"family": "linear", "c": math.nan, "cap": 2.0},
+    {"family": "linear", "c": 0.4, "cap": math.inf},
+    {"family": "linear", "c": 0.4, "cap": math.nan},
+    {"family": "context_quadratic", "phi": [0.5, math.nan]},
+    {"family": "context_quadratic", "phi": [math.inf, 0.5]},
+    {"family": "context_quadratic", "phi": [0.5, -math.inf]},
+]
+
+
+@pytest.mark.parametrize("doc", NON_FINITE_COSTS, ids=lambda d: json.dumps(d))
+def test_cost_spec_rejects_non_finite_parameters(doc):
+    # an instance file may spell these NaN and Infinity; json reads them
+    with pytest.raises(ValueError, match="finite"):
+        CostSpec.from_json_dict(json.loads(json.dumps(doc)))
+    fields = {k: tuple(v) if k == "phi" else v for k, v in doc.items()}
+    with pytest.raises(ValueError, match="finite"):
+        CostSpec(**fields)
+
+
+@pytest.mark.parametrize(
+    "demands",
+    [
+        [1.0, math.nan, 1.0],
+        [1.0, math.inf, 1.0],
+        {"kind": "constant", "value": math.nan},
+    ],
+    ids=["explicit-nan", "explicit-inf", "constant-nan"],
+)
+def test_instance_rejects_non_finite_demands(demands):
+    # declared bounds skip the min/max defaults, so only the finiteness
+    # check stands between a NaN demand and the run
+    doc = {
+        "suppliers": [{"family": "quadratic", "mu": 0.5, "a": 0.0}],
+        "demands": demands,
+        "horizon": 3,
+        "demand_bounds": [0.5, 1.5],
+    }
+    spec = InstanceSpec.from_json(json.dumps(doc))
+    with pytest.raises(ValueError, match="finite"):
+        spec.materialize(np.random.Generator(np.random.Philox(key=0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_instance_rejects_non_finite_contexts(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MarketInstance(
+            suppliers=(CostSpec.context_quadratic(phi=(1.0,)),),
+            demands=np.full(2, 0.1),
+            contexts=np.array([[1.0], [bad]]),
+            horizon=2,
+            demand_bounds=(0.1, 0.1),
+        )
+
+
+def test_instance_rejects_infinite_demand_bound():
+    with pytest.raises(ValueError, match="demand bounds"):
+        MarketInstance(
+            suppliers=(CostSpec.quadratic(0.5),), demands=np.ones(2), contexts=None,
+            horizon=2, demand_bounds=(0.5, math.inf),
+        )
 
 
 # --- instances and serialization -----------------------------------------
@@ -281,6 +440,53 @@ def test_instance_round_trip_lossless():
     assert again == spec
     # float fields survive a second trip through text exactly
     assert json.loads(again.to_json()) == json.loads(spec.to_json())
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_nonneg = st.floats(min_value=0.0, allow_infinity=False)
+_feature_maps = st.sampled_from(["identity", "tanh_affine"])
+_costs = st.one_of(
+    st.builds(CostSpec.quadratic, _positive, _nonneg),
+    st.builds(CostSpec.linear, _positive, _positive),
+    st.builds(
+        CostSpec.context_quadratic, st.lists(_finite, min_size=1, max_size=4), _feature_maps
+    ),
+)
+_constant = st.builds(GeneratorSpec, kind=st.just("constant"), value=_finite)
+_uniform = st.builds(GeneratorSpec, kind=st.just("uniform"), lo=_finite, hi=_finite)
+_cube = st.builds(
+    GeneratorSpec, kind=st.just("uniform_cube"), lo=_finite, hi=_finite,
+    dim=st.integers(1, 6),
+)
+_rows = st.lists(st.tuples(_finite, _finite), min_size=1, max_size=5).map(tuple)
+_members = st.builds(
+    lambda phi, fmap: ClassMember.context_quadratic(phi, fmap).to_json_dict(),
+    st.lists(_finite, min_size=1, max_size=4), _feature_maps,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    suppliers=st.lists(_costs, min_size=1, max_size=4).map(tuple),
+    demands=st.one_of(_constant, _uniform, st.lists(_finite, min_size=1, max_size=5).map(tuple)),
+    horizon=st.integers(1, 10**7),
+    contexts=st.one_of(st.none(), _cube, _rows),
+    demand_bounds=st.one_of(st.none(), st.tuples(_finite, _finite)),
+    function_class=st.one_of(st.none(), st.lists(_members, min_size=1, max_size=3).map(tuple)),
+    class_bound=st.one_of(st.none(), _finite),
+)
+def test_instance_json_round_trip_property(
+    suppliers, demands, horizon, contexts, demand_bounds, function_class, class_bound
+):
+    spec = InstanceSpec(
+        suppliers=suppliers, demands=demands, horizon=horizon, contexts=contexts,
+        demand_bounds=demand_bounds, function_class=function_class, class_bound=class_bound,
+    )
+    text = spec.to_json()
+    again = InstanceSpec.from_json(text)
+    assert again == spec
+    assert again.to_json() == text
 
 
 def test_instance_rejects_out_of_range_price():
