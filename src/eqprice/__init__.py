@@ -10,7 +10,6 @@ accounting, hardness demonstrations, and a CLI harness with seeded runs and
 scaling-exponent fits.
 """
 
-from .backend import NUMBA_AVAILABLE, active_backend, set_backend
 from .harness import (
     ExperimentConfig,
     RunRecord,

@@ -45,7 +45,6 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .features import apply_feature_map_batch
 from .market import CONTEXT_QUADRATIC, QUADRATIC, InstanceSpec, MarketInstance
 from .oracle import ClassMember, FunctionClass, make_oracle_state
 from .policy_contextual import IGWParams, PriceGrid, default_gamma, default_grid_size
@@ -65,6 +64,9 @@ PER_PERIOD_HEADER = "t,demand,price,production,unmet_inc,cost_inc,pay_inc"
 #: Summary CSV metric columns, in order; each is a :meth:`RunRecord.metric` name.
 SUMMARY_METRICS = ("U_T", "C_T", "P_T", "C_T_pos", "P_T_pos", "proxy_reg")
 SUMMARY_HEADER = "policy,T,replication,seed," + ",".join(SUMMARY_METRICS)
+#: Rows per formatting pass of :func:`write_run_csv`.
+CSV_BLOCK_ROWS = 4096
+_CSV_ROW = "%d" + ",%.17g" * 6 + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -250,9 +252,7 @@ def _contextual_prices(
             f"true production at p=1 reaches {u_true.max():.6g}, above the "
             f"class_bound {cls.bound}"
         )
-    phi = cls.coefficient_matrix()
-    feats = apply_feature_map_batch(cls.feature_map_id(), inst.contexts)
-    member_u = phi @ feats.T
+    member_u = cls.member_coefficients(inst.contexts)
     grid = PriceGrid.uniform(igw.n_prices)
     uniforms = rng.uniform(0.0, 1.0, T)
 
@@ -375,23 +375,22 @@ def mean_metric_by_horizon(records: list[RunRecord], name: str) -> tuple[list[in
 
 
 def write_run_csv(record: RunRecord, path: str | Path) -> None:
-    """Per-period CSV with the fixed 7-column schema; t is 1-based."""
-    lines = [PER_PERIOD_HEADER]
-    for t in range(record.horizon):
-        lines.append(
-            ",".join(
-                (
-                    str(t + 1),
-                    _fmt(record.demand[t]),
-                    _fmt(record.price[t]),
-                    _fmt(record.production[t]),
-                    _fmt(record.unmet_inc[t]),
-                    _fmt(record.cost_inc[t]),
-                    _fmt(record.pay_inc[t]),
-                )
+    """Per-period CSV with the fixed 7-column schema; t is 1-based.
+
+    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time, one ``%``
+    pass per block; ``%.17g`` of a float gives the bytes of ``_fmt``."""
+    cols = (
+        record.demand, record.price, record.production,
+        record.unmet_inc, record.cost_inc, record.pay_inc,
+    )
+    with open(path, "w") as f:
+        f.write(PER_PERIOD_HEADER + "\n")
+        for start in range(0, record.horizon, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, record.horizon)
+            block = np.column_stack(
+                [np.arange(start + 1, stop + 1)] + [c[start:stop] for c in cols]
             )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+            f.write(_CSV_ROW * (stop - start) % tuple(block.ravel().tolist()))
 
 
 def write_summary_csv(records: list[RunRecord], path: str | Path) -> None:

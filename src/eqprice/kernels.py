@@ -1,68 +1,68 @@
 """Per-period policy steps and the fused loops that run them over a horizon.
 
-Each policy's arithmetic exists once, here, as small numba-compatible step
-functions (plain loops over preallocated arrays, no Python objects):
-``supply`` (the aggregate best response), the interval tracker
-(``fixed_*``), the demand grid (``cell_index``, ``demand_update``) and IGW
-sampling with its exponential-weights oracle (``oracle_weights`` through
-``exp_weights_update``). The ``*_trajectory`` loops call them period by
-period, and the step-level API (:mod:`eqprice.policy_fixed`,
-:mod:`eqprice.policy_demand`, :mod:`eqprice.policy_contextual`,
-:mod:`eqprice.oracle`) wraps the same steps over frozen states. Steps and
-loops are compiled with ``@njit`` when numba is available; the uncompiled
-loops are the fallback path (see :mod:`eqprice.backend`).
+Each policy's arithmetic exists once, here, as small step functions on
+Python floats and lists: ``supply`` (the aggregate best response), the
+interval tracker (``fixed_*``), the demand grid (``cell_index``,
+``demand_update``) and IGW sampling with its exponential-weights oracle
+(``mixture_coefficient`` through ``exp_weights_update``). The
+``*_trajectory`` loops call them period by period, reading one period of
+their array inputs at a time, and the step-level API
+(:mod:`eqprice.policy_fixed`, :mod:`eqprice.policy_demand`,
+:mod:`eqprice.policy_contextual`, :mod:`eqprice.oracle`) converts its
+frozen states to lists and calls the same steps.
+
+The steps run as plain Python, so they avoid numpy-scalar indexing and
+arithmetic, which costs the interpreter several times more than the same
+IEEE-754 operation on Python floats. Every sum runs left to right with
+``+=`` (the built-in ``sum`` compensates on Python 3.12 and later), and
+the transcendental calls are ``np.exp``/``np.log`` converted to Python
+floats, not ``math``'s, which can round differently in the last bit.
 
 A loop returns the posted price path, the final policy state and its
 counters (the contextual loop also the arms, the expected mismatch
-``proxy`` and the oracle's losses); :mod:`eqprice.harness` computes
-production and regret from the price path. Argument and result positions
-are a fixed interface: ``perfbench/tracer.py`` reads some of them by index.
+``proxy`` and the oracle's losses) as numpy arrays and numbers;
+:mod:`eqprice.market` computes production and regret from the price path.
+Argument and result positions are a fixed interface: ``perfbench/tracer.py``
+reads some of them by index.
 
 Supplier encoding: family code 0 = quadratic with (param1, param2) =
 (mu, a); family code 1 = linear with (param1, param2) = (c, cap).
 
 Randomness never originates inside a kernel: uniform draws are generated
 by the harness and passed in as arrays, which keeps trajectories
-reproducible and backend-independent.
+reproducible.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-
-from .backend import active_backend, compile_kernel
 
 FAMILY_QUADRATIC = 0
 FAMILY_LINEAR = 1
 
 
-@compile_kernel
 def supply(fam, param1, param2, p):
     """Aggregate best response at price ``p``, summed in supplier order:
     max(0, (p - a)/mu) per quadratic supplier, cap at or above c else 0
     per linear one."""
     tot = 0.0
-    for i in range(fam.shape[0]):
-        if fam[i] == FAMILY_QUADRATIC:
-            x = (p - param2[i]) / param1[i]
+    for f, c1, c2 in zip(fam, param1, param2):
+        if f == FAMILY_QUADRATIC:
+            x = (p - c2) / c1
             if x < 0.0:
                 x = 0.0
         else:
-            x = param2[i] if p >= param1[i] else 0.0
+            x = c2 if p >= c1 else 0.0
         tot += x
     return tot
 
 
-@compile_kernel
 def fixed_start(T):
     """Fresh tracker state (a, b, eps, cursor, frozen, shrinks, resets):
     [0, 1] with eps = 1/2, already frozen when 1 <= 1/T."""
     return 0.0, 1.0, 0.5, 0, 1.0 <= 1.0 / T, 0, 0
 
 
-@compile_kernel
 def fixed_offer(a, b, eps, cursor, frozen):
     """Price to post: min(a + cursor*eps, b), or a once frozen."""
     if frozen:
@@ -71,7 +71,6 @@ def fixed_offer(a, b, eps, cursor, frozen):
     return b if p > b else p
 
 
-@compile_kernel
 def fixed_update(a, b, eps, cursor, shrinks, resets, p, total, d, T):
     """Tracker state (a, b, eps, cursor, frozen, shrinks, resets) after a
     searching tracker saw production ``total`` at its offer ``p``.
@@ -88,7 +87,6 @@ def fixed_update(a, b, eps, cursor, shrinks, resets, p, total, d, T):
     return a, b, eps, cursor + 1, False, shrinks, resets
 
 
-@compile_kernel
 def cell_index(d, d_lo, gamma, n_cells):
     """0-based cell of demand ``d``: floor((d - d_lo)/gamma), clamped to
     [0, n_cells - 1]."""
@@ -100,64 +98,56 @@ def cell_index(d, d_lo, gamma, n_cells):
     return k
 
 
-@compile_kernel
 def demand_update(s_lo, s_hi, cell_price, eps, k, total, d_lo, gamma):
-    """Update unfrozen cell ``k`` in place after production ``total`` at its
-    price p; returns 1 if it shrank, else 0. Production at or above the
-    cell's lower demand bound d_lo + k*gamma shrinks its set to
-    (p - eps, p], moves the price to p - eps and squares eps; otherwise the
-    price probes up by eps, clamped at 1."""
+    """Update unfrozen cell ``k`` of the per-cell lists in place after
+    production ``total`` at its price p; returns 1 if it shrank, else 0.
+    Production at or above the cell's lower demand bound d_lo + k*gamma
+    shrinks its set to (p - eps, p], moves the price to p - eps and squares
+    eps; otherwise the price probes up by eps, clamped at 1."""
     p = cell_price[k]
+    e = eps[k]
     if total >= d_lo + k * gamma:
-        s_lo[k] = p - eps[k]
+        s_lo[k] = p - e
         s_hi[k] = p
-        cell_price[k] = p - eps[k]
-        eps[k] = eps[k] * eps[k]
+        cell_price[k] = p - e
+        eps[k] = e * e
         return 1
-    nxt = p + eps[k]
+    nxt = p + e
     cell_price[k] = 1.0 if nxt > 1.0 else nxt
     return 0
 
 
-@compile_kernel
-def oracle_weights(lw, w):
-    """Write the normalised weights exp(lw - max lw) / sum into ``w``."""
-    m = lw.max()
+def oracle_weights(lw):
+    """The normalised weights exp(lw - max lw) / sum, as a list."""
+    m = max(lw)
+    w = [float(np.exp(x - m)) for x in lw]
     s = 0.0
-    for i in range(lw.shape[0]):
-        w[i] = np.exp(lw[i] - m)
-        s += w[i]
-    for i in range(lw.shape[0]):
-        w[i] = w[i] / s
+    for x in w:
+        s += x
+    return [x / s for x in w]
 
 
-@compile_kernel
-def mixture_coefficient(lw, u, w):
-    """The oracle's production coefficient sum_i w_i u_i for member
-    coefficients ``u`` (production at p = 1); the oracle predicts p times
-    it. Leaves the normalised weights in ``w``."""
-    oracle_weights(lw, w)
+def mixture_coefficient(lw, u):
+    """The oracle's production coefficient sum_i w_i u_i for log-weights
+    ``lw`` and member coefficients ``u`` (production at p = 1); the oracle
+    predicts p times it."""
     c_hat = 0.0
-    for i in range(lw.shape[0]):
-        c_hat += w[i] * u[i]
+    for wi, ui in zip(oracle_weights(lw), u):
+        c_hat += wi * ui
     return c_hat
 
 
-@compile_kernel
-def igw_gaps(estimates, d, gaps):
-    """Write into ``gaps`` each price's mismatch |estimate - d| above the
-    smallest one (the greedy price's)."""
-    for j in range(estimates.shape[0]):
-        gaps[j] = abs(estimates[j] - d)
-    gmin = gaps.min()
-    for j in range(estimates.shape[0]):
-        gaps[j] -= gmin
+def igw_gaps(estimates, d):
+    """Each price's mismatch |estimate - d| above the smallest one (the
+    greedy price's), as a list."""
+    gaps = [abs(e - d) for e in estimates]
+    gmin = min(gaps)
+    return [g - gmin for g in gaps]
 
 
-@compile_kernel
-def igw_probs(gaps, gamma, probs):
-    """Write 1/(lam + 2*gamma*gap_j), renormalised to sum 1, into ``probs``
-    and return lam, the root of g(lam) = sum_j 1/(lam + 2*gamma*gap_j) - 1.
+def igw_probs(gaps, gamma):
+    """(probs, lam): the list 1/(lam + 2*gamma*gap_j), renormalised to sum
+    1, and lam, the root of g(lam) = sum_j 1/(lam + 2*gamma*gap_j) - 1.
 
     With min(gaps) == 0, g is convex and decreasing with g(1) >= 0 and
     g(K) <= 0. Newton's method from lam = 1 therefore rises monotonically
@@ -165,14 +155,16 @@ def igw_probs(gaps, gamma, probs):
     It stops once g(lam) <= 1e-12, after still taking the step computed
     there (free, and it brings lam to the root at machine precision), or
     when a step no longer increases lam, or after 100 steps."""
-    K = gaps.shape[0]
-    g2 = 2.0 * gamma  # 2*gamma*gap evaluates as (2*gamma)*gap
+    K = len(gaps)
+    g2 = 2.0 * gamma
+    # (2*gamma)*gap_j is the same product on every iteration
+    h = [g2 * g for g in gaps]
     lam = 1.0
     for _ in range(100):
         ssum = 0.0
         slope = 0.0  # -g'(lam)
-        for j in range(K):
-            q = 1.0 / (lam + g2 * gaps[j])
+        for hj in h:
+            q = 1.0 / (lam + hj)
             ssum += q
             slope += q * q
         diff = ssum - 1.0
@@ -182,53 +174,50 @@ def igw_probs(gaps, gamma, probs):
         lam = nxt
         if diff <= 1e-12:
             break
+    probs = [1.0 / (lam + hj) for hj in h]
     psum = 0.0
-    for j in range(K):
-        probs[j] = 1.0 / (lam + g2 * gaps[j])
-        psum += probs[j]
-    for j in range(K):
-        probs[j] = probs[j] / psum
-    return lam
+    for q in probs:
+        psum += q
+    return [q / psum for q in probs], lam
 
 
-@compile_kernel
 def sample_arm(probs, u):
     """Inverse-CDF draw: the smallest index whose cumulative probability
     covers ``u``, or the last index."""
     acc = 0.0
-    for j in range(probs.shape[0]):
-        acc += probs[j]
+    for j, q in enumerate(probs):
+        acc += q
         if u <= acc:
             return j
-    return probs.shape[0] - 1
+    return len(probs) - 1
 
 
-@compile_kernel
 def exp_weights_update(lw, cum_member_loss, u, c_hat, p, x, eta):
-    """Fold observation ``x`` at price ``p`` into the oracle in place: each
-    member's squared error (p*u_i - x)^2 is added to ``cum_member_loss``
-    and decays its log-weight by eta times the error, then ``lw`` is
-    renormalised in log space. Returns the squared error of the pre-update
-    forecast p * c_hat."""
+    """Fold observation ``x`` at price ``p`` into the oracle's lists in
+    place: each member's squared error (p*u_i - x)^2 is added to
+    ``cum_member_loss`` and decays its log-weight by eta times the error,
+    then ``lw`` is renormalised in log space. Returns the squared error of
+    the pre-update forecast p * c_hat."""
     f_hat = p * c_hat
-    for i in range(lw.shape[0]):
-        pred = p * u[i]
+    for i, ui in enumerate(u):
+        pred = p * ui
         loss = (pred - x) * (pred - x)
         cum_member_loss[i] += loss
         lw[i] -= eta * loss
-    mx = lw.max()
+    mx = max(lw)
     zs = 0.0
-    for i in range(lw.shape[0]):
-        zs += np.exp(lw[i] - mx)
-    log_z = mx + np.log(zs)
-    for i in range(lw.shape[0]):
-        lw[i] -= log_z
+    for v in lw:
+        zs += float(np.exp(v - mx))
+    log_z = mx + float(np.log(zs))
+    lw[:] = [v - log_z for v in lw]
     return (f_hat - x) * (f_hat - x)
 
 
-def _fixed_trajectory(fam, param1, param2, d, T):
+def fixed_trajectory(fam, param1, param2, d, T):
     """Interval tracking at constant demand ``d``: returns
     (price, a, b, eps, frozen, shrinks, resets)."""
+    fam, param1, param2 = fam.tolist(), param1.tolist(), param2.tolist()
+    d = float(d)
     price = np.empty(T)
     a, b, eps, cursor, frozen, shrinks, resets = fixed_start(T)
     for t in range(T):
@@ -243,22 +232,24 @@ def _fixed_trajectory(fam, param1, param2, d, T):
     return price, a, b, eps, frozen, shrinks, resets
 
 
-def _demand_trajectory(
+def demand_trajectory(
     fam, param1, param2, demands, s_lo, s_hi, eps, d_lo, gamma, n_cells, freeze_width
 ):
     """One interval search per demand cell from the sets (s_lo, s_hi] and
     precisions ``eps`` of a :class:`~eqprice.policy_demand.DemandPolicyState`
     (left unmodified), each cell priced at s_lo as in a fresh state: returns
     (price, s_lo, s_hi, cell_price, eps, shrinks)."""
+    fam, param1, param2 = fam.tolist(), param1.tolist(), param2.tolist()
+    d_lo, gamma, freeze_width = float(d_lo), float(gamma), float(freeze_width)
     T = demands.shape[0]
     price = np.empty(T)
-    s_lo = s_lo.copy()
-    s_hi = s_hi.copy()
-    cell_price = s_lo.copy()
-    cell_eps = eps.copy()
+    s_lo = s_lo.tolist()
+    s_hi = s_hi.tolist()
+    cell_price = list(s_lo)
+    cell_eps = eps.tolist()
     shrinks = 0
     for t in range(T):
-        k = cell_index(demands[t], d_lo, gamma, n_cells)
+        k = cell_index(float(demands[t]), d_lo, gamma, n_cells)
         p = cell_price[k]
         price[t] = p
         if s_hi[k] - s_lo[k] > freeze_width:
@@ -266,60 +257,44 @@ def _demand_trajectory(
                 s_lo, s_hi, cell_price, cell_eps, k,
                 supply(fam, param1, param2, p), d_lo, gamma,
             )
-    return price, s_lo, s_hi, cell_price, cell_eps, shrinks
+    return (
+        price, np.array(s_lo), np.array(s_hi), np.array(cell_price), np.array(cell_eps),
+        shrinks,
+    )
 
 
-def _contextual_trajectory(member_u, log_w0, eta, u_true, demands, uniforms, grid, gamma):
+def contextual_trajectory(member_u, log_w0, eta, u_true, demands, uniforms, grid, gamma):
     """Inverse-gap-weighted sampling driven by the exponential-weights
     oracle, which observes production p_t * u_true[t]: returns (arm, price,
     proxy, forecast_loss, final log-weights, cumulative member losses)."""
-    F = member_u.shape[0]
     T = u_true.shape[0]
-    K = grid.shape[0]
     arm_idx = np.empty(T, dtype=np.int64)
     price = np.empty(T)
     proxy = np.empty(T)
     forecast_loss = np.empty(T)
-    lw = log_w0.copy()
-    cum_member_loss = np.zeros(F)
-    w = np.empty(F)
-    gaps = np.empty(K)
-    probs = np.empty(K)
+    eta, gamma = float(eta), float(gamma)
+    grid = grid.tolist()
+    lw = log_w0.tolist()
+    cum_member_loss = [0.0] * len(lw)
     for t in range(T):
-        d = demands[t]
-        u = member_u[:, t]
-        c_hat = mixture_coefficient(lw, u, w)
-        igw_gaps(grid * c_hat, d, gaps)
-        igw_probs(gaps, gamma, probs)
-        arm = sample_arm(probs, uniforms[t])
+        d = float(demands[t])
+        ut = float(u_true[t])
+        u = member_u[:, t].tolist()
+        c_hat = mixture_coefficient(lw, u)
+        probs = igw_probs(igw_gaps([g * c_hat for g in grid], d), gamma)[0]
+        arm = sample_arm(probs, float(uniforms[t]))
         p_t = grid[arm]
         arm_idx[t] = arm
         price[t] = p_t
         # exact expected mismatch under the sampling distribution
         e = 0.0
-        for j in range(K):
-            e += probs[j] * abs(grid[j] * u_true[t] - d)
+        for q, g in zip(probs, grid):
+            e += q * abs(g * ut - d)
         proxy[t] = e
         forecast_loss[t] = exp_weights_update(
-            lw, cum_member_loss, u, c_hat, p_t, p_t * u_true[t], eta
+            lw, cum_member_loss, u, c_hat, p_t, p_t * ut, eta
         )
-    return arm_idx, price, proxy, forecast_loss, lw, cum_member_loss
-
-
-def _dispatch(loop):
-    """The loop on the active backend: jitted when it is ``numba``."""
-    jitted = compile_kernel(loop)
-
-    @functools.wraps(loop)
-    def run(*args):
-        return jitted(*args) if active_backend() == "numba" else loop(*args)
-
-    return run
-
-
-fixed_trajectory = _dispatch(_fixed_trajectory)
-demand_trajectory = _dispatch(_demand_trajectory)
-contextual_trajectory = _dispatch(_contextual_trajectory)
+    return arm_idx, price, proxy, forecast_loss, np.array(lw), np.array(cum_member_loss)
 
 
 def encode_suppliers(suppliers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -286,7 +286,9 @@ class GeneratorSpec:
 
     kinds: ``constant`` (value), ``uniform`` (lo, hi) for demands,
     ``uniform_cube`` (lo, hi, dim) for contexts. Draws use the replication's
-    Philox stream; see the harness docs for the draw order.
+    Philox stream; see the harness docs for the draw order. An unknown kind,
+    a non-finite value, lo or hi, hi < lo and a cube with dim < 1 are
+    rejected.
     """
 
     kind: str
@@ -294,6 +296,17 @@ class GeneratorSpec:
     lo: float = 0.0
     hi: float = 0.0
     dim: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "uniform", "uniform_cube"):
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        for name in ("value", "lo", "hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"generator {name} must be finite, got {getattr(self, name)}")
+        if self.hi < self.lo:
+            raise ValueError(f"generator needs lo <= hi, got lo={self.lo}, hi={self.hi}")
+        if self.kind == "uniform_cube" and self.dim < 1:
+            raise ValueError(f"uniform_cube needs dim >= 1, got {self.dim}")
 
     def to_json_dict(self) -> dict:
         if self.kind == "constant":

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .features import apply_feature_map
+from .features import apply_feature_map, apply_feature_map_batch
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,25 @@ class ClassMember:
     def context_quadratic(cls, phi: Sequence[float], feature_map_id: str = "identity"):
         return cls(phi=tuple(float(v) for v in phi), feature_map_id=feature_map_id)
 
+    def coefficient(self, feats):
+        """<phi, feats>, the production at p = 1, summed left to right over
+        the features. ``feats`` holds one float per feature of one context,
+        or one array per feature of a context path; either way each value
+        is the same sequence of products and additions."""
+        if len(feats) != len(self.phi):
+            raise ValueError(
+                f"member has {len(self.phi)} parameters, context {len(feats)} features"
+            )
+        u = 0.0
+        for phi_k, f_k in zip(self.phi, feats):
+            u = u + phi_k * f_k
+        return u
+
     def evaluate(self, p: float, theta) -> float:
         if theta is None:
             # a missing context would map to NaN features, not an error
             raise ValueError("class members require a context")
-        return p * float(np.dot(self.phi, apply_feature_map(self.feature_map_id, theta)))
+        return p * self.coefficient(apply_feature_map(self.feature_map_id, theta).tolist())
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,19 +90,26 @@ class FunctionClass:
         return len(self.members)
 
     def evaluate_all(self, p: float, theta=None) -> np.ndarray:
-        return np.array([m.evaluate(p, theta) for m in self.members])
+        return p * self.member_coefficients(theta)
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """Member phi matrix when every member uses the same feature map;
-        used by the fused simulation kernel."""
-        self.feature_map_id()  # raises unless the members share one map
-        return np.array([m.phi for m in self.members])
-
-    def feature_map_id(self) -> str:
-        ids = {m.feature_map_id for m in self.members}
-        if len(ids) != 1:
-            raise ValueError("members must share one feature map")
-        return next(iter(ids))
+    def member_coefficients(self, contexts) -> np.ndarray:
+        """Every member's :meth:`ClassMember.coefficient`: shape (F,) at one
+        context, (F, T) over a (T, m) context path, whose column t equals
+        the coefficients at context t bit for bit."""
+        if contexts is None:
+            raise ValueError("class members require a context")
+        contexts = np.asarray(contexts, dtype=np.float64)
+        feats = {}
+        out = np.empty((len(self.members),) + contexts.shape[:-1])
+        for i, m in enumerate(self.members):
+            if m.feature_map_id not in feats:
+                feats[m.feature_map_id] = (
+                    apply_feature_map(m.feature_map_id, contexts).tolist()
+                    if contexts.ndim <= 1
+                    else apply_feature_map_batch(m.feature_map_id, contexts).T
+                )
+            out[i] = m.coefficient(feats[m.feature_map_id])
+        return out
 
 
 def default_eta(bound: float) -> float:
@@ -114,9 +135,7 @@ class OracleState:
     clamped: int = 0
 
     def weights(self) -> np.ndarray:
-        w = np.empty(len(self.log_weights))
-        kernels.oracle_weights(self.log_weights, w)
-        return w
+        return np.array(kernels.oracle_weights(self.log_weights.tolist()))
 
 
 def make_oracle_state(cls: FunctionClass, eta: float | None = None) -> OracleState:
@@ -132,10 +151,10 @@ def make_oracle_state(cls: FunctionClass, eta: float | None = None) -> OracleSta
     )
 
 
-def _coefficients(state: OracleState, cls: FunctionClass, theta) -> tuple[np.ndarray, float]:
+def _coefficients(state: OracleState, cls: FunctionClass, theta) -> tuple[list, float]:
     """Member productions u at (p = 1, theta) and their mixture coefficient."""
-    u = cls.evaluate_all(1.0, theta)
-    return u, kernels.mixture_coefficient(state.log_weights, u, np.empty(len(u)))
+    u = cls.member_coefficients(theta).tolist()
+    return u, kernels.mixture_coefficient(state.log_weights.tolist(), u)
 
 
 def oracle_predict(state: OracleState, cls: FunctionClass, p: float, theta=None) -> float:
@@ -157,14 +176,14 @@ def oracle_update(
         x = min(max(x, 0.0), cls.bound)
         clamped += 1
     u, c_hat = _coefficients(state, cls, theta)
-    lw = state.log_weights.copy()
-    cum_member_loss = state.cum_member_loss.copy()
-    loss = kernels.exp_weights_update(lw, cum_member_loss, u, c_hat, p, x, state.eta)
+    lw = state.log_weights.tolist()
+    cum_member_loss = state.cum_member_loss.tolist()
+    loss = kernels.exp_weights_update(lw, cum_member_loss, u, c_hat, float(p), x, state.eta)
     return replace(
         state,
-        log_weights=lw,
+        log_weights=np.array(lw),
         cum_loss=state.cum_loss + loss,
-        cum_member_loss=cum_member_loss,
+        cum_member_loss=np.array(cum_member_loss),
         clamped=clamped,
     )
 

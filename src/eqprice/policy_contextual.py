@@ -109,14 +109,13 @@ def igw_distribution(gaps: np.ndarray, gamma_explore: float) -> IgwDistribution:
         raise ValueError("the greedy gap must be zero")
     if not (math.isfinite(gamma_explore) and gamma_explore > 0):
         raise ValueError("gamma_explore must be finite and positive")
-    probs = np.empty(len(gaps))
-    lam = kernels.igw_probs(gaps, float(gamma_explore), probs)
-    return IgwDistribution(probs=probs, lam=lam)
+    probs, lam = kernels.igw_probs(gaps.tolist(), float(gamma_explore))
+    return IgwDistribution(probs=np.array(probs), lam=lam)
 
 
 def sample_price(dist: IgwDistribution, u: float) -> int:
     """Inverse-CDF draw: smallest index whose cumulative probability covers u."""
-    return kernels.sample_arm(np.asarray(dist.probs, dtype=np.float64), float(u))
+    return kernels.sample_arm(np.asarray(dist.probs, dtype=np.float64).tolist(), float(u))
 
 
 @dataclass(frozen=True)
@@ -153,9 +152,9 @@ def contextual_step(
     distribution is exposed on the returned state so a simulator can take
     exact expectations against it.
     """
-    gaps = np.empty(len(grid))
-    kernels.igw_gaps(state.oracle.predict_at_prices(grid.prices, theta), d, gaps)
-    dist = igw_distribution(gaps, params.gamma_explore)
+    estimates = np.asarray(state.oracle.predict_at_prices(grid.prices, theta), dtype=np.float64)
+    gaps = kernels.igw_gaps(estimates.tolist(), float(d))
+    dist = igw_distribution(np.array(gaps), params.gamma_explore)
     arm = sample_price(dist, float(rng.uniform()))
     price = float(grid.prices[arm])
     return price, replace(

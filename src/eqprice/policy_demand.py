@@ -127,13 +127,14 @@ def demand_step(
     if state.cell_frozen(k):
         return offered, state
     s_lo, s_hi, price, eps = (
-        x.copy() for x in (state.s_lo, state.s_hi, state.price, state.eps)
+        x.tolist() for x in (state.s_lo, state.s_hi, state.price, state.eps)
     )
     shrinks = state.shrink_count + kernels.demand_update(
-        s_lo, s_hi, price, eps, k - 1, total_production, grid.d_lo, grid.gamma
+        s_lo, s_hi, price, eps, k - 1, float(total_production), grid.d_lo, grid.gamma
     )
     return offered, replace(
-        state, s_lo=s_lo, s_hi=s_hi, price=price, eps=eps, shrink_count=shrinks
+        state, s_lo=np.array(s_lo), s_hi=np.array(s_hi), price=np.array(price),
+        eps=np.array(eps), shrink_count=shrinks,
     )
 
 

@@ -8,7 +8,10 @@ import pytest
 
 from eqprice import kernels, market
 from eqprice.harness import (
+    CSV_BLOCK_ROWS,
+    PER_PERIOD_HEADER,
     ExperimentConfig,
+    RunRecord,
     fit_scaling,
     load_config,
     mean_metric_by_horizon,
@@ -424,6 +427,26 @@ def test_run_csv_schema(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[2]) == 0.0  # first posted price
+
+
+def test_run_csv_bytes_match_per_value_format(tmp_path):
+    # two full blocks plus a partial one, special values at block edges
+    T = 2 * CSV_BLOCK_ROWS + 3
+    rng = np.random.Generator(np.random.Philox(key=414))
+    cols = [rng.uniform(-1e3, 1e3, T) for _ in range(6)]
+    specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 3.0, -7.0, 0.0, 2.0**53]
+    for j, col in enumerate(cols):
+        for i, t in enumerate((0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, T - 1)):
+            col[t] = specials[(i + j) % len(specials)]
+        col[100 : 100 + len(specials)] = specials
+    rec = RunRecord("constant_price", T, 0, 0, *cols)
+    path = tmp_path / "run.csv"
+    write_run_csv(rec, path)
+    expected = PER_PERIOD_HEADER + "\n" + "".join(
+        ",".join([str(t + 1)] + [format(float(c[t]), ".17g") for c in cols]) + "\n"
+        for t in range(T)
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_summary_csv_round_trip(tmp_path):

@@ -1,17 +1,14 @@
 """Kernel trajectories against the step-level API driven period by period
 (both run the step functions of ``eqprice.kernels``; the step-level drivers
-use ``market.aggregate_production`` for the feedback), and numba against the
-plain-Python path."""
+use ``market.aggregate_production`` for the feedback)."""
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqprice import kernels
-from eqprice.backend import NUMBA_AVAILABLE, active_backend, set_backend
 from eqprice.features import apply_feature_map_batch
 from eqprice.market import CostSpec, aggregate_production
 from eqprice.oracle import ClassMember, FiniteClassOracle, FunctionClass
@@ -26,14 +23,6 @@ from eqprice.policy_demand import DemandGrid, cell_price, demand_step, make_dema
 from eqprice.policy_fixed import FROZEN, fixed_next_price, fixed_observe, make_fixed_state
 
 
-@pytest.fixture(params=["numpy", "numba"] if NUMBA_AVAILABLE else ["numpy"])
-def backend(request):
-    previous = active_backend()
-    set_backend(request.param)
-    yield request.param
-    set_backend(previous)
-
-
 def reference_fixed(suppliers, d, T):
     state = make_fixed_state(T)
     prices = np.empty(T)
@@ -45,7 +34,7 @@ def reference_fixed(suppliers, d, T):
     return prices, state
 
 
-def test_fixed_kernel_matches_reference(backend):
+def test_fixed_kernel_matches_reference():
     suppliers = (CostSpec.quadratic(0.3, a=0.05), CostSpec.quadratic(0.8))
     d, T = 1.7, 4000
     fam, p1, p2 = kernels.encode_suppliers(suppliers)
@@ -58,7 +47,7 @@ def test_fixed_kernel_matches_reference(backend):
     assert frozen == (ref_state.phase == FROZEN)
 
 
-def test_fixed_kernel_linear_instance(backend):
+def test_fixed_kernel_linear_instance():
     supplier = CostSpec.linear(c=0.4, cap=2.0)
     d, T = 1.0, 3000
     fam, p1, p2 = kernels.encode_suppliers((supplier,))
@@ -67,7 +56,7 @@ def test_fixed_kernel_linear_instance(backend):
     assert np.array_equal(price, ref_prices)
 
 
-def test_demand_kernel_matches_reference(backend):
+def test_demand_kernel_matches_reference():
     rng = np.random.Generator(np.random.Philox(key=81))
     suppliers = (CostSpec.quadratic(0.5), CostSpec.quadratic(1.0, a=0.1))
     T = 2500
@@ -174,13 +163,12 @@ class _Replay:
         return float(next(self.draws))
 
 
-def _assert_contextual_kernel_matches_ops(
-    cls, member_u, phi_true, demands, thetas, uniforms, K, gamma
-):
-    """The fused kernel on member coefficients ``member_u`` and the step API,
+def _assert_contextual_kernel_matches_ops(cls, phi_true, demands, thetas, uniforms, K, gamma):
+    """The fused kernel on the harness's coefficient path and the step API,
     fed the same draws, agree bit for bit: arms, proxy, log-weights, member
     losses and forecast loss."""
     T = len(demands)
+    member_u = cls.member_coefficients(thetas)
     grid_prices = np.linspace(0.0, 1.0, K)
     u_true = apply_feature_map_batch("identity", thetas) @ phi_true
     log_w0 = np.full(len(cls), -math.log(len(cls)))
@@ -211,12 +199,28 @@ def _assert_contextual_kernel_matches_ops(
     assert np.cumsum(floss)[-1] == oracle.state.cum_loss
 
 
-def test_contextual_kernel_matches_ops(backend):
+def test_contextual_kernel_matches_ops():
     cls, phi_true, demands, thetas, uniforms = _contextual_setup(600, seed=82)
-    member_u = cls.coefficient_matrix() @ apply_feature_map_batch("identity", thetas).T
     _assert_contextual_kernel_matches_ops(
-        cls, member_u, phi_true, demands, thetas, uniforms, K=9, gamma=40.0
+        cls, phi_true, demands, thetas, uniforms, K=9, gamma=40.0
     )
+
+
+def _check_contextual_case(n_members, dim, misspecified, K, gamma, T, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    phis = rng.uniform(0.1, 2.0, (n_members, dim))
+    phi_true = rng.uniform(0.1, 2.0, dim) if misspecified else phis[0]
+    thetas = rng.uniform(0.5, 1.5, (T, dim))
+    # B covers every member's and the truth's production at p = 1
+    bound = rng.uniform(1.0, 2.0) * max(phis.sum(axis=1).max(), phi_true.sum()) * 1.5
+    cls = FunctionClass(
+        members=tuple(ClassMember.context_quadratic(tuple(phi)) for phi in phis),
+        bound=float(bound),
+    )
+    demands = rng.uniform(0.1, 3.0, T)
+    uniforms = rng.uniform(0.0, 1.0, T)
+    _assert_contextual_kernel_matches_ops(cls, phi_true, demands, thetas, uniforms, K, gamma)
+    return cls, thetas
 
 
 @settings(max_examples=25, deadline=None)
@@ -232,53 +236,14 @@ def test_contextual_kernel_matches_ops(backend):
 def test_contextual_kernel_equals_step_api_property(
     n_members, dim, misspecified, K, log_gamma, T, seed
 ):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    phis = rng.uniform(0.1, 2.0, (n_members, dim))
-    phi_true = rng.uniform(0.1, 2.0, dim) if misspecified else phis[0]
-    thetas = rng.uniform(0.5, 1.5, (T, dim))
-    # B covers every member's and the truth's production at p = 1
-    bound = rng.uniform(1.0, 2.0) * max(phis.sum(axis=1).max(), phi_true.sum()) * 1.5
-    cls = FunctionClass(
-        members=tuple(ClassMember.context_quadratic(tuple(phi)) for phi in phis),
-        bound=float(bound),
-    )
-    demands = rng.uniform(0.1, 3.0, T)
-    uniforms = rng.uniform(0.0, 1.0, T)
-    # the oracle's own per-member coefficients: the harness's matrix product
-    # can differ from them in the last bit (for example at one member, dim 2)
-    member_u = np.column_stack([cls.evaluate_all(1.0, theta) for theta in thetas])
-    _assert_contextual_kernel_matches_ops(
-        cls, member_u, phi_true, demands, thetas, uniforms, K, math.exp(log_gamma)
-    )
+    _check_contextual_case(n_members, dim, misspecified, K, math.exp(log_gamma), T, seed)
 
 
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="needs both backends")
-def test_backends_agree():
-    suppliers = (CostSpec.quadratic(0.3), CostSpec.quadratic(0.8, a=0.1))
-    fam, p1, p2 = kernels.encode_suppliers(suppliers)
-    previous = active_backend()
-    try:
-        set_backend("numpy")
-        ref = kernels.fixed_trajectory(fam, p1, p2, 1.2, 2000)
-        set_backend("numba")
-        jit = kernels.fixed_trajectory(fam, p1, p2, 1.2, 2000)
-        assert np.array_equal(ref[0], jit[0])
-        assert ref[1:] == jit[1:]
-
-        T = 400
-        cls, phi_true, demands, thetas, uniforms = _contextual_setup(T, seed=83)
-        feats = apply_feature_map_batch("identity", thetas)
-        member_u = cls.coefficient_matrix() @ feats.T
-        u_true = feats @ phi_true
-        log_w0 = np.full(len(cls), -math.log(len(cls)))
-        args = (member_u, log_w0, 2.0 / 81.0, u_true, demands, uniforms,
-                np.linspace(0.0, 1.0, 7), 25.0)
-        set_backend("numpy")
-        ref_c = kernels.contextual_trajectory(*args)
-        set_backend("numba")
-        jit_c = kernels.contextual_trajectory(*args)
-        assert np.array_equal(ref_c[0], jit_c[0])  # identical arm sequence
-        for a, b in zip(ref_c[1:], jit_c[1:]):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-    finally:
-        set_backend(previous)
+def test_contextual_kernel_equals_step_api_one_member_dim2():
+    # A (1, 2) @ (2, 3) matrix product and np.dot per context disagreed in
+    # the last bit on the second of these contexts.
+    cls, thetas = _check_contextual_case(1, 2, False, K=5, gamma=10.0, T=3, seed=1)
+    member_u = cls.member_coefficients(thetas)
+    for t, theta in enumerate(thetas):
+        assert np.array_equal(member_u[:, t], cls.evaluate_all(1.0, theta))
+        assert member_u[0, t] == cls.members[0].evaluate(1.0, theta)

@@ -387,15 +387,17 @@ def test_cost_spec_rejects_non_finite_parameters(doc):
 )
 def test_instance_rejects_non_finite_demands(demands):
     # declared bounds skip the min/max defaults, so only the finiteness
-    # check stands between a NaN demand and the run
+    # checks stand between a NaN demand and the run (a generator's own
+    # check fires when the spec is read, an explicit array's when the
+    # instance is materialised)
     doc = {
         "suppliers": [{"family": "quadratic", "mu": 0.5, "a": 0.0}],
         "demands": demands,
         "horizon": 3,
         "demand_bounds": [0.5, 1.5],
     }
-    spec = InstanceSpec.from_json(json.dumps(doc))
     with pytest.raises(ValueError, match="finite"):
+        spec = InstanceSpec.from_json(json.dumps(doc))
         spec.materialize(np.random.Generator(np.random.Philox(key=0)))
 
 
@@ -454,10 +456,11 @@ _costs = st.one_of(
     ),
 )
 _constant = st.builds(GeneratorSpec, kind=st.just("constant"), value=_finite)
-_uniform = st.builds(GeneratorSpec, kind=st.just("uniform"), lo=_finite, hi=_finite)
+_ordered = st.tuples(_finite, _finite).map(sorted)
+_uniform = _ordered.map(lambda b: GeneratorSpec(kind="uniform", lo=b[0], hi=b[1]))
 _cube = st.builds(
-    GeneratorSpec, kind=st.just("uniform_cube"), lo=_finite, hi=_finite,
-    dim=st.integers(1, 6),
+    lambda b, dim: GeneratorSpec(kind="uniform_cube", lo=b[0], hi=b[1], dim=dim),
+    _ordered, st.integers(1, 6),
 )
 _rows = st.lists(st.tuples(_finite, _finite), min_size=1, max_size=5).map(tuple)
 _members = st.builds(
@@ -559,6 +562,28 @@ def test_materialize_constant_and_uniform():
     inst_u = spec_u.materialize(np.random.Generator(np.random.Philox(key=2)))
     assert inst_u.demand_bounds == (0.5, 1.5)
     assert inst_u.demands.min() >= 0.5 and inst_u.demands.max() <= 1.5
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"kind": "bogus", "lo": 0.5, "hi": 1.5}, "unknown generator kind"),
+        ({"kind": "constant", "value": math.nan}, "value must be finite"),
+        ({"kind": "constant", "value": math.inf}, "value must be finite"),
+        ({"kind": "uniform", "lo": -math.inf, "hi": 1.0}, "lo must be finite"),
+        ({"kind": "uniform", "lo": 0.5, "hi": math.nan}, "hi must be finite"),
+        ({"kind": "uniform_cube", "lo": 0.5, "hi": math.inf, "dim": 2}, "hi must be finite"),
+        ({"kind": "uniform", "lo": 1.5, "hi": 0.5}, "lo <= hi"),
+        ({"kind": "uniform_cube", "lo": 1.5, "hi": 0.5, "dim": 2}, "lo <= hi"),
+        ({"kind": "uniform_cube", "lo": 0.5, "hi": 1.5, "dim": 0}, "dim >= 1"),
+        ({"kind": "uniform_cube", "lo": 0.5, "hi": 1.5, "dim": -1}, "dim >= 1"),
+    ],
+)
+def test_generator_spec_rejects_bad_fields(doc, message):
+    with pytest.raises(ValueError, match=message):
+        GeneratorSpec(**doc)
+    with pytest.raises(ValueError, match=message):
+        GeneratorSpec.from_json_dict(doc)
 
 
 def test_cost_normalized_at_zero():

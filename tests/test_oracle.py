@@ -167,7 +167,8 @@ def test_member_serialization_round_trip():
         ClassMember.from_json_dict({"family": "constant", "value": 0.4})
 
 
-def test_coefficient_matrix_requires_homogeneous_members():
+def test_member_coefficients_mixed_feature_maps():
+    # dim-1 contexts: identity gives one feature, tanh_affine two
     cls = FunctionClass(
         members=(
             ClassMember.context_quadratic((1.0,)),
@@ -175,6 +176,13 @@ def test_coefficient_matrix_requires_homogeneous_members():
         ),
         bound=1.0,
     )
-    with pytest.raises(ValueError):
-        cls.coefficient_matrix()
+    thetas = np.random.Generator(np.random.Philox(key=17)).uniform(-2.0, 2.0, (50, 1))
+    path = cls.member_coefficients(thetas)
+    assert path.shape == (2, 50)
+    for t, theta in enumerate(thetas):
+        assert np.array_equal(path[:, t], cls.member_coefficients(theta))
+        assert path[0, t] == cls.members[0].evaluate(1.0, theta)
+        assert path[1, t] == cls.members[1].evaluate(1.0, theta)
+    with pytest.raises(ValueError, match="features"):
+        cls.member_coefficients(np.ones((50, 2)))
 
