@@ -34,8 +34,6 @@ from .market import (
     equilibrium_price,
 )
 from .oracle import (
-    ClassMember,
-    FiniteClassOracle,
     FunctionClass,
     OracleState,
     make_oracle_state,

@@ -102,15 +102,17 @@ def verify_lower_bound(
     n_periods: int = 100_000,
     seed: int = 0,
     prices: tuple[float, ...] = (0.0, 0.125, 0.25, 0.5),
-    instance: IidCostInstance = IidCostInstance(),
 ) -> LowerBoundReport:
     """Locate the analytic minimum of the expected total regret on a price
     grid and check the formula against seeded i.i.d. simulation.
 
     The empirical value at each price is the average realized total regret
-    over ``n_periods`` draws of the cost mixture, with the per-draw regret
-    evaluated by the market model.
+    over ``n_periods`` draws of the default :class:`IidCostInstance`
+    mixture, with the per-draw regret evaluated by the market model. The
+    mixture is fixed because :func:`expected_total_regret`, the analytic
+    column, is the closed form for that mixture only.
     """
+    instance = IidCostInstance()
     n_grid = int(round(1.0 / grid_step))
     grid = np.arange(n_grid + 1) / n_grid
     values = np.array([expected_total_regret(p) for p in grid])

@@ -45,8 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .market import CONTEXT_QUADRATIC, QUADRATIC, InstanceSpec, MarketInstance
-from .oracle import ClassMember, FunctionClass, make_oracle_state
+from .market import CONTEXT_QUADRATIC, QUADRATIC, CostSpec, InstanceSpec, MarketInstance
+from .oracle import FunctionClass, make_oracle_state
 from .policy_contextual import IGWParams, PriceGrid, default_gamma, default_grid_size
 from .policy_demand import DemandGrid, make_demand_state
 from .policy_demand import default_gamma as demand_default_gamma
@@ -131,7 +131,8 @@ class ExperimentConfig:
 class RunRecord:
     """Seeded trajectory of one (horizon, replication) execution.
 
-    Cumulative fields are the running sums of the per-period columns.
+    Cumulative fields are the running sums of the per-period columns; they
+    are derived in the constructor and cannot be passed to it.
     ``cost_pos`` / ``pay_pos`` accumulate only positive increments (the
     overshoot periods) and are what the rate fits consume. ``proxy_inc``
     holds the exact expected absolute production-demand mismatch under the
@@ -149,12 +150,12 @@ class RunRecord:
     cost_inc: np.ndarray
     pay_inc: np.ndarray
     proxy_inc: np.ndarray | None = None
-    unmet: float = 0.0
-    cost_regret: float = 0.0
-    payment_regret: float = 0.0
-    cost_pos: float = 0.0
-    pay_pos: float = 0.0
-    proxy_reg: float = float("nan")
+    unmet: float = field(init=False)
+    cost_regret: float = field(init=False)
+    payment_regret: float = field(init=False)
+    cost_pos: float = field(init=False)
+    pay_pos: float = field(init=False)
+    proxy_reg: float = field(init=False)
 
     def __post_init__(self):
         self.unmet = float(np.cumsum(self.unmet_inc)[-1])
@@ -162,8 +163,9 @@ class RunRecord:
         self.payment_regret = float(np.cumsum(self.pay_inc)[-1])
         self.cost_pos = float(np.cumsum(np.maximum(self.cost_inc, 0.0))[-1])
         self.pay_pos = float(np.cumsum(np.maximum(self.pay_inc, 0.0))[-1])
-        if self.proxy_inc is not None:
-            self.proxy_reg = float(np.cumsum(self.proxy_inc)[-1])
+        self.proxy_reg = (
+            math.nan if self.proxy_inc is None else float(np.cumsum(self.proxy_inc)[-1])
+        )
 
     @property
     def final_price(self) -> float:
@@ -221,7 +223,7 @@ def _contextual_class(inst_spec: InstanceSpec) -> FunctionClass:
         raise ValueError("contextual_igw requires a function_class on the instance")
     if inst_spec.class_bound is None:
         raise ValueError("contextual_igw requires class_bound (output bound B)")
-    members = tuple(ClassMember.from_json_dict(m) for m in inst_spec.function_class)
+    members = tuple(CostSpec.from_json_dict(m) for m in inst_spec.function_class)
     return FunctionClass(members=members, bound=float(inst_spec.class_bound))
 
 

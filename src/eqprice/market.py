@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import apply_feature_map, apply_feature_map_batch
+from .features import apply_feature_map
 
 QUADRATIC = "quadratic"
 LINEAR = "linear"
@@ -344,9 +344,9 @@ class InstanceSpec:
     ``demands`` and ``contexts`` are either explicit sequences or
     :class:`GeneratorSpec` entries materialized per replication by the
     harness. ``function_class`` optionally lists candidate production
-    functions for the contextual policy as (family, parameters,
-    feature_map_id) member records; ``class_bound`` is their shared output
-    bound B.
+    functions for the contextual policy as ``context_quadratic`` cost
+    records (the JSON of :class:`CostSpec`); ``class_bound`` is their shared
+    output bound B.
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -521,8 +521,18 @@ class MarketInstance:
             if self.contexts is None:
                 raise ValueError("contextual suppliers require a context sequence")
             total = np.zeros(self.horizon)
-            for s in self.suppliers:
-                u = apply_feature_map_batch(s.feature_map_id, self.contexts) @ np.asarray(s.phi)
+            for i, s in enumerate(self.suppliers):
+                feats = apply_feature_map(s.feature_map_id, self.contexts)
+                if feats.shape[1] != len(s.phi):
+                    raise ValueError(
+                        f"supplier {i} has {len(s.phi)} parameters, context "
+                        f"{feats.shape[1]} features"
+                    )
+                # A matrix product, not the class members' left-to-right sum
+                # (FunctionClass.member_coefficients): the two differ in the
+                # last bit on some periods, and this path's bits are the ones
+                # recorded in the committed benchmark reference digests.
+                u = feats @ np.asarray(s.phi)
                 if not u.min() > 0:
                     raise ValueError(
                         "context_quadratic requires <phi, sigma(theta)> > 0 "

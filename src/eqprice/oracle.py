@@ -9,7 +9,11 @@ the best member stays at most (1/eta) * ln(n_members) on the streams this
 package tests, the finite-class estimation guarantee the contextual policy
 consumes.
 
-The arithmetic is :func:`eqprice.kernels.mixture_coefficient` and
+The class members are ``context_quadratic``
+:class:`~eqprice.market.CostSpec` records, the suppliers' own form. The
+oracle is a value: :class:`OracleState` is frozen, :func:`oracle_update`
+returns a new state, and :func:`oracle_predict` reads one. The arithmetic
+is :func:`eqprice.kernels.mixture_coefficient` and
 :func:`eqprice.kernels.exp_weights_update`, shared with the fused kernel.
 """
 
@@ -17,98 +21,66 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
 from . import kernels
-from .features import apply_feature_map, apply_feature_map_batch
-
-
-@dataclass(frozen=True)
-class ClassMember:
-    """One candidate production function of the ``context_quadratic`` family:
-    (p, theta) -> p * <phi, sigma(theta)>, with sigma the named feature map.
-    """
-
-    phi: tuple[float, ...]
-    feature_map_id: str = "identity"
-
-    @classmethod
-    def context_quadratic(cls, phi: Sequence[float], feature_map_id: str = "identity"):
-        return cls(phi=tuple(float(v) for v in phi), feature_map_id=feature_map_id)
-
-    def coefficient(self, feats):
-        """<phi, feats>, the production at p = 1, summed left to right over
-        the features. ``feats`` holds one float per feature of one context,
-        or one array per feature of a context path; either way each value
-        is the same sequence of products and additions."""
-        if len(feats) != len(self.phi):
-            raise ValueError(
-                f"member has {len(self.phi)} parameters, context {len(feats)} features"
-            )
-        u = 0.0
-        for phi_k, f_k in zip(self.phi, feats):
-            u = u + phi_k * f_k
-        return u
-
-    def evaluate(self, p: float, theta) -> float:
-        if theta is None:
-            # a missing context would map to NaN features, not an error
-            raise ValueError("class members require a context")
-        return p * self.coefficient(apply_feature_map(self.feature_map_id, theta).tolist())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "context_quadratic",
-            "phi": list(self.phi),
-            "feature_map_id": self.feature_map_id,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ClassMember":
-        fam = doc["family"]
-        if fam != "context_quadratic":
-            raise ValueError(f"unknown class member family {fam!r}")
-        return cls.context_quadratic(doc["phi"], doc.get("feature_map_id", "identity"))
+from .features import apply_feature_map
+from .market import CONTEXT_QUADRATIC, CostSpec
 
 
 @dataclass(frozen=True)
 class FunctionClass:
-    """Finite set of candidate production functions with output bound B."""
+    """Finite set of candidate production functions with output bound B.
 
-    members: tuple[ClassMember, ...]
+    Each member is a ``context_quadratic`` :class:`~eqprice.market.CostSpec`,
+    the suppliers' own form: it produces p * <phi, sigma(theta)> at price p
+    and context theta, with sigma the member's feature map.
+    """
+
+    members: tuple[CostSpec, ...]
     bound: float
 
     def __post_init__(self):
         if len(self.members) == 0:
             raise ValueError("function class must be non-empty")
+        for i, m in enumerate(self.members):
+            if not (isinstance(m, CostSpec) and m.family == CONTEXT_QUADRATIC):
+                raise ValueError(f"class member {i} must be a context_quadratic CostSpec")
         if not self.bound > 0:
             raise ValueError("output bound B must be positive")
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def evaluate_all(self, p: float, theta=None) -> np.ndarray:
-        return p * self.member_coefficients(theta)
-
     def member_coefficients(self, contexts) -> np.ndarray:
-        """Every member's :meth:`ClassMember.coefficient`: shape (F,) at one
-        context, (F, T) over a (T, m) context path, whose column t equals
-        the coefficients at context t bit for bit."""
+        """Every member's production at p = 1, <phi, sigma(theta)>: shape
+        (F,) at one context, (F, T) over a (T, m) context path.
+
+        The inner product is summed left to right over the features, on
+        Python floats at one context and on per-feature arrays over a path.
+        Both are the same sequence of products and additions, so column t of
+        a path equals the coefficients at context t bit for bit; the fused
+        kernel and the step-level oracle rely on that."""
         if contexts is None:
+            # a missing context would map to NaN features, not an error
             raise ValueError("class members require a context")
         contexts = np.asarray(contexts, dtype=np.float64)
         feats = {}
         out = np.empty((len(self.members),) + contexts.shape[:-1])
         for i, m in enumerate(self.members):
             if m.feature_map_id not in feats:
-                feats[m.feature_map_id] = (
-                    apply_feature_map(m.feature_map_id, contexts).tolist()
-                    if contexts.ndim <= 1
-                    else apply_feature_map_batch(m.feature_map_id, contexts).T
+                f = apply_feature_map(m.feature_map_id, contexts)
+                feats[m.feature_map_id] = f.tolist() if f.ndim == 1 else f.T
+            f = feats[m.feature_map_id]
+            if len(f) != len(m.phi):
+                raise ValueError(
+                    f"member {i} has {len(m.phi)} parameters, context {len(f)} features"
                 )
-            out[i] = m.coefficient(feats[m.feature_map_id])
+            u = 0.0
+            for phi_k, f_k in zip(m.phi, f):
+                u = u + phi_k * f_k
+            out[i] = u
         return out
 
 
@@ -157,8 +129,9 @@ def _coefficients(state: OracleState, cls: FunctionClass, theta) -> tuple[list, 
     return u, kernels.mixture_coefficient(state.log_weights.tolist(), u)
 
 
-def oracle_predict(state: OracleState, cls: FunctionClass, p: float, theta=None) -> float:
-    """Weighted mean of member predictions under the current weights."""
+def oracle_predict(state: OracleState, cls: FunctionClass, p, theta=None):
+    """Weighted mean of member predictions under the current weights, at one
+    price or elementwise over an array of prices."""
     return p * _coefficients(state, cls, theta)[1]
 
 
@@ -168,9 +141,13 @@ def oracle_update(
     """Fold in one observation: score the current prediction, then decay
     each member's log-weight by eta times its squared error.
 
-    Observations outside [0, B] are clipped and counted in ``clamped``.
+    Observations outside [0, B], infinite ones included, are clipped and
+    counted in ``clamped``. A NaN observation is rejected: it would turn
+    every log-weight NaN for good.
     """
     x = float(x_observed)
+    if math.isnan(x):
+        raise ValueError("observed production must not be NaN")
     clamped = state.clamped
     if x < 0.0 or x > cls.bound:
         x = min(max(x, 0.0), cls.bound)
@@ -191,26 +168,3 @@ def oracle_update(
 def oracle_excess_loss(state: OracleState) -> float:
     """Cumulative squared error of the forecaster minus the best member's."""
     return state.cum_loss - float(state.cum_member_loss.min())
-
-
-class FiniteClassOracle:
-    """Stateful wrapper over the functional oracle ops, for policy drivers."""
-
-    def __init__(self, cls: FunctionClass, eta: float | None = None):
-        self.cls = cls
-        self.state = make_oracle_state(cls, eta=eta)
-
-    @property
-    def bound(self) -> float:
-        return self.cls.bound
-
-    def predict(self, p: float, theta=None) -> float:
-        return oracle_predict(self.state, self.cls, p, theta)
-
-    def predict_at_prices(self, prices: np.ndarray, theta=None) -> np.ndarray:
-        c_hat = _coefficients(self.state, self.cls, theta)[1]
-        return np.asarray(prices, dtype=np.float64) * c_hat
-
-    def update(self, p: float, theta, x_observed: float) -> None:
-        self.state = oracle_update(self.state, self.cls, p, theta, x_observed)
-

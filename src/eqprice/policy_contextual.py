@@ -9,7 +9,11 @@ normalization constant. Heavier gamma concentrates on the greedy price;
 every price keeps probability at least 1/(K + 2*gamma*max_gap).
 
 The arithmetic is :func:`eqprice.kernels.igw_gaps`, ``igw_probs`` and
-``sample_arm``, shared with the fused kernel.
+``sample_arm``, shared with the fused kernel. The step-level API
+(:func:`contextual_step`, :func:`contextual_observe`) keeps its oracle as
+an :class:`~eqprice.oracle.OracleState` value inside the frozen policy
+state and goes through :func:`~eqprice.oracle.oracle_predict` and
+:func:`~eqprice.oracle.oracle_update`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
+from .oracle import (
+    FunctionClass,
+    OracleState,
+    make_oracle_state,
+    oracle_predict,
+    oracle_update,
+)
 
 
 @dataclass(frozen=True)
@@ -76,20 +87,14 @@ def default_grid_size(horizon: int, n_members: int) -> int:
     return max(2, math.ceil((horizon / math.log(n_members)) ** (1.0 / 3.0)))
 
 
-def default_gamma(
-    horizon: int,
-    n_prices: int,
-    n_members: int,
-    delta: float = 0.05,
-    miss_spec: float = 0.0,
-) -> float:
+def default_gamma(horizon: int, n_prices: int, n_members: int, delta: float = 0.05) -> float:
     """gamma = sqrt(K*T / (ln|F| + eps^2 T + ln(1/delta))), the rate-optimal
-    exploration weight for a finite class (eps = 0 when well-specified)."""
+    exploration weight for a finite class whose best member misses the truth
+    by eps, taken at eps = 0 (a well-specified class):
+    sqrt(K*T / (ln|F| + ln(1/delta)))."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    est_bound = math.log(max(n_members, 2))
-    denom = est_bound + miss_spec * miss_spec * horizon + math.log(1.0 / delta)
-    return math.sqrt(n_prices * horizon / denom)
+    return math.sqrt(n_prices * horizon / (math.log(max(n_members, 2)) + math.log(1.0 / delta)))
 
 
 def igw_distribution(gaps: np.ndarray, gamma_explore: float) -> IgwDistribution:
@@ -120,20 +125,27 @@ def sample_price(dist: IgwDistribution, u: float) -> int:
 
 @dataclass(frozen=True)
 class ContextualPolicyState:
-    """Oracle wrapper plus the pending (price, context) awaiting production.
+    """Function class, oracle state, and the pending (price, context)
+    awaiting production.
 
-    The stateful oracle object is shared across copies; one policy instance
-    owns one oracle, matching the sequential-update contract.
+    Every field is a value: :func:`contextual_observe` returns a state with
+    a new :class:`~eqprice.oracle.OracleState` and leaves earlier states as
+    they were.
     """
 
-    oracle: object
+    cls: FunctionClass
+    oracle: OracleState
     pending_price: float | None = None
     pending_theta: object | None = None
     last_distribution: IgwDistribution | None = None
 
 
-def make_contextual_state(oracle) -> ContextualPolicyState:
-    return ContextualPolicyState(oracle=oracle)
+def make_contextual_state(
+    cls: FunctionClass, eta: float | None = None
+) -> ContextualPolicyState:
+    """Uniform oracle weights over ``cls``; ``eta`` as in
+    :func:`~eqprice.oracle.make_oracle_state`."""
+    return ContextualPolicyState(cls=cls, oracle=make_oracle_state(cls, eta))
 
 
 def contextual_step(
@@ -152,7 +164,7 @@ def contextual_step(
     distribution is exposed on the returned state so a simulator can take
     exact expectations against it.
     """
-    estimates = np.asarray(state.oracle.predict_at_prices(grid.prices, theta), dtype=np.float64)
+    estimates = oracle_predict(state.oracle, state.cls, grid.prices, theta)
     gaps = kernels.igw_gaps(estimates.tolist(), float(d))
     dist = igw_distribution(np.array(gaps), params.gamma_explore)
     arm = sample_price(dist, float(rng.uniform()))
@@ -165,8 +177,11 @@ def contextual_step(
 def contextual_observe(
     state: ContextualPolicyState, x_observed: float
 ) -> ContextualPolicyState:
-    """Feed the realized production back to the oracle for the pending price."""
+    """Feed the realized production back to the oracle for the pending price;
+    the returned state holds the updated oracle."""
     if state.pending_price is None:
         raise ValueError("contextual_observe called before contextual_step")
-    state.oracle.update(state.pending_price, state.pending_theta, x_observed)
-    return replace(state, pending_price=None, pending_theta=None)
+    oracle = oracle_update(
+        state.oracle, state.cls, state.pending_price, state.pending_theta, x_observed
+    )
+    return replace(state, oracle=oracle, pending_price=None, pending_theta=None)

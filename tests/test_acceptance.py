@@ -31,7 +31,6 @@ from eqprice.market import (
     equilibrium_price_batch,
 )
 from eqprice.oracle import (
-    ClassMember,
     FunctionClass,
     make_oracle_state,
     oracle_excess_loss,
@@ -317,16 +316,19 @@ def test_criterion_6_oracle_guarantee():
                 1.5, 3.0, (n_members, 1)
             )
             cls = FunctionClass(
-                members=tuple(ClassMember.context_quadratic(tuple(r)) for r in rows),
+                members=tuple(CostSpec.context_quadratic(tuple(r)) for r in rows),
                 bound=6.0,
             )
+            # members 0 and 1 generate the stream, each as a one-member class
+            # so a period evaluates one member, not all eight
+            sources = [FunctionClass(members=(m,), bound=6.0) for m in cls.members[:2]]
             state = make_oracle_state(cls)
             bound = (1.0 / state.eta) * math.log(n_members)
             for t in range(T):
                 theta = rng.uniform(0.5, 1.5, 3)
                 p = float(rng.uniform(0.0, 1.0))
                 idx = 0 if (mode == "truth" or t < T // 2) else 1
-                x = cls.members[idx].evaluate(p, theta)
+                x = p * sources[idx].member_coefficients(theta)[0]
                 state = oracle_update(state, cls, p, theta, x)
                 excess = oracle_excess_loss(state)
                 worst_ratio = max(worst_ratio, excess / bound)

@@ -198,13 +198,13 @@ def test_contextual_coefficients_computed_once_per_run(monkeypatch):
     # one feature-map pass per contextual supplier, when the instance is
     # materialised; the policy and the regret pass reuse the path
     calls = []
-    original = market.apply_feature_map_batch
+    original = market.apply_feature_map
 
     def counting(map_id, contexts):
         calls.append(map_id)
         return original(map_id, contexts)
 
-    monkeypatch.setattr(market, "apply_feature_map_batch", counting)
+    monkeypatch.setattr(market, "apply_feature_map", counting)
     spec = contextual_spec()
     cfg = ExperimentConfig(instance=spec, policy="contextual_igw", horizons=(100,))
     run_experiment(cfg)
@@ -535,3 +535,28 @@ def test_readme_config_runs_with_readme_instance(tmp_path):
     records = run_experiment(dataclasses.replace(cfg, horizons=cfg.horizons[:1], replications=1))
     assert len(records) == 1
     assert (tmp_path / "results" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "member, message",
+    [
+        ({"family": "context_quadratic", "phi": [1.5, math.nan, 1.0]}, "finite"),
+        ({"family": "quadratic", "mu": 0.5}, "context_quadratic"),
+    ],
+)
+def test_contextual_rejects_bad_class_member(member, message):
+    spec = contextual_spec()
+    bad = dataclasses.replace(spec, function_class=spec.function_class + (member,))
+    cfg = ExperimentConfig(instance=bad, policy="contextual_igw", horizons=(100,))
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "name", ["unmet", "cost_regret", "payment_regret", "cost_pos", "pay_pos", "proxy_reg"]
+)
+def test_record_totals_are_derived_not_passed(name):
+    cols = [np.ones(3) for _ in range(6)]
+    with pytest.raises(TypeError):
+        RunRecord("constant_price", 3, 0, 0, *cols, **{name: 5.0})
+    assert RunRecord("constant_price", 3, 0, 0, *cols).metric("U_T") == 3.0

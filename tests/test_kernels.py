@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqprice import kernels
-from eqprice.features import apply_feature_map_batch
+from eqprice.features import apply_feature_map
 from eqprice.market import CostSpec, aggregate_production
-from eqprice.oracle import ClassMember, FiniteClassOracle, FunctionClass
+from eqprice.oracle import FunctionClass
 from eqprice.policy_contextual import (
     IGWParams,
     PriceGrid,
@@ -143,10 +143,10 @@ def test_demand_kernel_equals_step_api_property(
 def _contextual_setup(T, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     phi_true = np.array([1.5, 1.5, 1.0])
-    members = [ClassMember.context_quadratic(tuple(phi_true))]
+    members = [CostSpec.context_quadratic(tuple(phi_true))]
     for _ in range(5):
         members.append(
-            ClassMember.context_quadratic(tuple(phi_true * rng.uniform(0.6, 1.4, 3)))
+            CostSpec.context_quadratic(tuple(phi_true * rng.uniform(0.6, 1.4, 3)))
         )
     cls = FunctionClass(members=tuple(members), bound=9.0)
     demands = rng.uniform(0.5, 1.5, T)
@@ -170,15 +170,14 @@ def _assert_contextual_kernel_matches_ops(cls, phi_true, demands, thetas, unifor
     T = len(demands)
     member_u = cls.member_coefficients(thetas)
     grid_prices = np.linspace(0.0, 1.0, K)
-    u_true = apply_feature_map_batch("identity", thetas) @ phi_true
+    u_true = apply_feature_map("identity", thetas) @ phi_true
     log_w0 = np.full(len(cls), -math.log(len(cls)))
     eta = 2.0 / (cls.bound ** 2)
     arm, price, proxy, floss, lw, cml = kernels.contextual_trajectory(
         member_u, log_w0, eta, u_true, demands, uniforms, grid_prices, gamma
     )
 
-    oracle = FiniteClassOracle(cls, eta=eta)
-    state = make_contextual_state(oracle)
+    state = make_contextual_state(cls, eta=eta)
     grid = PriceGrid.uniform(K)
     params = IGWParams(gamma_explore=gamma, n_prices=K)
     replay = _Replay(uniforms)
@@ -193,10 +192,10 @@ def _assert_contextual_kernel_matches_ops(cls, phi_true, demands, thetas, unifor
         for q, gp in zip(state.last_distribution.probs, grid.prices):
             e += q * abs(gp * u_true[t] - demands[t])
         assert proxy[t] == e
-    assert oracle.state.clamped == 0  # the kernel has no [0, B] clamp
-    assert np.array_equal(lw, oracle.state.log_weights)
-    assert np.array_equal(cml, oracle.state.cum_member_loss)
-    assert np.cumsum(floss)[-1] == oracle.state.cum_loss
+    assert state.oracle.clamped == 0  # the kernel has no [0, B] clamp
+    assert np.array_equal(lw, state.oracle.log_weights)
+    assert np.array_equal(cml, state.oracle.cum_member_loss)
+    assert np.cumsum(floss)[-1] == state.oracle.cum_loss
 
 
 def test_contextual_kernel_matches_ops():
@@ -214,7 +213,7 @@ def _check_contextual_case(n_members, dim, misspecified, K, gamma, T, seed):
     # B covers every member's and the truth's production at p = 1
     bound = rng.uniform(1.0, 2.0) * max(phis.sum(axis=1).max(), phi_true.sum()) * 1.5
     cls = FunctionClass(
-        members=tuple(ClassMember.context_quadratic(tuple(phi)) for phi in phis),
+        members=tuple(CostSpec.context_quadratic(tuple(phi)) for phi in phis),
         bound=float(bound),
     )
     demands = rng.uniform(0.1, 3.0, T)
@@ -245,5 +244,4 @@ def test_contextual_kernel_equals_step_api_one_member_dim2():
     cls, thetas = _check_contextual_case(1, 2, False, K=5, gamma=10.0, T=3, seed=1)
     member_u = cls.member_coefficients(thetas)
     for t, theta in enumerate(thetas):
-        assert np.array_equal(member_u[:, t], cls.evaluate_all(1.0, theta))
-        assert member_u[0, t] == cls.members[0].evaluate(1.0, theta)
+        assert np.array_equal(member_u[:, t], cls.member_coefficients(theta))

@@ -17,7 +17,7 @@ from eqprice.market import (
     equilibrium_price,
     equilibrium_price_batch,
 )
-from eqprice.oracle import ClassMember
+from eqprice.features import apply_feature_map
 
 #: Exact clearing prices meet the demand and the first-order conditions to
 #: within a few units of float64 rounding.
@@ -464,7 +464,7 @@ _cube = st.builds(
 )
 _rows = st.lists(st.tuples(_finite, _finite), min_size=1, max_size=5).map(tuple)
 _members = st.builds(
-    lambda phi, fmap: ClassMember.context_quadratic(phi, fmap).to_json_dict(),
+    lambda phi, fmap: CostSpec.context_quadratic(phi, fmap).to_json_dict(),
     st.lists(_finite, min_size=1, max_size=4), _feature_maps,
 )
 
@@ -597,3 +597,27 @@ def test_feature_map_unknown_id_raises():
     s = CostSpec.context_quadratic(phi=(1.0,), feature_map_id="nope")
     with pytest.raises(KeyError):
         s.coefficient(np.array([1.0]))
+
+
+def test_instance_rejects_phi_length_mismatch():
+    # tanh_affine maps 3-dim contexts to 4 features; 3 parameters do not fit
+    with pytest.raises(ValueError, match="supplier 1 has 3 parameters, context 4 features"):
+        MarketInstance(
+            suppliers=(
+                CostSpec.context_quadratic(phi=(1.0, 1.0, 1.0)),
+                CostSpec.context_quadratic(phi=(1.0, 0.5, 0.5), feature_map_id="tanh_affine"),
+            ),
+            demands=np.full(2, 0.1),
+            contexts=np.ones((2, 3)),
+            horizon=2,
+            demand_bounds=(0.1, 0.1),
+        )
+
+
+@pytest.mark.parametrize("map_id", ["identity", "tanh_affine"])
+def test_feature_map_of_a_path_equals_it_row_by_row(map_id):
+    thetas = np.random.Generator(np.random.Philox(key=19)).uniform(-2.0, 2.0, (40, 3))
+    path = apply_feature_map(map_id, thetas)
+    assert path.shape == (40, 3 if map_id == "identity" else 4)
+    for t, theta in enumerate(thetas):
+        assert np.array_equal(path[t], apply_feature_map(map_id, theta))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from eqprice.features import apply_feature_map
+from eqprice.market import CostSpec
 from eqprice.oracle import (
-    ClassMember,
-    FiniteClassOracle,
     FunctionClass,
     default_eta,
     make_oracle_state,
@@ -21,7 +21,7 @@ P, THETA = 1.0, np.array([1.0])
 
 def constant_class(values, bound=1.0):
     return FunctionClass(
-        members=tuple(ClassMember.context_quadratic((v,)) for v in values), bound=bound
+        members=tuple(CostSpec.context_quadratic((v,)) for v in values), bound=bound
     )
 
 
@@ -32,7 +32,7 @@ def test_uniform_weights_predict_mean():
 
 
 def test_singleton_class_is_exact():
-    cls = FunctionClass(members=(ClassMember.context_quadratic((1.4,)),), bound=1.0)
+    cls = FunctionClass(members=(CostSpec.context_quadratic((1.4,)),), bound=1.0)
     state = make_oracle_state(cls)
     assert oracle_predict(state, cls, 0.25, THETA) == pytest.approx(0.35)
     for _ in range(5):
@@ -99,6 +99,22 @@ def test_clamp_diagnostic():
     assert state.clamped == 1
 
 
+@pytest.mark.parametrize("x, clipped", [(math.inf, 1.0), (-math.inf, 0.0), (math.nan, None)])
+def test_non_finite_observations(x, clipped):
+    # +-inf is clipped to [0, B] and counted; NaN is rejected
+    cls = constant_class([1.0, 0.0])
+    state = make_oracle_state(cls)
+    if clipped is None:
+        with pytest.raises(ValueError, match="NaN"):
+            oracle_update(state, cls, 0.5, [1.0], x)
+        return
+    got = oracle_update(state, cls, 0.5, [1.0], x)
+    want = oracle_update(state, cls, 0.5, [1.0], clipped)
+    assert got.clamped == 1 and want.clamped == 0
+    assert np.array_equal(got.log_weights, want.log_weights)
+    assert np.all(np.isfinite(got.log_weights))
+
+
 def test_excess_loss_bound_adversarial_stream():
     # member-switching stream; excess stays below (1/eta) * ln(F)
     rng = np.random.Generator(np.random.Philox(key=63))
@@ -137,42 +153,51 @@ def test_default_eta_is_two_over_bound_squared():
         make_oracle_state(cls, eta=math.inf)
 
 
-def test_finite_class_oracle_wrapper():
+def test_oracle_predicts_at_a_price_array():
     cls = constant_class([0.2, 0.6])
-    oracle = FiniteClassOracle(cls)
-    assert oracle.predict(P, THETA) == pytest.approx(0.4)
-    oracle.update(P, THETA, 0.2)
-    assert oracle.predict(P, THETA) < 0.4  # weight moved toward the low member
+    state = make_oracle_state(cls)
+    assert oracle_predict(state, cls, P, THETA) == pytest.approx(0.4)
+    state = oracle_update(state, cls, P, THETA, 0.2)
+    assert oracle_predict(state, cls, P, THETA) < 0.4  # weight moved toward the low member
     grid = np.array([0.0, 0.5, 1.0])
-    preds = oracle.predict_at_prices(grid, THETA)
+    preds = oracle_predict(state, cls, grid, THETA)
     assert preds.shape == (3,)
+    assert preds[2] == oracle_predict(state, cls, 1.0, THETA)
 
 
-def test_contextual_members_evaluate():
-    m = ClassMember.context_quadratic(phi=(2.0, 1.0))
+def test_contextual_member_coefficients():
+    cls = FunctionClass(members=(CostSpec.context_quadratic(phi=(2.0, 1.0)),), bound=3.0)
     theta = np.array([0.5, 1.0])
-    assert m.evaluate(0.5, theta) == pytest.approx(0.5 * (1.0 + 1.0))
+    assert 0.5 * cls.member_coefficients(theta)[0] == pytest.approx(0.5 * (1.0 + 1.0))
     with pytest.raises(ValueError, match="context"):
         oracle_predict(make_oracle_state(constant_class([0.4])), constant_class([0.4]), P)
 
 
 def test_member_serialization_round_trip():
     members = (
-        ClassMember.context_quadratic(phi=(1 / 3, 0.7), feature_map_id="tanh_affine"),
-        ClassMember.context_quadratic(phi=(0.4,)),
+        CostSpec.context_quadratic(phi=(1 / 3, 0.7), feature_map_id="tanh_affine"),
+        CostSpec.context_quadratic(phi=(0.4,)),
     )
     for m in members:
-        assert ClassMember.from_json_dict(m.to_json_dict()) == m
+        assert CostSpec.from_json_dict(m.to_json_dict()) == m
     with pytest.raises(ValueError, match="constant"):
-        ClassMember.from_json_dict({"family": "constant", "value": 0.4})
+        CostSpec.from_json_dict({"family": "constant", "value": 0.4})
+
+
+def _left_to_right(member, theta):
+    """<phi, sigma(theta)> summed left to right on Python floats."""
+    u = 0.0
+    for phi_k, f_k in zip(member.phi, apply_feature_map(member.feature_map_id, theta).tolist()):
+        u = u + phi_k * f_k
+    return u
 
 
 def test_member_coefficients_mixed_feature_maps():
     # dim-1 contexts: identity gives one feature, tanh_affine two
     cls = FunctionClass(
         members=(
-            ClassMember.context_quadratic((1.0,)),
-            ClassMember.context_quadratic((0.2, 0.3), feature_map_id="tanh_affine"),
+            CostSpec.context_quadratic((1.0,)),
+            CostSpec.context_quadratic((0.2, 0.3), feature_map_id="tanh_affine"),
         ),
         bound=1.0,
     )
@@ -181,8 +206,8 @@ def test_member_coefficients_mixed_feature_maps():
     assert path.shape == (2, 50)
     for t, theta in enumerate(thetas):
         assert np.array_equal(path[:, t], cls.member_coefficients(theta))
-        assert path[0, t] == cls.members[0].evaluate(1.0, theta)
-        assert path[1, t] == cls.members[1].evaluate(1.0, theta)
+        assert path[0, t] == _left_to_right(cls.members[0], theta)
+        assert path[1, t] == _left_to_right(cls.members[1], theta)
     with pytest.raises(ValueError, match="features"):
         cls.member_coefficients(np.ones((50, 2)))
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqprice.oracle import ClassMember, FiniteClassOracle, FunctionClass
+from eqprice.market import CostSpec
+from eqprice.oracle import FunctionClass, oracle_predict
 from eqprice.policy_contextual import (
     IGWParams,
     IgwDistribution,
@@ -157,10 +158,10 @@ THETA = np.array([1.0])
 def test_first_round_is_uniform():
     # members that predict zero production at every price give equal gaps
     cls = FunctionClass(
-        members=(ClassMember.context_quadratic((0.0,)), ClassMember.context_quadratic((0.0,))),
+        members=(CostSpec.context_quadratic((0.0,)), CostSpec.context_quadratic((0.0,))),
         bound=1.0,
     )
-    state = make_contextual_state(FiniteClassOracle(cls))
+    state = make_contextual_state(cls)
     grid = PriceGrid.uniform(4)
     params = IGWParams(gamma_explore=10.0, n_prices=4)
     _, state = contextual_step(state, grid, params, THETA, 0.4, _FixedDraw(0.1))
@@ -168,8 +169,8 @@ def test_first_round_is_uniform():
 
 
 def test_observe_requires_pending_step():
-    cls = FunctionClass(members=(ClassMember.context_quadratic((0.4,)),), bound=1.0)
-    state = make_contextual_state(FiniteClassOracle(cls))
+    cls = FunctionClass(members=(CostSpec.context_quadratic((0.4,)),), bound=1.0)
+    state = make_contextual_state(cls)
     with pytest.raises(ValueError):
         contextual_observe(state, 0.5)
 
@@ -178,11 +179,10 @@ def test_long_run_greedy_converges_to_clearing_price():
     # truth in a 2-member class: after convergence the greedy arm is the
     # grid price nearest the clearing price
     rng = np.random.Generator(np.random.Philox(key=72))
-    truth = ClassMember.context_quadratic(phi=(2.0, 1.0))
-    other = ClassMember.context_quadratic(phi=(1.0, 2.5))
+    truth = CostSpec.context_quadratic(phi=(2.0, 1.0))
+    other = CostSpec.context_quadratic(phi=(1.0, 2.5))
     cls = FunctionClass(members=(truth, other), bound=6.0)
-    oracle = FiniteClassOracle(cls)
-    state = make_contextual_state(oracle)
+    state = make_contextual_state(cls)
     K = 11
     grid = PriceGrid.uniform(K)
     params = IGWParams(gamma_explore=200.0, n_prices=K)
@@ -190,22 +190,23 @@ def test_long_run_greedy_converges_to_clearing_price():
     for _ in range(600):
         theta = rng.uniform(0.5, 1.5, 2)
         p, state = contextual_step(state, grid, params, theta, d, rng)
-        x = truth.evaluate(p, theta)
+        x = p * cls.member_coefficients(theta)[0]
         state = contextual_observe(state, x)
     theta = np.array([1.0, 1.0])
     u = 3.0  # <phi_truth, theta>
     p_star = d / u
-    greedy = int(np.argmin(np.abs(oracle.predict_at_prices(grid.prices, theta) - d)))
+    estimates = oracle_predict(state.oracle, cls, grid.prices, theta)
+    greedy = int(np.argmin(np.abs(estimates - d)))
     nearest = int(np.argmin(np.abs(grid.prices - p_star)))
     assert greedy == nearest
 
 
 def test_distribution_attached_to_state():
     cls = FunctionClass(
-        members=(ClassMember.context_quadratic((0.2,)), ClassMember.context_quadratic((0.8,))),
+        members=(CostSpec.context_quadratic((0.2,)), CostSpec.context_quadratic((0.8,))),
         bound=1.0,
     )
-    state = make_contextual_state(FiniteClassOracle(cls))
+    state = make_contextual_state(cls)
     grid = PriceGrid.uniform(3)
     params = IGWParams(gamma_explore=5.0, n_prices=3)
     price, state = contextual_step(state, grid, params, THETA, 0.5, _FixedDraw(0.0))
@@ -214,3 +215,22 @@ def test_distribution_attached_to_state():
     assert state.pending_price == price
     state = contextual_observe(state, 0.5)
     assert state.pending_price is None
+
+
+def test_observe_leaves_earlier_states_unchanged():
+    # the oracle is a value: updating a later state cannot reach back into
+    # the state it was derived from
+    cls = FunctionClass(
+        members=(CostSpec.context_quadratic((0.2,)), CostSpec.context_quadratic((0.8,))),
+        bound=1.0,
+    )
+    s0 = make_contextual_state(cls)
+    grid = PriceGrid.uniform(3)
+    params = IGWParams(gamma_explore=5.0, n_prices=3)
+    _, s1 = contextual_step(s0, grid, params, THETA, 0.5, _FixedDraw(0.9))
+    s2 = contextual_observe(s1, 0.3)
+    assert s2.oracle.cum_loss > 0.0
+    for earlier in (s0, s1):
+        assert earlier.oracle.cum_loss == 0.0
+        assert np.array_equal(earlier.oracle.log_weights, np.full(2, -math.log(2.0)))
+    assert s1.pending_price == grid.prices[2]
