@@ -18,7 +18,6 @@ from .harness import (
     run_experiment,
 )
 from .hardness import (
-    IidCostInstance,
     expected_total_regret,
     linear_cost_demo,
     verify_lower_bound,
@@ -43,9 +42,7 @@ from .oracle import (
 )
 from .policy_contextual import (
     ContextualPolicyState,
-    IGWParams,
     IgwDistribution,
-    PriceGrid,
     contextual_observe,
     contextual_step,
     igw_distribution,

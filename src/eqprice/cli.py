@@ -7,12 +7,12 @@ Subcommands:
 - ``sweep``: execute all horizons x replications and write the summary CSV
   (plus per-run CSVs when an output directory is given).
 - ``hardness``: emit the i.i.d.-cost lower-bound report as CSV rows, or the
-  linear-cost demonstration as a JSON line.
+  linear-cost demonstration of ``fixed_interval`` as a JSON line.
 - ``fit``: fit a scaling model to a metric column of a summary CSV.
 
-Flags override config fields (``--seed``, ``--policy``, ``--out``). On
-failure a single JSON error line goes to stderr and the exit code is
-nonzero.
+Flags override config fields (``--seed``, ``--policy``, ``--out``) of
+``run`` and ``sweep``. On failure a single JSON error line goes to stderr
+and the exit code is nonzero.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from pathlib import Path
 from .harness import (
     SUMMARY_METRICS,
     ExperimentConfig,
+    _means_by_horizon,
     fit_scaling,
     load_config,
     read_summary_csv,
@@ -86,11 +87,7 @@ def _cmd_hardness(args) -> int:
         else:
             print("\n".join(lines))
         return 0
-    report = linear_cost_demo(
-        policy=args.policy or "fixed_interval",
-        horizon=args.periods,
-        seed=args.seed or 0,
-    )
+    report = linear_cost_demo(horizon=args.periods, seed=args.seed or 0)
     doc = dataclasses.asdict(report)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
@@ -102,11 +99,7 @@ def _cmd_hardness(args) -> int:
 
 def _cmd_fit(args) -> int:
     rows = read_summary_csv(args.summary)
-    horizons = sorted({r["T"] for r in rows})
-    values = []
-    for T in horizons:
-        vals = [r[args.metric] for r in rows if r["T"] == T]
-        values.append(sum(vals) / len(vals))
+    horizons, values = _means_by_horizon([(r["T"], r[args.metric]) for r in rows])
     fit = fit_scaling(horizons, values, args.model)
     doc = dataclasses.asdict(fit)
     doc["metric"] = args.metric
@@ -145,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hard.add_argument("--grid-step", type=float, default=1e-4)
     p_hard.add_argument("--periods", type=int, default=100_000)
     p_hard.add_argument("--seed", type=int)
-    p_hard.add_argument("--policy")
     p_hard.add_argument("--out")
     p_hard.set_defaults(fn=_cmd_hardness)
 

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: The names a ``feature_map_id`` may take.
+FEATURE_MAP_IDS = ("identity", "tanh_affine")
+
 
 def apply_feature_map(map_id: str, theta) -> np.ndarray:
     """Apply the named map along the last axis: one context of shape (m,)

@@ -28,15 +28,12 @@ from .harness import ExperimentConfig, run_experiment
 from .market import CostSpec, GeneratorSpec, InstanceSpec, MarketInstance
 
 
-@dataclass(frozen=True)
-class IidCostInstance:
-    """Two-point cost mixture: x^2/8 or x^2/16 with probability 1/2 each,
-    demand fixed at 1. Clearing prices are 1/4 and 1/8 respectively."""
-
-    cost_a: CostSpec = CostSpec.quadratic(mu=0.25, a=0.0)
-    cost_b: CostSpec = CostSpec.quadratic(mu=0.125, a=0.0)
-    prob_a: float = 0.5
-    demand: float = 1.0
+# The i.i.d. instance: the stiffer cost x^2/8 with probability 1/2, else
+# x^2/16, at demand 1. Clearing prices are 1/4 and 1/8 respectively.
+IID_STIFF_COST = CostSpec.quadratic(mu=0.25, a=0.0)
+IID_SOFT_COST = CostSpec.quadratic(mu=0.125, a=0.0)
+IID_STIFF_PROB = 0.5
+IID_DEMAND = 1.0
 
 
 def expected_total_regret(p: float) -> float:
@@ -56,12 +53,13 @@ def expected_total_regret(p: float) -> float:
     return 9.0 * p * p - 9.0 / 32.0
 
 
-def per_period_total_regret(instance: IidCostInstance, p: float, stiff_draw: bool) -> float:
-    """Realized total regret of one period given which cost was drawn,
-    computed by :meth:`~eqprice.market.MarketInstance.regret_columns` on a
-    one-period market (not the closed form)."""
-    cost = instance.cost_a if stiff_draw else instance.cost_b
-    d = instance.demand
+def per_period_total_regret(p: float, stiff_draw: bool) -> float:
+    """Realized total regret of one period of the i.i.d. instance given
+    which cost was drawn, computed by
+    :meth:`~eqprice.market.MarketInstance.regret_columns` on a one-period
+    market (not the closed form)."""
+    cost = IID_STIFF_COST if stiff_draw else IID_SOFT_COST
+    d = IID_DEMAND
     market = MarketInstance(
         suppliers=(cost,), demands=np.array([d]), contexts=None, horizon=1,
         demand_bounds=(d, d),
@@ -107,12 +105,11 @@ def verify_lower_bound(
     grid and check the formula against seeded i.i.d. simulation.
 
     The empirical value at each price is the average realized total regret
-    over ``n_periods`` draws of the default :class:`IidCostInstance`
-    mixture, with the per-draw regret evaluated by the market model. The
-    mixture is fixed because :func:`expected_total_regret`, the analytic
-    column, is the closed form for that mixture only.
+    over ``n_periods`` draws of the i.i.d. instance's mixture, with the
+    per-draw regret evaluated by the market model. The mixture is fixed
+    because :func:`expected_total_regret`, the analytic column, is the
+    closed form for that mixture only.
     """
-    instance = IidCostInstance()
     n_grid = int(round(1.0 / grid_step))
     grid = np.arange(n_grid + 1) / n_grid
     values = np.array([expected_total_regret(p) for p in grid])
@@ -121,10 +118,10 @@ def verify_lower_bound(
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
     for p in prices:
-        draws = rng.uniform(0.0, 1.0, n_periods) < instance.prob_a
+        draws = rng.uniform(0.0, 1.0, n_periods) < IID_STIFF_PROB
         frac_a = float(np.count_nonzero(draws)) / n_periods
-        total_a = per_period_total_regret(instance, p, True)
-        total_b = per_period_total_regret(instance, p, False)
+        total_a = per_period_total_regret(p, True)
+        total_b = per_period_total_regret(p, False)
         empirical = frac_a * total_a + (1.0 - frac_a) * total_b
         rows.append(
             LowerBoundRow(

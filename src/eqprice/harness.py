@@ -46,8 +46,8 @@ import numpy as np
 
 from . import kernels
 from .market import CONTEXT_QUADRATIC, QUADRATIC, CostSpec, InstanceSpec, MarketInstance
-from .oracle import FunctionClass, make_oracle_state
-from .policy_contextual import IGWParams, PriceGrid, default_gamma, default_grid_size
+from .oracle import FunctionClass
+from .policy_contextual import default_gamma, default_grid_size, make_contextual_state
 from .policy_demand import DemandGrid, make_demand_state
 from .policy_demand import default_gamma as demand_default_gamma
 
@@ -209,12 +209,14 @@ def _demand_prices(inst: MarketInstance, params: dict) -> np.ndarray:
     freeze = params.get("freeze_width")  # None: make_demand_state's default
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma_demand must be finite and positive, got {gamma}")
-    grid = DemandGrid.from_width(*inst.demand_bounds, gamma)
-    state = make_demand_state(grid, T, None if freeze is None else float(freeze))
+    state = make_demand_state(
+        DemandGrid.from_width(*inst.demand_bounds, gamma), T,
+        None if freeze is None else float(freeze),
+    )
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
     return kernels.demand_trajectory(
         fam, p1, p2, inst.demands, state.s_lo, state.s_hi, state.eps,
-        grid.d_lo, grid.gamma, grid.n_cells, state.freeze_width,
+        state.grid.d_lo, state.grid.gamma, state.grid.n_cells, state.freeze_width,
     )[0]
 
 
@@ -239,13 +241,16 @@ def _contextual_prices(
     T = inst.horizon
     n_members = len(cls)
     K = params.get("n_prices", default_grid_size(T, n_members))
-    delta = params.get("delta", 0.05)
-    if "gamma_explore" in params:
-        gamma = params["gamma_explore"]
+    if "gamma_explore" not in params:
+        gamma = default_gamma(T, K, n_members, delta=params.get("delta", 0.05))
+    elif "delta" in params:
+        raise ValueError(
+            "delta only sets the default gamma_explore, so it has no effect "
+            "when gamma_explore is given"
+        )
     else:
-        gamma = default_gamma(T, K, n_members, delta=delta)
-    igw = IGWParams(gamma_explore=float(gamma), n_prices=K, delta=float(delta))
-    oracle = make_oracle_state(cls, params.get("eta"))
+        gamma = params["gamma_explore"]
+    state = make_contextual_state(cls, K, gamma, params.get("eta"))
 
     u_true = inst.coefficients
     if u_true.max() > cls.bound:
@@ -255,12 +260,11 @@ def _contextual_prices(
             f"class_bound {cls.bound}"
         )
     member_u = cls.member_coefficients(inst.contexts)
-    grid = PriceGrid.uniform(igw.n_prices)
     uniforms = rng.uniform(0.0, 1.0, T)
 
     _, price, proxy, *_ = kernels.contextual_trajectory(
-        member_u, oracle.log_weights, oracle.eta, u_true, inst.demands, uniforms,
-        grid.prices, igw.gamma_explore,
+        member_u, state.oracle.log_weights, state.oracle.eta, u_true, inst.demands,
+        uniforms, state.prices, state.gamma_explore,
     )
     return price, proxy
 
@@ -272,6 +276,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     one per-period CSV per run plus a summary CSV into that directory.
     """
     records: list[RunRecord] = []
+    cls = _contextual_class(config.instance) if config.policy == "contextual_igw" else None
     for T in config.horizons:
         spec_T = config.instance.with_horizon(T)
         for rep in range(config.replications):
@@ -291,7 +296,6 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
             elif config.policy == "demand_grid":
                 prices = _demand_prices(inst, config.policy_params)
             else:
-                cls = _contextual_class(spec_T)
                 prices, proxy = _contextual_prices(inst, cls, config.policy_params, rng)
             records.append(
                 RunRecord(
@@ -361,14 +365,17 @@ def fit_scaling(horizons, values, model: str) -> ScalingFit:
     return ScalingFit(model=model, slope=float(slope), intercept=float(intercept), r_squared=r2)
 
 
+def _means_by_horizon(pairs) -> tuple[list[int], list[float]]:
+    """Mean value per horizon of (horizon, value) pairs, ordered by
+    horizon: the one replication mean of :func:`mean_metric_by_horizon`
+    and ``eqprice fit``."""
+    horizons = sorted({T for T, _ in pairs})
+    return horizons, [float(np.mean([v for T, v in pairs if T == h])) for h in horizons]
+
+
 def mean_metric_by_horizon(records: list[RunRecord], name: str) -> tuple[list[int], list[float]]:
     """Replication means of one metric, ordered by horizon."""
-    horizons = sorted({r.horizon for r in records})
-    means = []
-    for T in horizons:
-        vals = [r.metric(name) for r in records if r.horizon == T]
-        means.append(float(np.mean(vals)))
-    return horizons, means
+    return _means_by_horizon([(r.horizon, r.metric(name)) for r in records])
 
 
 # ---------------------------------------------------------------------------

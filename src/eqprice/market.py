@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import apply_feature_map
+from .features import FEATURE_MAP_IDS, apply_feature_map
 
 QUADRATIC = "quadratic"
 LINEAR = "linear"
@@ -68,6 +68,10 @@ class CostSpec:
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"cost parameter {name} must be finite, got {value}")
+        if self.feature_map_id not in FEATURE_MAP_IDS:
+            raise ValueError(
+                f"feature_map_id must be one of {FEATURE_MAP_IDS}, got {self.feature_map_id!r}"
+            )
         if self.family == QUADRATIC:
             if not self.mu > 0:
                 raise ValueError("quadratic family requires curvature mu > 0")
@@ -160,6 +164,14 @@ class CostSpec:
         if fam == CONTEXT_QUADRATIC:
             return cls.context_quadratic(doc["phi"], doc.get("feature_map_id", "identity"))
         raise ValueError(f"unknown cost family {fam!r}")
+
+
+def _check_class_member(i: int, member) -> None:
+    """The rule for entry ``i`` of a contextual function class: a
+    ``context_quadratic`` :class:`CostSpec`, whose constructor has already
+    checked it as it checks a supplier."""
+    if not (isinstance(member, CostSpec) and member.family == CONTEXT_QUADRATIC):
+        raise ValueError(f"class member {i} must be a context_quadratic CostSpec")
 
 
 @dataclass(frozen=True)
@@ -346,7 +358,9 @@ class InstanceSpec:
     harness. ``function_class`` optionally lists candidate production
     functions for the contextual policy as ``context_quadratic`` cost
     records (the JSON of :class:`CostSpec`); ``class_bound`` is their shared
-    output bound B.
+    output bound B. Each member is parsed and checked when the spec is
+    built; the bound is checked by the :class:`~eqprice.oracle.FunctionClass`
+    the contextual policy builds from them.
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -356,6 +370,10 @@ class InstanceSpec:
     demand_bounds: tuple[float, float] | None = None
     function_class: tuple[dict, ...] | None = None
     class_bound: float | None = None
+
+    def __post_init__(self):
+        for i, member in enumerate(self.function_class or ()):
+            _check_class_member(i, CostSpec.from_json_dict(member))
 
     def to_json_dict(self) -> dict:
         doc: dict = {

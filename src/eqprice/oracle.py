@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .features import apply_feature_map
-from .market import CONTEXT_QUADRATIC, CostSpec
+from .market import CostSpec, _check_class_member
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,9 @@ class FunctionClass:
         if len(self.members) == 0:
             raise ValueError("function class must be non-empty")
         for i, m in enumerate(self.members):
-            if not (isinstance(m, CostSpec) and m.family == CONTEXT_QUADRATIC):
-                raise ValueError(f"class member {i} must be a context_quadratic CostSpec")
-        if not self.bound > 0:
-            raise ValueError("output bound B must be positive")
+            _check_class_member(i, m)
+        if not (math.isfinite(self.bound) and self.bound > 0):
+            raise ValueError(f"output bound B must be finite and positive, got {self.bound}")
 
     def __len__(self) -> int:
         return len(self.members)

@@ -9,11 +9,14 @@ normalization constant. Heavier gamma concentrates on the greedy price;
 every price keeps probability at least 1/(K + 2*gamma*max_gap).
 
 The arithmetic is :func:`eqprice.kernels.igw_gaps`, ``igw_probs`` and
-``sample_arm``, shared with the fused kernel. The step-level API
-(:func:`contextual_step`, :func:`contextual_observe`) keeps its oracle as
-an :class:`~eqprice.oracle.OracleState` value inside the frozen policy
-state and goes through :func:`~eqprice.oracle.oracle_predict` and
-:func:`~eqprice.oracle.oracle_update`.
+``sample_arm``, shared with the fused kernel. The frozen
+:class:`ContextualPolicyState` carries the policy's whole configuration
+(function class, price grid, gamma) and its oracle as an
+:class:`~eqprice.oracle.OracleState` value; :func:`make_contextual_state`
+builds and checks it for both the step-level API (:func:`contextual_step`,
+:func:`contextual_observe`, through :func:`~eqprice.oracle.oracle_predict`
+and :func:`~eqprice.oracle.oracle_update`) and the harness, which hands
+the same fields to :func:`eqprice.kernels.contextual_trajectory`.
 """
 
 from __future__ import annotations
@@ -31,43 +34,6 @@ from .oracle import (
     oracle_predict,
     oracle_update,
 )
-
-
-@dataclass(frozen=True)
-class PriceGrid:
-    """K prices uniformly spaced over [0, 1]: p_1 = 0, ..., p_K = 1."""
-
-    prices: np.ndarray
-
-    @classmethod
-    def uniform(cls, n_prices: int) -> "PriceGrid":
-        if n_prices < 2:
-            raise ValueError("price grid needs at least 2 prices")
-        return cls(prices=np.linspace(0.0, 1.0, n_prices))
-
-    def __len__(self) -> int:
-        return len(self.prices)
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / (len(self.prices) - 1)
-
-
-@dataclass(frozen=True)
-class IGWParams:
-    """Exploration parameter, grid size, and reporting failure probability."""
-
-    gamma_explore: float
-    n_prices: int
-    delta: float = 0.05
-
-    def __post_init__(self):
-        if not isinstance(self.n_prices, (int, np.integer)) or self.n_prices < 2:
-            raise ValueError("n_prices must be an integer >= 2")
-        if not (math.isfinite(self.gamma_explore) and self.gamma_explore > 0):
-            raise ValueError("gamma_explore must be finite and positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -125,8 +91,9 @@ def sample_price(dist: IgwDistribution, u: float) -> int:
 
 @dataclass(frozen=True)
 class ContextualPolicyState:
-    """Function class, oracle state, and the pending (price, context)
-    awaiting production.
+    """Function class, price grid p_1 = 0, ..., p_K = 1, exploration weight
+    gamma, oracle state, and the pending (price, context) awaiting
+    production.
 
     Every field is a value: :func:`contextual_observe` returns a state with
     a new :class:`~eqprice.oracle.OracleState` and leaves earlier states as
@@ -134,6 +101,8 @@ class ContextualPolicyState:
     """
 
     cls: FunctionClass
+    prices: np.ndarray
+    gamma_explore: float
     oracle: OracleState
     pending_price: float | None = None
     pending_theta: object | None = None
@@ -141,20 +110,27 @@ class ContextualPolicyState:
 
 
 def make_contextual_state(
-    cls: FunctionClass, eta: float | None = None
+    cls: FunctionClass, n_prices: int, gamma_explore: float, eta: float | None = None
 ) -> ContextualPolicyState:
-    """Uniform oracle weights over ``cls``; ``eta`` as in
-    :func:`~eqprice.oracle.make_oracle_state`."""
-    return ContextualPolicyState(cls=cls, oracle=make_oracle_state(cls, eta))
+    """Fresh state over ``cls`` with the grid linspace(0, 1, n_prices),
+    exploration weight ``gamma_explore`` and uniform oracle weights;
+    ``eta`` as in :func:`~eqprice.oracle.make_oracle_state`. Rejects a
+    grid of fewer than 2 prices and a non-finite or non-positive gamma."""
+    if not isinstance(n_prices, (int, np.integer)) or n_prices < 2:
+        raise ValueError("n_prices must be an integer >= 2")
+    gamma_explore = float(gamma_explore)
+    if not (math.isfinite(gamma_explore) and gamma_explore > 0):
+        raise ValueError("gamma_explore must be finite and positive")
+    return ContextualPolicyState(
+        cls=cls,
+        prices=np.linspace(0.0, 1.0, n_prices),
+        gamma_explore=gamma_explore,
+        oracle=make_oracle_state(cls, eta),
+    )
 
 
 def contextual_step(
-    state: ContextualPolicyState,
-    grid: PriceGrid,
-    params: IGWParams,
-    theta,
-    d: float,
-    rng: np.random.Generator,
+    state: ContextualPolicyState, theta, d: float, rng: np.random.Generator
 ) -> tuple[float, ContextualPolicyState]:
     """Sample this period's price from the inverse-gap distribution.
 
@@ -164,11 +140,11 @@ def contextual_step(
     distribution is exposed on the returned state so a simulator can take
     exact expectations against it.
     """
-    estimates = oracle_predict(state.oracle, state.cls, grid.prices, theta)
+    estimates = oracle_predict(state.oracle, state.cls, state.prices, theta)
     gaps = kernels.igw_gaps(estimates.tolist(), float(d))
-    dist = igw_distribution(np.array(gaps), params.gamma_explore)
+    dist = igw_distribution(np.array(gaps), state.gamma_explore)
     arm = sample_price(dist, float(rng.uniform()))
-    price = float(grid.prices[arm])
+    price = float(state.prices[arm])
     return price, replace(
         state, pending_price=price, pending_theta=theta, last_distribution=dist
     )

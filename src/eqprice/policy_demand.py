@@ -11,7 +11,11 @@ O(sqrt(T) log log T); setting one cell per distinct demand recovers the
 small-support variant.
 
 The arithmetic is :func:`eqprice.kernels.cell_index` and
-:func:`eqprice.kernels.demand_update`, shared with the fused kernel.
+:func:`eqprice.kernels.demand_update`, shared with the fused kernel. A
+:class:`DemandPolicyState` carries the policy's whole configuration, its
+:class:`DemandGrid` and freeze width, so the step API reads the grid from
+the state and the harness hands the same fields to
+:func:`eqprice.kernels.demand_trajectory`.
 """
 
 from __future__ import annotations
@@ -66,12 +70,14 @@ def interval_index(grid: DemandGrid, d: float) -> int:
 
 @dataclass(frozen=True)
 class DemandPolicyState:
-    """Per-cell feasible sets (s_lo, s_hi], prices, and precisions.
+    """The demand grid, per-cell feasible sets (s_lo, s_hi], prices, and
+    precisions.
 
     Arrays are indexed by cell (0-based internally). freeze_width is the
     |S| threshold below which a cell's price stops moving.
     """
 
+    grid: DemandGrid
     s_lo: np.ndarray
     s_hi: np.ndarray
     price: np.ndarray
@@ -87,7 +93,7 @@ class DemandPolicyState:
 
 
 def make_demand_state(grid: DemandGrid, horizon: int, freeze_width: float | None = None) -> DemandPolicyState:
-    """Fresh state: every cell at S=(0,1], price 0, eps 1/2. The freeze
+    """Fresh state over ``grid``: every cell at S=(0,1], price 0, eps 1/2. The freeze
     width defaults to 1/sqrt(horizon) and must be finite and positive."""
     if freeze_width is None:
         freeze_width = 1.0 / math.sqrt(horizon)
@@ -95,6 +101,7 @@ def make_demand_state(grid: DemandGrid, horizon: int, freeze_width: float | None
         raise ValueError(f"freeze_width must be finite and positive, got {freeze_width}")
     n = grid.n_cells
     return DemandPolicyState(
+        grid=grid,
         s_lo=np.zeros(n),
         s_hi=np.ones(n),
         price=np.zeros(n),
@@ -103,16 +110,13 @@ def make_demand_state(grid: DemandGrid, horizon: int, freeze_width: float | None
     )
 
 
-def cell_price(state: DemandPolicyState, grid: DemandGrid, d: float) -> float:
+def cell_price(state: DemandPolicyState, d: float) -> float:
     """Price the policy posts for demand d (the current price of d's cell)."""
-    return float(state.price[interval_index(grid, d) - 1])
+    return float(state.price[interval_index(state.grid, d) - 1])
 
 
 def demand_step(
-    state: DemandPolicyState,
-    grid: DemandGrid,
-    d: float,
-    total_production: float,
+    state: DemandPolicyState, d: float, total_production: float
 ) -> tuple[float, DemandPolicyState]:
     """One period: returns (price offered, updated state).
 
@@ -122,6 +126,7 @@ def demand_step(
     cell lower bound rather than d itself is what rounds demands down
     within a cell.
     """
+    grid = state.grid
     k = interval_index(grid, d)
     offered = float(state.price[k - 1])
     if state.cell_frozen(k):

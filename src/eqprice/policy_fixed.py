@@ -8,7 +8,10 @@ narrower than 1/T the price freezes at the lower end. Squaring eps means the
 number of shrink events over a horizon T is O(log log T).
 
 The arithmetic is :func:`eqprice.kernels.fixed_offer` and
-:func:`eqprice.kernels.fixed_update`, shared with the fused kernel.
+:func:`eqprice.kernels.fixed_update`, shared with the fused kernel. A
+:class:`FixedPolicyState` is the kernel's tracker tuple followed by the
+policy's configuration, the horizon, so the step API builds it straight
+from :func:`eqprice.kernels.fixed_start` and ``fixed_update``.
 """
 
 from __future__ import annotations
@@ -18,16 +21,15 @@ from dataclasses import dataclass
 
 from . import kernels
 
-SEARCHING = "searching"
-FROZEN = "frozen"
-
-
 @dataclass(frozen=True)
 class FixedPolicyState:
-    """Interval tracker state. Value-copyable; observe() returns a new state.
+    """Interval tracker state: the kernel's tracker tuple (see
+    :func:`eqprice.kernels.fixed_update`) plus the policy's one setting,
+    ``horizon``. Value-copyable; observe() returns a new state.
 
     ``cursor`` indexes the next offer within the current sub-phase, so the
-    current offer is min(a + cursor*eps, b). ``resets`` counts sub-phase
+    current offer is min(a + cursor*eps, b). ``frozen`` is set once the
+    interval is narrower than 1/horizon. ``resets`` counts sub-phase
     restarts triggered by reaching b without covering demand, which cannot
     happen under exact best responses when the clearing price is in [a, b].
     """
@@ -36,32 +38,22 @@ class FixedPolicyState:
     b: float
     eps: float
     cursor: int
-    phase: str
+    frozen: bool
+    shrink_count: int
+    resets: int
     horizon: int
-    shrink_count: int = 0
-    resets: int = 0
-
-
-def _state(horizon: int, a, b, eps, cursor, frozen, shrinks, resets) -> FixedPolicyState:
-    """Repack a kernel tracker tuple (see :func:`eqprice.kernels.fixed_update`)."""
-    return FixedPolicyState(
-        a=a, b=b, eps=eps, cursor=cursor, phase=FROZEN if frozen else SEARCHING,
-        horizon=horizon, shrink_count=shrinks, resets=resets,
-    )
 
 
 def make_fixed_state(horizon: int) -> FixedPolicyState:
     """Fresh tracker over [0, 1] with eps = 1/2."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _state(horizon, *kernels.fixed_start(horizon))
+    return FixedPolicyState(*kernels.fixed_start(horizon), horizon)
 
 
 def fixed_next_price(state: FixedPolicyState) -> float:
     """Price to post this period: the cursor offer, or a once frozen."""
-    return kernels.fixed_offer(
-        state.a, state.b, state.eps, state.cursor, state.phase == FROZEN
-    )
+    return kernels.fixed_offer(state.a, state.b, state.eps, state.cursor, state.frozen)
 
 
 def fixed_observe(
@@ -69,16 +61,13 @@ def fixed_observe(
 ) -> FixedPolicyState:
     """Advance the tracker given production observed at fixed_next_price(state)
     (see :func:`eqprice.kernels.fixed_update`); a no-op once frozen."""
-    if state.phase == FROZEN:
+    if state.frozen:
         return state
-    return _state(
-        state.horizon,
-        *kernels.fixed_update(
-            state.a, state.b, state.eps, state.cursor, state.shrink_count,
-            state.resets, fixed_next_price(state), total_production, d,
-            state.horizon,
-        ),
+    tracker = kernels.fixed_update(
+        state.a, state.b, state.eps, state.cursor, state.shrink_count,
+        state.resets, fixed_next_price(state), total_production, d, state.horizon,
     )
+    return FixedPolicyState(*tracker, state.horizon)
 
 
 def max_shrink_events(horizon: int) -> int:

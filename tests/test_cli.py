@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eqprice.cli import main
-from eqprice.harness import load_config, run_experiment
+from eqprice.harness import load_config, mean_metric_by_horizon, run_experiment
 from eqprice.market import CostSpec, GeneratorSpec, InstanceSpec
 
 
@@ -104,3 +104,38 @@ def test_fit_rejects_nan_metric(tmp_path, config_path, capsys):
     assert captured.out == ""
     doc = json.loads(captured.err.strip())
     assert "finite" in doc["error"]
+
+
+def test_hardness_policy_flag_is_refused(capsys):
+    # the flag had one working value: linear demos run fixed_interval
+    for kind in ("iid", "linear"):
+        with pytest.raises(SystemExit) as exc:
+            main(["hardness", "--kind", kind, "--policy", "fixed_interval"])
+        assert exc.value.code != 0
+    assert "--policy" in capsys.readouterr().err
+
+
+def test_fit_means_equal_record_means_bit_for_bit(tmp_path, capsys):
+    # from 8 replications on, sum/len and np.mean can round differently
+    inst = InstanceSpec(
+        suppliers=(CostSpec.quadratic(0.5), CostSpec.quadratic(1.0)),
+        demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
+        horizon=100,
+    )
+    doc = {
+        "instance": inst.to_json_dict(),
+        "policy": "demand_grid",
+        "horizons": [50, 100, 200],
+        "replications": 12,
+        "seed": 3,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "results"
+    assert main(["sweep", "--config", str(path), "--out", str(out_dir)]) == 0
+    records = run_experiment(load_config(path))
+    for metric in ("U_T", "C_T_pos", "P_T_pos"):
+        capsys.readouterr()
+        assert main(["fit", "--summary", str(out_dir / "summary.csv"), "--metric", metric]) == 0
+        fit = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (fit["horizons"], fit["means"]) == mean_metric_by_horizon(records, metric)

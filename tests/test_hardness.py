@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eqprice.hardness import (
-    IidCostInstance,
+    IID_SOFT_COST,
+    IID_STIFF_COST,
     LinearDemoReport,
     expected_total_regret,
     linear_cost_demo,
@@ -15,9 +16,8 @@ from eqprice.market import CostSpec, equilibrium_price
 
 
 def test_iid_instance_clearing_prices():
-    inst = IidCostInstance()
-    assert equilibrium_price([inst.cost_a], 1.0) == pytest.approx(0.25, abs=1e-12)
-    assert equilibrium_price([inst.cost_b], 1.0) == pytest.approx(0.125, abs=1e-12)
+    assert equilibrium_price([IID_STIFF_COST], 1.0) == pytest.approx(0.25, abs=1e-12)
+    assert equilibrium_price([IID_SOFT_COST], 1.0) == pytest.approx(0.125, abs=1e-12)
 
 
 def test_expected_total_regret_values():
@@ -40,11 +40,8 @@ def test_expected_total_regret_continuous_at_kinks():
 
 def test_formula_matches_market_machinery():
     # the closed form is the mixture average of realized totals
-    inst = IidCostInstance()
     for p in (0.0, 0.07, 0.125, 0.2, 0.25, 0.4, 0.8):
-        mix = 0.5 * per_period_total_regret(inst, p, True) + 0.5 * per_period_total_regret(
-            inst, p, False
-        )
+        mix = 0.5 * per_period_total_regret(p, True) + 0.5 * per_period_total_regret(p, False)
         assert mix == pytest.approx(expected_total_regret(p), abs=1e-9)
 
 

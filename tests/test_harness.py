@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqprice import kernels, market
+from eqprice import harness, kernels, market
 from eqprice.harness import (
     CSV_BLOCK_ROWS,
     PER_PERIOD_HEADER,
@@ -325,6 +325,9 @@ def test_policy_params_unknown_key_rejected():
         ({"eta": 0.0}, "eta"),
         ({"eta": math.inf}, "eta"),
         ({"gamma_explore": math.inf}, "gamma_explore"),
+        # delta only sets the default gamma, so beside gamma_explore it
+        # would be ignored
+        ({"gamma_explore": 10.0, "delta": 0.1}, "delta"),
     ],
 )
 def test_contextual_params_out_of_range_rejected(params, message):
@@ -545,11 +548,41 @@ def test_readme_config_runs_with_readme_instance(tmp_path):
     ],
 )
 def test_contextual_rejects_bad_class_member(member, message):
+    # rejected when the spec is built, whichever policy it is meant for
     spec = contextual_spec()
-    bad = dataclasses.replace(spec, function_class=spec.function_class + (member,))
-    cfg = ExperimentConfig(instance=bad, policy="contextual_igw", horizons=(100,))
     with pytest.raises(ValueError, match=message):
+        dataclasses.replace(spec, function_class=spec.function_class + (member,))
+    doc = spec.to_json_dict()
+    doc["function_class"].append(member)
+    with pytest.raises(ValueError, match=message):
+        InstanceSpec.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("bound", [math.inf, math.nan, 0.0])
+def test_contextual_rejects_bad_class_bound(bound):
+    # class_bound = inf used to surface as "eta must be finite", from 2/B^2
+    cfg = ExperimentConfig(
+        instance=contextual_spec(bound=bound), policy="contextual_igw", horizons=(100,)
+    )
+    with pytest.raises(ValueError, match="output bound B"):
         run_experiment(cfg)
+
+
+def test_contextual_class_parsed_once_per_run(monkeypatch):
+    calls = []
+    real = harness.FunctionClass
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "FunctionClass", counting)
+    cfg = ExperimentConfig(
+        instance=contextual_spec(), policy="contextual_igw", horizons=(50, 100),
+        replications=2,
+    )
+    assert len(run_experiment(cfg)) == 4
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -13,14 +13,12 @@ from eqprice.features import apply_feature_map
 from eqprice.market import CostSpec, aggregate_production
 from eqprice.oracle import FunctionClass
 from eqprice.policy_contextual import (
-    IGWParams,
-    PriceGrid,
     contextual_observe,
     contextual_step,
     make_contextual_state,
 )
 from eqprice.policy_demand import DemandGrid, cell_price, demand_step, make_demand_state
-from eqprice.policy_fixed import FROZEN, fixed_next_price, fixed_observe, make_fixed_state
+from eqprice.policy_fixed import fixed_next_price, fixed_observe, make_fixed_state
 
 
 def reference_fixed(suppliers, d, T):
@@ -44,7 +42,7 @@ def test_fixed_kernel_matches_reference():
     assert shrinks == ref_state.shrink_count
     assert resets == ref_state.resets
     assert (a, b, eps) == (ref_state.a, ref_state.b, ref_state.eps)
-    assert frozen == (ref_state.phase == FROZEN)
+    assert frozen == ref_state.frozen
 
 
 def test_fixed_kernel_linear_instance():
@@ -73,10 +71,10 @@ def test_demand_kernel_matches_reference():
     assert np.array_equal(state.eps, np.full(grid.n_cells, 0.5))
 
     for t in range(T):
-        p = cell_price(state, grid, demands[t])
+        p = cell_price(state, demands[t])
         assert price[t] == p
         x = aggregate_production(suppliers, p).total
-        _, state = demand_step(state, grid, demands[t], x)
+        _, state = demand_step(state, demands[t], x)
     assert shrinks == state.shrink_count
     assert np.array_equal(s_lo, state.s_lo)
     assert np.array_equal(s_hi, state.s_hi)
@@ -103,7 +101,7 @@ def test_fixed_kernel_equals_step_api_property(suppliers, d, T):
     price, a, b, eps, frozen, shrinks, resets = kernels.fixed_trajectory(fam, p1, p2, d, T)
     ref_prices, ref = reference_fixed(suppliers, d, T)
     assert np.array_equal(price, ref_prices)
-    assert (a, b, eps, frozen) == (ref.a, ref.b, ref.eps, ref.phase == FROZEN)
+    assert (a, b, eps, frozen) == (ref.a, ref.b, ref.eps, ref.frozen)
     assert (shrinks, resets) == (ref.shrink_count, ref.resets)
 
 
@@ -131,8 +129,8 @@ def test_demand_kernel_equals_step_api_property(
         grid.d_lo, grid.gamma, grid.n_cells, state.freeze_width,
     )
     for t in range(T):
-        x = aggregate_production(suppliers, cell_price(state, grid, demands[t])).total
-        offered, state = demand_step(state, grid, demands[t], x)
+        x = aggregate_production(suppliers, cell_price(state, demands[t])).total
+        offered, state = demand_step(state, demands[t], x)
         assert price[t] == offered
     assert shrinks == state.shrink_count
     final = (state.s_lo, state.s_hi, state.price, state.eps)
@@ -177,19 +175,17 @@ def _assert_contextual_kernel_matches_ops(cls, phi_true, demands, thetas, unifor
         member_u, log_w0, eta, u_true, demands, uniforms, grid_prices, gamma
     )
 
-    state = make_contextual_state(cls, eta=eta)
-    grid = PriceGrid.uniform(K)
-    params = IGWParams(gamma_explore=gamma, n_prices=K)
+    state = make_contextual_state(cls, K, gamma, eta=eta)
     replay = _Replay(uniforms)
     for t in range(T):
-        p, state = contextual_step(state, grid, params, thetas[t], demands[t], replay)
+        p, state = contextual_step(state, thetas[t], demands[t], replay)
         x = float(p * u_true[t])
         state = contextual_observe(state, x)
         assert price[t] == p  # same arm from the same draw
         assert grid_prices[arm[t]] == p
         # the expected mismatch, summed in the kernel's order
         e = 0.0
-        for q, gp in zip(state.last_distribution.probs, grid.prices):
+        for q, gp in zip(state.last_distribution.probs, state.prices):
             e += q * abs(gp * u_true[t] - demands[t])
         assert proxy[t] == e
     assert state.oracle.clamped == 0  # the kernel has no [0, B] clamp

@@ -594,9 +594,36 @@ def test_cost_normalized_at_zero():
 
 
 def test_feature_map_unknown_id_raises():
-    s = CostSpec.context_quadratic(phi=(1.0,), feature_map_id="nope")
     with pytest.raises(KeyError):
-        s.coefficient(np.array([1.0]))
+        apply_feature_map("nope", np.array([1.0]))
+    # a cost record naming one is rejected when it is built
+    with pytest.raises(ValueError, match="feature_map_id"):
+        CostSpec.context_quadratic(phi=(1.0,), feature_map_id="nope")
+
+
+def test_feature_map_id_checked_when_specs_are_built():
+    bad = {"family": "context_quadratic", "phi": [1.0], "feature_map_id": "nope"}
+    with pytest.raises(ValueError, match="feature_map_id"):
+        CostSpec.from_json_dict(bad)
+    good = CostSpec.context_quadratic(phi=(1.0,))
+    doc = InstanceSpec(
+        suppliers=(good,),
+        demands=GeneratorSpec(kind="constant", value=0.5),
+        contexts=GeneratorSpec(kind="uniform_cube", lo=0.5, hi=1.5, dim=1),
+        horizon=10,
+        function_class=(good.to_json_dict(),),
+        class_bound=2.0,
+    ).to_json_dict()
+    # as a supplier and as a class member, through the constructor and JSON
+    for key in ("suppliers", "function_class"):
+        broken = json.loads(json.dumps(doc))
+        broken[key].append(bad)
+        with pytest.raises(ValueError, match="feature_map_id"):
+            InstanceSpec.from_json_dict(broken)
+    with pytest.raises(ValueError, match="feature_map_id"):
+        InstanceSpec(
+            suppliers=(good,), demands=(0.5,), horizon=1, function_class=(bad,)
+        )
 
 
 def test_instance_rejects_phi_length_mismatch():

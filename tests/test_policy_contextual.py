@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from eqprice.market import CostSpec
 from eqprice.oracle import FunctionClass, oracle_predict
 from eqprice.policy_contextual import (
-    IGWParams,
     IgwDistribution,
-    PriceGrid,
     contextual_observe,
     contextual_step,
     default_gamma,
@@ -23,12 +21,15 @@ from eqprice.policy_contextual import (
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+ONE_MEMBER = FunctionClass(members=(CostSpec.context_quadratic((0.4,)),), bound=1.0)
+
+
 def test_grid_spacing():
-    grid = PriceGrid.uniform(5)
-    assert np.allclose(grid.prices, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert grid.spacing == pytest.approx(0.25)
+    state = make_contextual_state(ONE_MEMBER, 5, 1.0)
+    assert np.allclose(state.prices, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(np.diff(state.prices), 0.25)
     with pytest.raises(ValueError):
-        PriceGrid.uniform(1)
+        make_contextual_state(ONE_MEMBER, 1, 1.0)
 
 
 def test_igw_uniform_when_all_gaps_zero():
@@ -134,14 +135,21 @@ def test_default_tunings():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        IGWParams(gamma_explore=0.0, n_prices=4)
-    with pytest.raises(ValueError):
-        IGWParams(gamma_explore=1.0, n_prices=1)
-    with pytest.raises(ValueError):
-        IGWParams(gamma_explore=1.0, n_prices=4, delta=1.5)
-    with pytest.raises(ValueError, match="gamma_explore"):
-        IGWParams(gamma_explore=math.inf, n_prices=4)
+    # fewer than 2 prices, or a grid size that is not an integer
+    for n_prices in (1, 0, -3, 2.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match="n_prices"):
+            make_contextual_state(ONE_MEMBER, n_prices, 1.0)
+    for gamma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma_explore"):
+            make_contextual_state(ONE_MEMBER, 4, gamma)
+    with pytest.raises(ValueError, match="delta"):
+        default_gamma(100, 4, 1, delta=1.5)  # delta only sets the default gamma
+
+
+def test_state_carries_its_configuration():
+    state = make_contextual_state(ONE_MEMBER, np.int64(3), 7)
+    assert np.array_equal(state.prices, np.linspace(0.0, 1.0, 3))
+    assert state.gamma_explore == 7.0 and type(state.gamma_explore) is float
 
 
 class _FixedDraw:
@@ -161,16 +169,13 @@ def test_first_round_is_uniform():
         members=(CostSpec.context_quadratic((0.0,)), CostSpec.context_quadratic((0.0,))),
         bound=1.0,
     )
-    state = make_contextual_state(cls)
-    grid = PriceGrid.uniform(4)
-    params = IGWParams(gamma_explore=10.0, n_prices=4)
-    _, state = contextual_step(state, grid, params, THETA, 0.4, _FixedDraw(0.1))
+    state = make_contextual_state(cls, 4, 10.0)
+    _, state = contextual_step(state, THETA, 0.4, _FixedDraw(0.1))
     assert np.allclose(state.last_distribution.probs, 0.25)
 
 
 def test_observe_requires_pending_step():
-    cls = FunctionClass(members=(CostSpec.context_quadratic((0.4,)),), bound=1.0)
-    state = make_contextual_state(cls)
+    state = make_contextual_state(ONE_MEMBER, 4, 10.0)
     with pytest.raises(ValueError):
         contextual_observe(state, 0.5)
 
@@ -182,22 +187,20 @@ def test_long_run_greedy_converges_to_clearing_price():
     truth = CostSpec.context_quadratic(phi=(2.0, 1.0))
     other = CostSpec.context_quadratic(phi=(1.0, 2.5))
     cls = FunctionClass(members=(truth, other), bound=6.0)
-    state = make_contextual_state(cls)
     K = 11
-    grid = PriceGrid.uniform(K)
-    params = IGWParams(gamma_explore=200.0, n_prices=K)
+    state = make_contextual_state(cls, K, 200.0)
     d = 1.0
     for _ in range(600):
         theta = rng.uniform(0.5, 1.5, 2)
-        p, state = contextual_step(state, grid, params, theta, d, rng)
+        p, state = contextual_step(state, theta, d, rng)
         x = p * cls.member_coefficients(theta)[0]
         state = contextual_observe(state, x)
     theta = np.array([1.0, 1.0])
     u = 3.0  # <phi_truth, theta>
     p_star = d / u
-    estimates = oracle_predict(state.oracle, cls, grid.prices, theta)
+    estimates = oracle_predict(state.oracle, cls, state.prices, theta)
     greedy = int(np.argmin(np.abs(estimates - d)))
-    nearest = int(np.argmin(np.abs(grid.prices - p_star)))
+    nearest = int(np.argmin(np.abs(state.prices - p_star)))
     assert greedy == nearest
 
 
@@ -206,11 +209,9 @@ def test_distribution_attached_to_state():
         members=(CostSpec.context_quadratic((0.2,)), CostSpec.context_quadratic((0.8,))),
         bound=1.0,
     )
-    state = make_contextual_state(cls)
-    grid = PriceGrid.uniform(3)
-    params = IGWParams(gamma_explore=5.0, n_prices=3)
-    price, state = contextual_step(state, grid, params, THETA, 0.5, _FixedDraw(0.0))
-    assert price == grid.prices[0]  # draw 0 lands on the first arm
+    state = make_contextual_state(cls, 3, 5.0)
+    price, state = contextual_step(state, THETA, 0.5, _FixedDraw(0.0))
+    assert price == state.prices[0]  # draw 0 lands on the first arm
     assert state.last_distribution is not None
     assert state.pending_price == price
     state = contextual_observe(state, 0.5)
@@ -224,13 +225,11 @@ def test_observe_leaves_earlier_states_unchanged():
         members=(CostSpec.context_quadratic((0.2,)), CostSpec.context_quadratic((0.8,))),
         bound=1.0,
     )
-    s0 = make_contextual_state(cls)
-    grid = PriceGrid.uniform(3)
-    params = IGWParams(gamma_explore=5.0, n_prices=3)
-    _, s1 = contextual_step(s0, grid, params, THETA, 0.5, _FixedDraw(0.9))
+    s0 = make_contextual_state(cls, 3, 5.0)
+    _, s1 = contextual_step(s0, THETA, 0.5, _FixedDraw(0.9))
     s2 = contextual_observe(s1, 0.3)
     assert s2.oracle.cum_loss > 0.0
     for earlier in (s0, s1):
         assert earlier.oracle.cum_loss == 0.0
         assert np.array_equal(earlier.oracle.log_weights, np.full(2, -math.log(2.0)))
-    assert s1.pending_price == grid.prices[2]
+    assert s1.pending_price == s0.prices[2]

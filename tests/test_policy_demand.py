@@ -51,11 +51,22 @@ def test_freeze_width_must_be_finite_and_positive(width):
         make_demand_state(grid, horizon=100, freeze_width=width)
 
 
+def test_state_carries_its_grid():
+    # the step API reads the grid from the state, so a second grid cannot
+    # index another cell's interval
+    grid = DemandGrid.from_width(0.5, 1.5, 0.5)
+    s = make_demand_state(grid, horizon=100)
+    assert s.grid is grid
+    offered, s = demand_step(s, 1.4, total_production=0.0)
+    assert offered == 0.0
+    assert s.price.tolist() == [0.0, 0.5]
+
+
 def test_probe_step_keeps_feasible_set():
     # production below the cell bound: additive probe, set unchanged
     grid = DemandGrid.from_width(0.9, 1.15, 0.25)
     s = make_demand_state(grid, horizon=10_000)
-    offered, s = demand_step(s, grid, 1.0, total_production=0.0)
+    offered, s = demand_step(s, 1.0, total_production=0.0)
     assert offered == 0.0
     assert s.price[0] == 0.5
     assert (s.s_lo[0], s.s_hi[0]) == (0.0, 1.0)
@@ -69,11 +80,11 @@ def test_shrink_step_hand_example():
     grid = DemandGrid.from_width(0.9, 1.15, 0.25)
     s = make_demand_state(grid, horizon=10_000)
     d = 1.0
-    offered, s = demand_step(s, grid, d, aggregate_production(sup, cell_price(s, grid, d)).total)
+    offered, s = demand_step(s, d, aggregate_production(sup, cell_price(s, d)).total)
     assert offered == 0.0  # first visit probes upward
-    x = aggregate_production(sup, cell_price(s, grid, d)).total
+    x = aggregate_production(sup, cell_price(s, d)).total
     assert x == pytest.approx(0.5 / 0.3)
-    offered, s = demand_step(s, grid, d, x)
+    offered, s = demand_step(s, d, x)
     assert offered == 0.5
     assert (s.s_lo[0], s.s_hi[0]) == (0.0, 0.5)
     assert s.price[0] == 0.0
@@ -83,11 +94,11 @@ def test_shrink_step_hand_example():
 def test_frozen_cell_price_is_stable():
     grid = DemandGrid.from_width(0.5, 1.5, 0.5)
     s = make_demand_state(grid, horizon=100, freeze_width=2.0)  # everything frozen
-    p0 = cell_price(s, grid, 0.7)
+    p0 = cell_price(s, 0.7)
     for _ in range(5):
-        offered, s = demand_step(s, grid, 0.7, total_production=99.0)
+        offered, s = demand_step(s, 0.7, total_production=99.0)
         assert offered == p0
-    assert cell_price(s, grid, 0.7) == p0
+    assert cell_price(s, 0.7) == p0
 
 
 def test_probe_clamped_at_one():
@@ -95,7 +106,7 @@ def test_probe_clamped_at_one():
     s = make_demand_state(grid, horizon=10_000)
     # forever-undershooting production walks the price up to the clamp
     for _ in range(6):
-        _, s = demand_step(s, grid, 1.0, total_production=0.0)
+        _, s = demand_step(s, 1.0, total_production=0.0)
     assert s.price[0] == 1.0
 
 
@@ -103,10 +114,10 @@ def simulate(sup, demands, grid, horizon, freeze_width=None):
     s = make_demand_state(grid, horizon, freeze_width)
     rows = []
     for d in demands:
-        p = cell_price(s, grid, d)
+        p = cell_price(s, d)
         x = aggregate_production(sup, p).total
         shrinks_before = s.shrink_count
-        _, s = demand_step(s, grid, d, x)
+        _, s = demand_step(s, d, x)
         rows.append((d, p, x, s.shrink_count > shrinks_before))
     return s, rows
 
@@ -122,8 +133,8 @@ def test_containment_of_cell_lower_bound_price():
     for d in demands:
         k = interval_index(grid, d)
         seen.add(k)
-        p = cell_price(s, grid, d)
-        _, s = demand_step(s, grid, d, aggregate_production(sup, p).total)
+        p = cell_price(s, d)
+        _, s = demand_step(s, d, aggregate_production(sup, p).total)
         # the clearing price of the cell's lower bound stays in (s_lo, s_hi]
         p_star_k = equilibrium_price(sup, grid.cell_lower_bound(k))
         assert s.s_lo[k - 1] - 1e-12 < p_star_k <= s.s_hi[k - 1] + 1e-12
@@ -166,7 +177,7 @@ def test_feasible_width_shrinks_monotonically():
     s = make_demand_state(grid, horizon=10_000)
     widths = [s.cell_width(1)]
     for _ in range(200):
-        p = cell_price(s, grid, 1.0)
-        _, s = demand_step(s, grid, 1.0, aggregate_production(sup, p).total)
+        p = cell_price(s, 1.0)
+        _, s = demand_step(s, 1.0, aggregate_production(sup, p).total)
         widths.append(s.cell_width(1))
     assert all(w2 <= w1 for w1, w2 in zip(widths, widths[1:]))

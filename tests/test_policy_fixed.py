@@ -5,8 +5,6 @@ import pytest
 
 from eqprice.market import CostSpec, aggregate_production, equilibrium_price
 from eqprice.policy_fixed import (
-    FROZEN,
-    SEARCHING,
     fixed_next_price,
     fixed_observe,
     make_fixed_state,
@@ -28,7 +26,7 @@ def drive(state, suppliers, d, steps):
 def test_fresh_state_offers_zero():
     s = make_fixed_state(horizon=1000)
     assert fixed_next_price(s) == 0.0
-    assert s.phase == SEARCHING
+    assert not s.frozen
 
 
 def test_second_offer_is_half():
@@ -40,7 +38,7 @@ def test_second_offer_is_half():
 def test_frozen_returns_lower_end():
     from dataclasses import replace
 
-    s = replace(make_fixed_state(horizon=1000), a=0.2999, phase=FROZEN)
+    s = replace(make_fixed_state(horizon=1000), a=0.2999, frozen=True)
     assert fixed_next_price(s) == 0.2999
 
 
@@ -75,10 +73,10 @@ def test_shrink_budget_for_large_horizon():
     sup = [CostSpec.quadratic(0.3)]
     s = make_fixed_state(horizon=T)
     for _ in range(80_000):  # the last sub-phase probes in eps = 2^-32 steps
-        if s.phase == FROZEN:
+        if s.frozen:
             break
         s = fixed_observe(s, aggregate_production(sup, fixed_next_price(s)).total, 1.0)
-    assert s.phase == FROZEN
+    assert s.frozen
     assert s.shrink_count <= 6
 
 
@@ -134,14 +132,14 @@ def test_reset_on_model_violation():
     for _ in range(10):
         s = fixed_observe(s, 0.0, 1.0)
     assert s.resets >= 1
-    assert s.phase == SEARCHING
+    assert not s.frozen
     assert fixed_next_price(s) <= s.b
 
 
 def test_observe_in_frozen_phase_is_noop():
     s = make_fixed_state(horizon=2)
     s = fixed_observe(s, 5.0, 1.0)  # immediate collapse: width 0 <= 1/T
-    assert s.phase == FROZEN
+    assert s.frozen
     assert fixed_observe(s, 0.0, 1.0) == s
 
 
@@ -151,7 +149,7 @@ def test_interval_invariants():
     s = make_fixed_state(horizon=10_000)
     for _ in range(500):
         assert 0.0 <= s.a <= s.b <= 1.0
-        if s.phase == SEARCHING:
+        if not s.frozen:
             assert 0.0 < s.eps <= 0.5
             assert s.a + s.cursor * s.eps <= s.b + s.eps + 1e-15
         p = fixed_next_price(s)
