@@ -163,16 +163,14 @@ class LinearDemoReport:
 
 
 def linear_cost_demo(
-    policy: str = "fixed_interval",
     horizon: int = 10_000,
     seed: int = 0,
     unit_cost: float = 0.4,
     demand: float = 1.0,
     cap: float | None = None,
-    constant_price: float | None = None,
 ) -> LinearDemoReport:
-    """Run a policy against a single linear-cost supplier and fit the growth
-    of the summed regret metrics.
+    """Run interval tracking against a single linear-cost supplier and fit
+    the growth of the summed regret metrics.
 
     The clearing price is the unit cost c itself (with production cap >= d),
     so the regret baseline is payment and cost c*d per period with zero
@@ -181,30 +179,20 @@ def linear_cost_demo(
     priced at or above c contributes at least 2*c, so away from p = c the
     per-period total regret is floored by the smaller of the two.
 
-    ``policy`` is ``fixed_interval`` or ``constant_price`` (the latter uses
-    ``constant_price`` as the posted price); the run goes through
+    The ``fixed_interval`` run goes through
     :func:`~eqprice.harness.run_experiment` with ``seed`` as its base seed.
     """
     if cap is None:
         cap = 2.0 * demand
     if cap < demand:
         raise ValueError("cap below demand: clearing is impossible")
-    if policy == "constant_price":
-        if constant_price is None:
-            raise ValueError("constant_price policy needs a price")
-        params = {"p": constant_price}
-    elif policy == "fixed_interval":
-        params = {}
-    else:
-        raise ValueError(f"unsupported policy {policy!r} for the linear demo")
     instance = InstanceSpec(
         suppliers=(CostSpec.linear(c=unit_cost, cap=cap),),
         demands=GeneratorSpec(kind="constant", value=demand),
         horizon=horizon,
     )
     config = ExperimentConfig(
-        instance=instance, policy=policy, horizons=(horizon,), seed=seed,
-        policy_params=params,
+        instance=instance, policy="fixed_interval", horizons=(horizon,), seed=seed
     )
     rec = run_experiment(config)[0]
 
@@ -222,7 +210,7 @@ def linear_cost_demo(
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
 
     return LinearDemoReport(
-        policy=policy,
+        policy=rec.policy,
         horizon=horizon,
         unit_cost=unit_cost,
         cap=cap,

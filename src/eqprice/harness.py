@@ -37,6 +37,7 @@ the theory controls.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -65,8 +66,7 @@ PER_PERIOD_HEADER = "t,demand,price,production,unmet_inc,cost_inc,pay_inc"
 SUMMARY_METRICS = ("U_T", "C_T", "P_T", "C_T_pos", "P_T_pos", "proxy_reg")
 SUMMARY_HEADER = "policy,T,replication,seed," + ",".join(SUMMARY_METRICS)
 #: Rows per formatting pass of :func:`write_run_csv`.
-CSV_BLOCK_ROWS = 4096
-_CSV_ROW = "%d" + ",%.17g" * 6 + "\n"
+CSV_BLOCK_ROWS = 1024
 
 
 def _fmt(x: float) -> str:
@@ -207,8 +207,6 @@ def _demand_prices(inst: MarketInstance, params: dict) -> np.ndarray:
     T = inst.horizon
     gamma = float(params.get("gamma_demand", demand_default_gamma(T)))
     freeze = params.get("freeze_width")  # None: make_demand_state's default
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma_demand must be finite and positive, got {gamma}")
     state = make_demand_state(
         DemandGrid.from_width(*inst.demand_bounds, gamma), T,
         None if freeze is None else float(freeze),
@@ -383,23 +381,148 @@ def mean_metric_by_horizon(records: list[RunRecord], name: str) -> tuple[list[in
 # ---------------------------------------------------------------------------
 
 
-def write_run_csv(record: RunRecord, path: str | Path) -> None:
-    """Per-period CSV with the fixed 7-column schema; t is 1-based.
+# ``_csv_block`` prints each value v with |v| in [1e-4, 1e17) from N, the
+# 17-digit integer nearest |v| * 10**k, where k = 16 - X and X is the decimal
+# exponent; k lies in [0, 20], so 10**k is an exact double. The digit string D
+# of a value is seven '0's and then the 17 digits of N: digit i of N is
+# D[7 + i], and the decimal point falls before D[8 + X]. A field slot holds
+# 44 characters:
+#   0       sign '-'
+#   1..21   D[3:24], the integer part
+#   22      '.'
+#   23..42  D[4:24], the fraction
+#   43      ',' or '\n'
+_FIELD = 44
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 
-    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time, one ``%``
-    pass per block; ``%.17g`` of a float gives the bytes of ``_fmt``."""
+
+@functools.cache
+def _csv_tables() -> tuple[np.ndarray, ...]:
+    """Tables of :func:`_csv_block`, built on first use, not on import:
+
+    - 10**k for k in [0, 20] and its Veltkamp halves;
+    - '%04d' of every 4-digit group, as one uint32 of ASCII bytes;
+    - the trailing zero digits of every 4-digit group (4 for 0000);
+    - the slots printed for decade X when D[end - 1] is the last non-zero
+      digit, row (X + 4) * 25 + end (the sign is marked per value).
+    """
+    pow10 = np.array([float(10**k) for k in range(21)])
+    pow10_hi = pow10 * _SPLIT - (pow10 * _SPLIT - pow10)
+    group = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    group_digits = (group + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    group_zeros = np.cumprod(group[:, ::-1] == 0, axis=1).sum(axis=1).astype(np.int8)
+    X = np.arange(-4, 17)[:, None, None]
+    end = np.arange(25)[None, :, None]
+    slot = np.arange(_FIELD)
+    printed = (
+        ((slot >= 1) & (slot <= 21) & (slot + 2 >= 7 + np.minimum(X, 0)) & (slot + 2 < 8 + X))
+        | ((slot == 22) & (end > 8 + X))
+        | ((slot >= 23) & (slot <= 42) & (slot - 19 >= 8 + X) & (slot - 19 < end))
+        | (slot == _FIELD - 1)
+    ).reshape(-1, _FIELD)
+    tables = (pow10, pow10_hi, pow10 - pow10_hi, group_digits, group_zeros, printed)
+    for t in tables:
+        t.flags.writeable = False  # shared by every call
+    return tables
+
+
+def _csv_block(block: np.ndarray) -> bytes:
+    """CSV bytes of a (rows, columns) float64 block: fields joined by ','
+    and rows ended by '\n', every field exactly ``_fmt`` of its value.
+
+    Zeros and values with |v| in [1e-4, 1e17) are formatted with numpy.
+    Dekker's error-free product gives |v| * 10**k = hi + lo exactly; hi is an
+    even integer, so hi + rint(lo) is the round-half-even 17-digit N that
+    ``%.17g`` prints in fixed notation. Each value is laid out in a field
+    slot (see above) and one mask compacts the block. Other values (tiny,
+    huge, nan, inf) go through ``_fmt``.
+    """
+    pow10, pow10_hi, pow10_lo, group_digits, group_zeros, printed = _csv_tables()
+    rows, ncols = block.shape
+    v = block.ravel()
+    a = np.abs(v)
+    zero = a == 0
+    fast = (a >= 1e-4) & (a < 1e17)
+    a[~fast] = 1.0  # decade 0: no log10 of 0 or nan, no int cast of inf
+    X = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+
+    def scaled(a, X):
+        k = 16 - X
+        hi = a * pow10[k]
+        ah = a * _SPLIT
+        ah -= ah - a
+        al = a - ah
+        ph, pl = pow10_hi[k], pow10_lo[k]
+        lo = ah * ph
+        lo -= hi
+        lo += ah * pl
+        lo += al * ph
+        lo += al * pl
+        return hi, lo
+
+    hi, lo = scaled(a, X)
+    # log10 can miss the decade next to a power of ten: the exact hi + lo
+    # must lie in [1e16, 1e17).
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    fix = np.flatnonzero(below | above)
+    if fix.size:
+        X[fix] += above[fix].astype(np.intp) - below[fix]
+        hi[fix], lo[fix] = scaled(a[fix], X[fix])
+    N = hi.astype(np.int64)
+    N += np.rint(lo).astype(np.int64)
+    carry = N == 10**17  # rounding reached the next decade
+    N[carry] = 10**16
+    X[carry] += 1
+    N[zero] = 0
+
+    # D is six words of four digits: '0000', then the 4-digit groups of N,
+    # filled from the right while counting N's trailing zero digits.
+    words = np.empty((v.size, 6), np.uint32)
+    words[:, 0] = group_digits[0]
+    zeros = np.zeros(v.size, np.int8)
+    trailing = np.ones(v.size, bool)
+    for j in range(5, 0, -1):
+        q = N // 10_000  # np.divmod is about 4x slower here
+        g = N - q * 10_000
+        N = q
+        words[:, j] = group_digits[g]
+        zeros += trailing * group_zeros[g]
+        trailing &= g == 0
+    digits = words.view(np.uint8)
+
+    keep = np.take(printed, (X + 4) * 25 + 24 - zeros, axis=0, mode="clip")
+    keep[:, 0] = np.signbit(v)  # signbit(v, out=keep[:, 0]) is wrong in numpy 2.4
+    chars = np.empty((v.size, _FIELD), np.uint8)
+    chars[:, 0] = ord("-")
+    chars[:, 1:22] = digits[:, 3:24]
+    chars[:, 22] = ord(".")
+    chars[:, 23:43] = digits[:, 4:24]
+    seps = chars.reshape(rows, ncols, _FIELD)[:, :, -1]
+    seps[:, :-1] = ord(",")
+    seps[:, -1] = ord("\n")
+    for i in np.flatnonzero(~(fast | zero)):
+        text = _fmt(v[i]).encode()
+        chars[i, : len(text)] = np.frombuffer(text, np.uint8)
+        keep[i, :-1] = False
+        keep[i, : len(text)] = True
+    return chars[keep].tobytes()
+
+
+def write_run_csv(record: RunRecord, path: str | Path) -> None:
+    """Per-period CSV with the fixed 7-column schema; t is 1-based and every
+    field is the bytes of ``_fmt`` of its value (see :func:`_csv_block`)."""
     cols = (
         record.demand, record.price, record.production,
         record.unmet_inc, record.cost_inc, record.pay_inc,
     )
-    with open(path, "w") as f:
-        f.write(PER_PERIOD_HEADER + "\n")
+    with open(path, "wb") as f:
+        f.write(PER_PERIOD_HEADER.encode() + b"\n")
         for start in range(0, record.horizon, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, record.horizon)
-            block = np.column_stack(
-                [np.arange(start + 1, stop + 1)] + [c[start:stop] for c in cols]
-            )
-            f.write(_CSV_ROW * (stop - start) % tuple(block.ravel().tolist()))
+            f.write(_csv_block(np.column_stack(
+                [np.arange(start + 1, stop + 1, dtype=np.float64)] + [c[start:stop] for c in cols]
+            )))
 
 
 def write_summary_csv(records: list[RunRecord], path: str | Path) -> None:

@@ -3,11 +3,13 @@
 The required oracle runs exponential weights over a finite class of
 candidate production functions. Predictions are the loss-minimizing point of
 the weighted mixture, i.e. the weighted mean of member predictions, and
-weights decay in each member's squared error with learning rate eta. With
-the default eta = 2/B^2 (B the output bound) the excess squared error over
-the best member stays at most (1/eta) * ln(n_members) on the streams this
-package tests, the finite-class estimation guarantee the contextual policy
-consumes.
+weights decay in each member's squared error with learning rate eta. The
+excess squared error over the best member is at most (1/eta) * ln(n_members),
+the finite-class estimation guarantee the contextual policy consumes. That
+bound is proven for eta <= 1/(2 B^2), B the output bound, where squared loss
+on [0, B] is eta-exp-concave (Cesa-Bianchi and Lugosi, *Prediction,
+Learning, and Games*, 2006, section 3.3). At the default eta = 2/B^2 it is
+only observed, on the streams this package tests.
 
 The class members are ``context_quadratic``
 :class:`~eqprice.market.CostSpec` records, the suppliers' own form. The

@@ -46,13 +46,10 @@ class DemandGrid:
         if not (0.0 < d_lo <= d_hi):
             raise ValueError("need 0 < d_lo <= d_hi")
         if not (math.isfinite(gamma) and gamma > 0):
-            raise ValueError("gamma must be finite and positive")
+            # gamma is the harness's gamma_demand policy parameter
+            raise ValueError(f"gamma_demand must be finite and positive, got {gamma}")
         n = max(1, math.ceil((d_hi - d_lo) / gamma))
         return cls(d_lo=d_lo, d_hi=d_hi, gamma=gamma, n_cells=n)
-
-    def cell_lower_bound(self, k: int) -> float:
-        """Lower demand bound a_k of 1-based cell k."""
-        return self.d_lo + (k - 1) * self.gamma
 
 
 def default_gamma(horizon: int) -> float:

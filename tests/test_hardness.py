@@ -12,7 +12,8 @@ from eqprice.hardness import (
     per_period_total_regret,
     verify_lower_bound,
 )
-from eqprice.market import CostSpec, equilibrium_price
+from eqprice.harness import ExperimentConfig, run_experiment
+from eqprice.market import CostSpec, GeneratorSpec, InstanceSpec, equilibrium_price
 
 
 def test_iid_instance_clearing_prices():
@@ -66,28 +67,40 @@ def test_lower_bound_csv_rows():
     assert len(rows) == 1 + len(report.rows)
 
 
+def _linear_constant_price(c, p, T, d=1.0):
+    """A constant price p on linear_cost_demo's instance: one supplier with
+    unit cost c and capacity 2d, constant demand d."""
+    inst = InstanceSpec(
+        suppliers=(CostSpec.linear(c=c, cap=2.0 * d),),
+        demands=GeneratorSpec(kind="constant", value=d),
+        horizon=T,
+    )
+    cfg = ExperimentConfig(
+        instance=inst, policy="constant_price", horizons=(T,), policy_params={"p": p}
+    )
+    rec = run_experiment(cfg)[0]
+    # away from p = c each period's total regret is at least min(d(1 - 2c), 2c)
+    totals = rec.unmet_inc + rec.cost_inc + rec.pay_inc
+    assert np.all(totals >= min(d * (1 - 2 * c), 2 * c) - 1e-12)
+    return rec
+
+
 def test_linear_demo_constant_below_cost():
     # a price just below c sells nothing: unmet demand is d per period
-    r = linear_cost_demo(
-        policy="constant_price", horizon=10_000, unit_cost=0.4, constant_price=0.39
-    )
+    r = _linear_constant_price(c=0.4, p=0.39, T=10_000)
     assert r.unmet == pytest.approx(1.0 * 10_000)
-    assert r.bound_violations == 0
 
 
 def test_linear_demo_constant_above_cost():
     # production pins at the cap; payment regret is ((c + .01) cap - c d) T
     c, cap, d, T = 0.4, 2.0, 1.0, 5_000
-    r = linear_cost_demo(
-        policy="constant_price", horizon=T, unit_cost=c, constant_price=c + 0.01
-    )
+    r = _linear_constant_price(c=c, p=c + 0.01, T=T)
     assert r.unmet == 0.0
     assert r.payment_regret == pytest.approx(((c + 0.01) * cap - c * d) * T)
-    assert r.bound_violations == 0
 
 
 def test_linear_demo_interval_tracking_grows_linearly():
-    r = linear_cost_demo(policy="fixed_interval", horizon=20_000, unit_cost=0.4)
+    r = linear_cost_demo(horizon=20_000, unit_cost=0.4)
     assert isinstance(r, LinearDemoReport)
     assert r.slope > 0.1
     assert r.r_squared > 0.99
@@ -98,9 +111,5 @@ def test_linear_demo_interval_tracking_grows_linearly():
 
 
 def test_linear_demo_validates_inputs():
-    with pytest.raises(ValueError):
-        linear_cost_demo(policy="constant_price", horizon=10)  # price missing
-    with pytest.raises(ValueError):
-        linear_cost_demo(policy="demand_grid", horizon=10)
-    with pytest.raises(ValueError):
-        linear_cost_demo(horizon=10, cap=0.5)  # cap below demand
+    with pytest.raises(ValueError, match="cap below demand"):
+        linear_cost_demo(horizon=10, cap=0.5)

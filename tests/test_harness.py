@@ -1,10 +1,14 @@
 import dataclasses
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqprice import harness, kernels, market
 from eqprice.harness import (
@@ -450,6 +454,77 @@ def test_run_csv_bytes_match_per_value_format(tmp_path):
         for t in range(T)
     )
     assert path.read_bytes() == expected.encode()
+
+
+def _csv_bytes(path, cols):
+    """write_run_csv of six arbitrary columns: a record-shaped namespace
+    skips RunRecord's sums, which would warn on inf - inf."""
+    names = ("demand", "price", "production", "unmet_inc", "cost_inc", "pay_inc")
+    write_run_csv(SimpleNamespace(horizon=len(cols[0]), **dict(zip(names, cols))), path)
+    return path.read_bytes()
+
+
+def _per_value_rows(cols):
+    return (PER_PERIOD_HEADER + "\n" + "".join(
+        ",".join([str(t + 1)] + [format(float(c[t]), ".17g") for c in cols]) + "\n"
+        for t in range(len(cols[0]))
+    )).encode()
+
+
+def _steps(x, n):
+    """The float n representable steps away from x."""
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, math.copysign(math.inf, n)))
+    return x
+
+
+# Doubles next to powers of ten, where log10 can name the wrong decade:
+# 10**-6 is stored below 1e-6 and prints 9.9999999999999995e-07.
+_POWER_EDGES = st.builds(
+    lambda k, n, sign: sign * _steps(float(Decimal(10) ** k), n),
+    st.integers(-6, 18), st.integers(-3, 3), st.sampled_from([1.0, -1.0]),
+)
+_ANY_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))
+)
+_CSV_FLOATS = st.one_of(
+    st.floats(width=64),
+    st.floats(min_value=1e-4, max_value=1e17),
+    st.floats(min_value=-1e17, max_value=-1e-4),
+    _POWER_EDGES,
+    _ANY_BITS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(_CSV_FLOATS, min_size=6 * n, max_size=6 * n)))
+def test_run_csv_bytes_match_per_value_format_property(tmp_path_factory, values):
+    cols = list(np.array(values).reshape(6, -1))
+    path = tmp_path_factory.mktemp("csv") / "run.csv"
+    assert _csv_bytes(path, cols) == _per_value_rows(cols)
+
+
+def _csv_edge_values():
+    edges = []
+    for k in range(-5, 18):
+        p = float(Decimal(10) ** k)
+        edges += [_steps(p, n) for n in (-2, -1, 0, 1, 2)]
+    # the ends of the numpy path, both sides
+    edges += [_steps(1e-4, -1), 1e-4, _steps(1e-4, 1), _steps(1e17, -1), 1e17, _steps(1e17, 1)]
+    # 17-digit rounding carries into the next decade: stored just below the
+    # power, they print as it (no double in [1e-4, 1e17) does this)
+    edges += [1e-14, 1e-79, 1e98, 1e220]
+    # ties at the 17th digit round half to even
+    edges += [1e15 + 0.25, 1e15 + 0.75, 2.0**53, 2.0**53 + 2]
+    edges += [0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    return np.array(edges + [-x for x in edges])
+
+
+@pytest.mark.parametrize("T", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_run_csv_edge_values_and_block_edges(tmp_path, T):
+    edges = _csv_edge_values()
+    cols = [np.resize(np.roll(edges, 7 * j), T) for j in range(6)]
+    assert _csv_bytes(tmp_path / "run.csv", cols) == _per_value_rows(cols)
 
 
 def test_summary_csv_round_trip(tmp_path):

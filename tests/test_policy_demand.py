@@ -136,7 +136,7 @@ def test_containment_of_cell_lower_bound_price():
         p = cell_price(s, d)
         _, s = demand_step(s, d, aggregate_production(sup, p).total)
         # the clearing price of the cell's lower bound stays in (s_lo, s_hi]
-        p_star_k = equilibrium_price(sup, grid.cell_lower_bound(k))
+        p_star_k = equilibrium_price(sup, grid.d_lo + (k - 1) * grid.gamma)
         assert s.s_lo[k - 1] - 1e-12 < p_star_k <= s.s_hi[k - 1] + 1e-12
 
 
