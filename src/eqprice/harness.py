@@ -158,14 +158,17 @@ class RunRecord:
     proxy_reg: float = field(init=False)
 
     def __post_init__(self):
-        self.unmet = float(np.cumsum(self.unmet_inc)[-1])
-        self.cost_regret = float(np.cumsum(self.cost_inc)[-1])
-        self.payment_regret = float(np.cumsum(self.pay_inc)[-1])
-        self.cost_pos = float(np.cumsum(np.maximum(self.cost_inc, 0.0))[-1])
-        self.pay_pos = float(np.cumsum(np.maximum(self.pay_inc, 0.0))[-1])
-        self.proxy_reg = (
-            math.nan if self.proxy_inc is None else float(np.cumsum(self.proxy_inc)[-1])
-        )
+        # A column holding both infinities totals NaN, and one whose sum
+        # leaves the float range totals inf: both without a warning.
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.unmet = float(np.cumsum(self.unmet_inc)[-1])
+            self.cost_regret = float(np.cumsum(self.cost_inc)[-1])
+            self.payment_regret = float(np.cumsum(self.pay_inc)[-1])
+            self.cost_pos = float(np.cumsum(np.maximum(self.cost_inc, 0.0))[-1])
+            self.pay_pos = float(np.cumsum(np.maximum(self.pay_inc, 0.0))[-1])
+            self.proxy_reg = (
+                math.nan if self.proxy_inc is None else float(np.cumsum(self.proxy_inc)[-1])
+            )
 
     @property
     def final_price(self) -> float:
@@ -195,7 +198,7 @@ def replication_stream(seed: int, replication: int) -> np.random.Generator:
 
 
 def _fixed_prices(inst: MarketInstance) -> np.ndarray:
-    if inst.demands.min() != inst.demands.max():
+    if not inst.constant_demand:
         raise ValueError("fixed_interval expects a constant demand sequence")
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
     return kernels.fixed_trajectory(fam, p1, p2, float(inst.demands[0]), inst.horizon)[0]

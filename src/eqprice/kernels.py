@@ -3,13 +3,29 @@
 Each policy's arithmetic exists once, here, as small step functions on
 Python floats and lists: ``supply`` (the aggregate best response), the
 interval tracker (``fixed_*``), the demand grid (``cell_index``,
-``demand_update``) and IGW sampling with its exponential-weights oracle
-(``mixture_coefficient`` through ``exp_weights_update``). The
-``*_trajectory`` loops call them period by period, reading one period of
-their array inputs at a time, and the step-level API
-(:mod:`eqprice.policy_fixed`, :mod:`eqprice.policy_demand`,
-:mod:`eqprice.policy_contextual`, :mod:`eqprice.oracle`) converts its
-frozen states to lists and calls the same steps.
+``demand_probe``, ``demand_update``) and IGW sampling with its
+exponential-weights oracle (``mixture_coefficient`` through
+``exp_weights_update``). The ``*_trajectory`` loops run them over a
+horizon, and the step-level API (:mod:`eqprice.policy_fixed`,
+:mod:`eqprice.policy_demand`, :mod:`eqprice.policy_contextual`,
+:mod:`eqprice.oracle`) converts its frozen states to lists and calls the
+same steps. The one numpy twin of a step is :func:`cell_indices`, every
+period's :func:`cell_index` in one pass, and a test pins the two together.
+
+The contextual loop calls the steps period by period. The two trackers
+skip most periods instead. Between two shrinks, a tracker's searching
+periods are a monotone probe: the offers p_0 <= p_1 <= ... only rise, and
+the step that ends the probe (a shrink, or the fixed tracker's reset at b)
+fires at the first offer whose production covers the demand bound, or that
+reaches b. Whether period j fires is therefore monotone in j, because every
+map between the probe index and that test is nondecreasing under IEEE
+rounding: c * eps, a + x, min(x, b) and p + e clamped at 1 for the offers;
+(p - a_i)/mu_i with mu_i > 0, max(0, x), the linear supplier's step and
+the left-to-right sum for production. :func:`_first_event` finds the
+firing period by galloping search in O(log j) production evaluations. The
+periods before it post the offers the steps compute, and the step itself
+runs at it, so the price path, the final state and the counters are the
+ones a period-by-period loop gives, bit for bit.
 
 The steps run as plain Python, so they avoid numpy-scalar indexing and
 arithmetic, which costs the interpreter several times more than the same
@@ -98,12 +114,32 @@ def cell_index(d, d_lo, gamma, n_cells):
     return k
 
 
+def cell_indices(demands, d_lo, gamma, n_cells):
+    """Every period's 0-based cell, as :func:`cell_index` computes it one
+    demand at a time: the same quotient, truncated and clamped (clamping
+    before the cast truncates the same way and keeps huge quotients in
+    range). Raises ``ValueError`` on a non-finite demand, which has no cell.
+    """
+    demands = np.asarray(demands, dtype=np.float64)
+    if not np.isfinite(demands).all():
+        raise ValueError("demands must be finite")
+    q = (demands - d_lo) / gamma
+    return np.clip(q, 0.0, n_cells - 1).astype(np.int64)
+
+
+def demand_probe(p, e):
+    """A cell's next probe price after production fell short at ``p``:
+    p + e, clamped at 1."""
+    nxt = p + e
+    return 1.0 if nxt > 1.0 else nxt
+
+
 def demand_update(s_lo, s_hi, cell_price, eps, k, total, d_lo, gamma):
     """Update unfrozen cell ``k`` of the per-cell lists in place after
     production ``total`` at its price p; returns 1 if it shrank, else 0.
     Production at or above the cell's lower demand bound d_lo + k*gamma
     shrinks its set to (p - eps, p], moves the price to p - eps and squares
-    eps; otherwise the price probes up by eps, clamped at 1."""
+    eps; otherwise the price probes up (:func:`demand_probe`)."""
     p = cell_price[k]
     e = eps[k]
     if total >= d_lo + k * gamma:
@@ -112,8 +148,7 @@ def demand_update(s_lo, s_hi, cell_price, eps, k, total, d_lo, gamma):
         cell_price[k] = p - e
         eps[k] = e * e
         return 1
-    nxt = p + e
-    cell_price[k] = 1.0 if nxt > 1.0 else nxt
+    cell_price[k] = demand_probe(p, e)
     return 0
 
 
@@ -213,22 +248,64 @@ def exp_weights_update(lw, cum_member_loss, u, c_hat, p, x, eta):
     return (f_hat - x) * (f_hat - x)
 
 
+def _first_event(event, lo, hi):
+    """The smallest j in [lo, hi] where ``event(j)`` holds, or ``None``, for
+    a predicate monotone in j (false, ..., false, true, ...). Gallops from
+    lo (lo, lo + 1, lo + 3, lo + 7, ...), then bisects the last gap, so it
+    evaluates O(log(j - lo)) points (Bentley and Yao, 1976)."""
+    known_false = lo - 1
+    j = lo
+    step = 1
+    while not event(j):
+        if j >= hi:
+            return None
+        known_false = j
+        j = min(j + step, hi)
+        step *= 2
+    while j - known_false > 1:
+        mid = (known_false + j) // 2
+        if event(mid):
+            j = mid
+        else:
+            known_false = mid
+    return j
+
+
 def fixed_trajectory(fam, param1, param2, d, T):
     """Interval tracking at constant demand ``d``: returns
-    (price, a, b, eps, frozen, shrinks, resets)."""
+    (price, a, b, eps, frozen, shrinks, resets).
+
+    Within a sub-phase only the period that shrinks or resets changes more
+    than the cursor, and whether cursor c is that period is monotone in c
+    (see the module docstring), so :func:`_first_event` finds it and the
+    probes before it are priced by :func:`fixed_offer` alone."""
     fam, param1, param2 = fam.tolist(), param1.tolist(), param2.tolist()
     d = float(d)
     price = np.empty(T)
     a, b, eps, cursor, frozen, shrinks, resets = fixed_start(T)
-    for t in range(T):
-        p = fixed_offer(a, b, eps, cursor, frozen)
-        if frozen:
-            price[t:] = p
+    t = 0
+    while t < T and not frozen:
+
+        def event(c):
+            # fixed_update's shrink and reset tests at cursor c
+            p = fixed_offer(a, b, eps, c, False)
+            return p >= b or supply(fam, param1, param2, p) >= d
+
+        c = _first_event(event, cursor, cursor + T - 1 - t)
+        stop = cursor + T - t if c is None else c
+        price[t : t + stop - cursor] = [
+            fixed_offer(a, b, eps, j, False) for j in range(cursor, stop)
+        ]
+        t += stop - cursor
+        if c is None:
             break
+        p = fixed_offer(a, b, eps, c, False)
         price[t] = p
+        t += 1
         a, b, eps, cursor, frozen, shrinks, resets = fixed_update(
-            a, b, eps, cursor, shrinks, resets, p, supply(fam, param1, param2, p), d, T
+            a, b, eps, c, shrinks, resets, p, supply(fam, param1, param2, p), d, T
         )
+    price[t:] = fixed_offer(a, b, eps, cursor, frozen)
     return price, a, b, eps, frozen, shrinks, resets
 
 
@@ -238,25 +315,58 @@ def demand_trajectory(
     """One interval search per demand cell from the sets (s_lo, s_hi] and
     precisions ``eps`` of a :class:`~eqprice.policy_demand.DemandPolicyState`
     (left unmodified), each cell priced at s_lo as in a fresh state: returns
-    (price, s_lo, s_hi, cell_price, eps, shrinks)."""
+    (price, s_lo, s_hi, cell_price, eps, shrinks). A non-finite demand
+    raises ``ValueError``.
+
+    Cells never interact and a cell's update never reads the demand, so
+    each cell runs on its own visits in time order. Within a sub-phase the
+    visits probe p, demand_probe(p, e), ... until production covers the
+    cell's lower demand bound, which is monotone in the visit (see the
+    module docstring); :func:`_first_event` finds that visit, building the
+    probe run only as far as it looks."""
     fam, param1, param2 = fam.tolist(), param1.tolist(), param2.tolist()
     d_lo, gamma, freeze_width = float(d_lo), float(gamma), float(freeze_width)
-    T = demands.shape[0]
-    price = np.empty(T)
+    cells = cell_indices(demands, d_lo, gamma, n_cells)
+    price = np.empty(cells.shape[0])
     s_lo = s_lo.tolist()
     s_hi = s_hi.tolist()
     cell_price = list(s_lo)
     cell_eps = eps.tolist()
     shrinks = 0
-    for t in range(T):
-        k = cell_index(float(demands[t]), d_lo, gamma, n_cells)
-        p = cell_price[k]
-        price[t] = p
-        if s_hi[k] - s_lo[k] > freeze_width:
-            shrinks += demand_update(
-                s_lo, s_hi, cell_price, cell_eps, k,
-                supply(fam, param1, param2, p), d_lo, gamma,
-            )
+    order = np.argsort(cells, kind="stable")
+    bounds = [0] + np.cumsum(np.bincount(cells, minlength=n_cells)).tolist()
+    for k in range(n_cells):
+        visits = order[bounds[k] : bounds[k + 1]]
+        n = visits.shape[0]
+        threshold = d_lo + k * gamma
+        v = 0
+        while v < n and s_hi[k] - s_lo[k] > freeze_width:
+            e = cell_eps[k]
+            run = [cell_price[k]]
+
+            def event(j):
+                p = run[-1]
+                for _ in range(j + 1 - len(run)):
+                    p = demand_probe(p, e)
+                    run.append(p)
+                # demand_update's shrink test
+                return supply(fam, param1, param2, run[j]) >= threshold
+
+            j = _first_event(event, 0, n - 1 - v)
+            if j is None:
+                # the gallop reached the last visit, so the run covers it
+                price[visits[v:]] = run[: n - v]
+                cell_price[k] = demand_probe(run[n - v - 1], e)
+                v = n
+            else:
+                price[visits[v : v + j + 1]] = run[: j + 1]
+                cell_price[k] = run[j]  # where the probes before it left the price
+                shrinks += demand_update(
+                    s_lo, s_hi, cell_price, cell_eps, k,
+                    supply(fam, param1, param2, run[j]), d_lo, gamma,
+                )
+                v += j + 1
+        price[visits[v:]] = cell_price[k]
     return (
         price, np.array(s_lo), np.array(s_hi), np.array(cell_price), np.array(cell_eps),
         shrinks,

@@ -491,6 +491,7 @@ class MarketInstance:
     ``context_quadratic``. An all-contextual market produces p * u_t in
     period t, where ``coefficients`` is the path u_t = sum_i <phi_i,
     sigma(theta_t)>, computed once here (``None`` for the other mixes).
+    ``constant_demand`` records whether every period has the same demand.
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -499,6 +500,7 @@ class MarketInstance:
     horizon: int
     demand_bounds: tuple[float, float]
     mix: str = field(init=False)
+    constant_demand: bool = field(init=False)
     coefficients: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -512,6 +514,7 @@ class MarketInstance:
         d_min, d_max = float(self.demands.min()), float(self.demands.max())
         if not (math.isfinite(d_min) and math.isfinite(d_max)):
             raise ValueError("demands must be finite")
+        self.constant_demand = d_min == d_max
         d_lo, d_hi = self.demand_bounds
         if not (0.0 < d_lo <= d_hi < math.inf):
             raise ValueError("demand bounds must satisfy 0 < d_lo <= d_hi < inf")
@@ -591,20 +594,28 @@ class MarketInstance:
         return tot, cost
 
     def _clearing_cost_and_payment(self) -> tuple[np.ndarray, np.ndarray]:
-        """Total cost and total payment of every period's clearing allocation."""
+        """Total cost and total payment of every period's clearing allocation.
+
+        A quadratic or linear market with a constant demand clears the same
+        way in every period, so it solves one period and returns arrays of
+        shape (1,), which broadcast over the horizon.
+        """
+        demands = self.demands
+        if self.constant_demand and self.mix != CONTEXT_QUADRATIC:
+            demands = demands[:1]
         if self.mix == LINEAR:
             # p* = c, where the supplier is indifferent and the clearing
             # allocation produces exactly the demand.
-            base = self.suppliers[0].c * self.demands
+            base = self.suppliers[0].c * demands
             return base, base
         if self.mix == QUADRATIC:
             p_stars = equilibrium_price_batch(
                 np.array([s.mu for s in self.suppliers]),
                 np.array([s.a for s in self.suppliers]),
-                self.demands,
+                demands,
             )
         else:
-            p_stars = self.demands / self.coefficients
+            p_stars = demands / self.coefficients
         tot_eq, cost_eq = self._production(p_stars)
         return cost_eq, p_stars * tot_eq
 

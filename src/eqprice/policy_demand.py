@@ -11,8 +11,15 @@ O(sqrt(T) log log T); setting one cell per distinct demand recovers the
 small-support variant.
 
 The arithmetic is :func:`eqprice.kernels.cell_index` and
-:func:`eqprice.kernels.demand_update`, shared with the fused kernel. A
-:class:`DemandPolicyState` carries the policy's whole configuration, its
+:func:`eqprice.kernels.demand_update` (whose probe step is
+:func:`eqprice.kernels.demand_probe`), the only copy of it. This module
+calls them once per period. :func:`eqprice.kernels.demand_trajectory`
+computes every period's cell in one numpy pass,
+:func:`eqprice.kernels.cell_indices`, and runs each cell on its own visits:
+a cell's update never reads the demand, and whether a visit shrinks is
+monotone along a probe run, so a galloping search finds the shrinking
+visit and ``demand_update`` runs only there (see :mod:`eqprice.kernels`).
+A :class:`DemandPolicyState` carries the policy's whole configuration, its
 :class:`DemandGrid` and freeze width, so the step API reads the grid from
 the state and the harness hands the same fields to
 :func:`eqprice.kernels.demand_trajectory`.

@@ -8,10 +8,15 @@ narrower than 1/T the price freezes at the lower end. Squaring eps means the
 number of shrink events over a horizon T is O(log log T).
 
 The arithmetic is :func:`eqprice.kernels.fixed_offer` and
-:func:`eqprice.kernels.fixed_update`, shared with the fused kernel. A
-:class:`FixedPolicyState` is the kernel's tracker tuple followed by the
-policy's configuration, the horizon, so the step API builds it straight
-from :func:`eqprice.kernels.fixed_start` and ``fixed_update``.
+:func:`eqprice.kernels.fixed_update`, the only copy of it. This module
+calls them once per period. :func:`eqprice.kernels.fixed_trajectory` calls
+``fixed_update`` only at the periods that shrink or reset: whether cursor
+c does is monotone in c, so a galloping search finds that period, and the
+probes before it are priced by ``fixed_offer`` alone (see
+:mod:`eqprice.kernels`). A :class:`FixedPolicyState` is the kernel's
+tracker tuple followed by the policy's configuration, the horizon, so the
+step API builds it straight from :func:`eqprice.kernels.fixed_start` and
+``fixed_update``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@ import json
 import math
 from decimal import Decimal
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -457,10 +456,8 @@ def test_run_csv_bytes_match_per_value_format(tmp_path):
 
 
 def _csv_bytes(path, cols):
-    """write_run_csv of six arbitrary columns: a record-shaped namespace
-    skips RunRecord's sums, which would warn on inf - inf."""
-    names = ("demand", "price", "production", "unmet_inc", "cost_inc", "pay_inc")
-    write_run_csv(SimpleNamespace(horizon=len(cols[0]), **dict(zip(names, cols))), path)
+    """write_run_csv of a record holding six arbitrary columns."""
+    write_run_csv(RunRecord("constant_price", len(cols[0]), 0, 0, *cols), path)
     return path.read_bytes()
 
 
@@ -668,3 +665,18 @@ def test_record_totals_are_derived_not_passed(name):
     with pytest.raises(TypeError):
         RunRecord("constant_price", 3, 0, 0, *cols, **{name: 5.0})
     assert RunRecord("constant_price", 3, 0, 0, *cols).metric("U_T") == 3.0
+
+
+def test_record_totals_of_opposite_infinities_are_nan():
+    # +inf before -inf: the running sum meets inf + -inf, which must not warn
+    col = np.array([1.0, math.inf, -math.inf, 2.0])
+    rec = RunRecord("constant_price", 4, 0, 0, *[col] * 6, proxy_inc=col)
+    for name in ("U_T", "C_T", "P_T", "proxy_reg"):
+        assert math.isnan(rec.metric(name))
+    assert rec.metric("C_T_pos") == rec.metric("P_T_pos") == math.inf
+
+
+def test_record_totals_past_the_float_range_are_inf():
+    col = np.array([1.7e308, 1.7e308, -1.0])
+    rec = RunRecord("constant_price", 3, 0, 0, *[col] * 6)
+    assert rec.metric("C_T") == math.inf

@@ -1,24 +1,37 @@
 """Kernel trajectories against the step-level API driven period by period
 (both run the step functions of ``eqprice.kernels``; the step-level drivers
-use ``market.aggregate_production`` for the feedback)."""
+use ``market.aggregate_production`` for the feedback), the kernels' search
+and cell-index helpers, and the invariants a whole horizon must keep."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqprice import kernels
 from eqprice.features import apply_feature_map
-from eqprice.market import CostSpec, aggregate_production
+from eqprice.market import CostSpec, aggregate_production, equilibrium_price
 from eqprice.oracle import FunctionClass
 from eqprice.policy_contextual import (
     contextual_observe,
     contextual_step,
     make_contextual_state,
 )
-from eqprice.policy_demand import DemandGrid, cell_price, demand_step, make_demand_state
-from eqprice.policy_fixed import fixed_next_price, fixed_observe, make_fixed_state
+from eqprice.policy_demand import (
+    DemandGrid,
+    cell_price,
+    demand_step,
+    make_demand_state,
+    max_total_shrinks,
+)
+from eqprice.policy_fixed import (
+    fixed_next_price,
+    fixed_observe,
+    make_fixed_state,
+    max_shrink_events,
+)
 
 
 def reference_fixed(suppliers, d, T):
@@ -54,10 +67,29 @@ def test_fixed_kernel_linear_instance():
     assert np.array_equal(price, ref_prices)
 
 
-def test_demand_kernel_matches_reference():
-    rng = np.random.Generator(np.random.Philox(key=81))
-    suppliers = (CostSpec.quadratic(0.5), CostSpec.quadratic(1.0, a=0.1))
-    T = 2500
+@pytest.mark.parametrize(
+    "suppliers, d",
+    [
+        ((CostSpec.quadratic(0.3, a=0.05), CostSpec.quadratic(0.8, a=0.2)), 1.1),
+        ((CostSpec.linear(c=0.4, cap=2.0),), 1.0),
+    ],
+    ids=["quadratic-intercepts", "linear"],
+)
+def test_fixed_kernel_matches_reference_long_horizon(suppliers, d):
+    # at T = 1e5 the probe runs are thousands of periods long, so the
+    # kernel skips most of them
+    T = 100_000
+    fam, p1, p2 = kernels.encode_suppliers(suppliers)
+    price, a, b, eps, frozen, shrinks, resets = kernels.fixed_trajectory(fam, p1, p2, d, T)
+    ref_prices, ref = reference_fixed(suppliers, d, T)
+    assert np.array_equal(price, ref_prices)
+    assert (a, b, eps, frozen) == (ref.a, ref.b, ref.eps, ref.frozen)
+    assert (shrinks, resets) == (ref.shrink_count, ref.resets)
+    assert np.count_nonzero(np.diff(price)) > 1000  # long probe runs
+
+
+def _assert_demand_kernel_matches_reference(suppliers, T, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
     demands = rng.uniform(0.5, 1.5, T)
     gamma = 1.0 / math.sqrt(T)
     grid = DemandGrid.from_width(0.5, 1.5, gamma)
@@ -80,6 +112,118 @@ def test_demand_kernel_matches_reference():
     assert np.array_equal(s_hi, state.s_hi)
     assert np.array_equal(cell_prices, state.price)
     assert np.array_equal(eps, state.eps)
+
+
+def test_demand_kernel_matches_reference():
+    suppliers = (CostSpec.quadratic(0.5), CostSpec.quadratic(1.0, a=0.1))
+    _assert_demand_kernel_matches_reference(suppliers, 2500, seed=81)
+
+
+def test_demand_kernel_matches_reference_long_horizon():
+    # the criterion-2 market with one intercept, where each cell sees about
+    # 140 visits, most of them in probe runs
+    suppliers = (CostSpec.quadratic(0.5), CostSpec.quadratic(1.0, a=0.1))
+    _assert_demand_kernel_matches_reference(suppliers, 20_000, seed=202)
+
+
+def _scan_first_event(event, lo, hi):
+    return next((j for j in range(lo, hi + 1) if event(j)), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.integers(-50, 50), width=st.integers(0, 5000), offset=st.integers(-10, 5100))
+@example(lo=3, width=40, offset=41)  # no event
+@example(lo=3, width=40, offset=0)  # event at lo
+@example(lo=3, width=40, offset=40)  # event at hi
+@example(lo=3, width=0, offset=0)  # lo == hi, event
+@example(lo=3, width=0, offset=1)  # lo == hi, none
+def test_first_event_matches_linear_scan(lo, width, offset):
+    hi, first = lo + width, lo + offset
+    calls = []
+
+    def event(j):
+        assert lo <= j <= hi
+        calls.append(j)
+        return j >= first
+
+    got = kernels._first_event(event, lo, hi)
+    assert got == _scan_first_event(lambda j: j >= first, lo, hi)
+    # a gallop, then a bisection of the last gap: O(log(j - lo)) evaluations
+    reach = (hi if got is None else got) - lo
+    assert len(calls) <= 2 * (reach + 1).bit_length() + 1
+
+
+def test_cell_indices_match_cell_index():
+    d_lo, gamma, n_cells = 0.5, 1.0 / math.sqrt(20_000), 142
+    edges = d_lo + np.arange(n_cells + 1) * gamma
+    demands = np.concatenate([
+        np.random.Generator(np.random.Philox(key=9)).uniform(d_lo, 1.5, 5000),
+        edges,  # exactly on cell edges, as computed
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [d_lo, 1.5, d_lo - 1e-12, 1.5 + 1e-12, 0.0, 1e300],  # both bounds and beyond
+    ])
+    got = kernels.cell_indices(demands, d_lo, gamma, n_cells)
+    want = [kernels.cell_index(float(x), d_lo, gamma, n_cells) for x in demands]
+    assert got.tolist() == want
+    assert got.min() == 0 and got.max() == n_cells - 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_demand_kernel_rejects_non_finite_demand(bad):
+    fam, p1, p2 = kernels.encode_suppliers((CostSpec.quadratic(0.5),))
+    demands = np.array([0.7, bad, 0.9])
+    with pytest.raises(ValueError, match="finite"):
+        kernels.demand_trajectory(
+            fam, p1, p2, demands, np.zeros(4), np.ones(4), np.full(4, 0.5),
+            0.5, 0.25, 4, 0.01,
+        )
+
+
+def _quadratic_ensemble(n, seed):
+    """Seeded quadratic markets, half of the suppliers with a positive
+    intercept, each with a demand its production at p = 1 covers."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    markets = []
+    for _ in range(n):
+        k = int(rng.integers(1, 5))
+        intercepts = np.where(rng.uniform(size=k) < 0.5, 0.0, rng.uniform(0.0, 0.8, k))
+        suppliers = tuple(
+            CostSpec.quadratic(float(mu), a=float(a))
+            for mu, a in zip(rng.uniform(0.05, 2.0, k), intercepts)
+        )
+        cap = aggregate_production(suppliers, 1.0).total
+        markets.append((suppliers, float(rng.uniform(0.05, 0.95)) * cap))
+    return markets
+
+
+_ENSEMBLE = _quadratic_ensemble(12, seed=2718)
+
+
+@pytest.mark.parametrize("T", [10_000, 1_000_000])
+def test_fixed_kernel_whole_horizon_invariants(T):
+    assert any(s.a > 0 for suppliers, _ in _ENSEMBLE for s in suppliers)
+    for suppliers, d in _ENSEMBLE:
+        fam, p1, p2 = kernels.encode_suppliers(suppliers)
+        _, a, b, _, frozen, shrinks, resets = kernels.fixed_trajectory(fam, p1, p2, d, T)
+        assert shrinks <= max_shrink_events(T)
+        assert resets == 0
+        assert a <= equilibrium_price(suppliers, d) <= b
+        assert frozen
+
+
+def test_demand_kernel_whole_horizon_shrink_bound():
+    T = 100_000
+    suppliers = (CostSpec.quadratic(0.5), CostSpec.quadratic(1.0))
+    demands = np.random.Generator(np.random.Philox(key=202)).uniform(0.5, 1.5, T)
+    grid = DemandGrid.from_width(0.5, 1.5, 1.0 / math.sqrt(T))
+    state = make_demand_state(grid, T)
+    fam, p1, p2 = kernels.encode_suppliers(suppliers)
+    shrinks = kernels.demand_trajectory(
+        fam, p1, p2, demands, state.s_lo, state.s_hi, state.eps,
+        grid.d_lo, grid.gamma, grid.n_cells, state.freeze_width,
+    )[5]
+    assert 0 < shrinks <= max_total_shrinks(grid, T)
 
 
 _quadratic_market = st.lists(

@@ -131,6 +131,21 @@ def test_excess_loss_bound_adversarial_stream():
         assert oracle_excess_loss(state) <= c_bound
 
 
+def test_excess_loss_bound_where_proven_adaptive_stream():
+    # At eta = 1/(2 B^2) squared loss on [0, B] is eta-exp-concave, so the
+    # bound ln|F|/eta holds on every stream, this adversary's included: it
+    # observes B whenever the forecast is at most B/2, else 0.
+    B = 1.0
+    cls = constant_class([0.121, 0.996], bound=B)
+    state = make_oracle_state(cls, eta=1.0 / (2.0 * B * B))
+    c_bound = math.log(len(cls)) / state.eta
+    for _ in range(2000):
+        x = 0.0 if oracle_predict(state, cls, P, THETA) > B / 2 else B
+        state = oracle_update(state, cls, P, THETA, x)
+        assert oracle_excess_loss(state) <= c_bound
+    assert state.clamped == 0
+
+
 def test_miss_specified_class():
     eps = 0.05
     truth = 0.5
