@@ -136,7 +136,9 @@ class RunRecord:
     ``cost_pos`` / ``pay_pos`` accumulate only positive increments (the
     overshoot periods) and are what the rate fits consume. ``proxy_inc``
     holds the exact expected absolute production-demand mismatch under the
-    sampling distribution, present only for the sampling policy.
+    sampling distribution, present only for the sampling policy. The
+    constructor raises ``ValueError`` unless ``horizon >= 1`` and every
+    column (``proxy_inc`` too, when given) has shape ``(horizon,)``.
     """
 
     policy: str
@@ -157,18 +159,34 @@ class RunRecord:
     pay_pos: float = field(init=False)
     proxy_reg: float = field(init=False)
 
+    _COLUMNS = (
+        "demand", "price", "production", "unmet_inc", "cost_inc", "pay_inc", "proxy_inc"
+    )
+
     def __post_init__(self):
-        # A column holding both infinities totals NaN, and one whose sum
-        # leaves the float range totals inf: both without a warning.
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        for name in self._COLUMNS:
+            col = getattr(self, name)
+            if col is not None and np.shape(col) != (self.horizon,):
+                raise ValueError(
+                    f"column {name} has shape {np.shape(col)}, expected ({self.horizon},)"
+                )
+        # Every total is taken left to right in one reused buffer. A column
+        # holding both infinities totals NaN, and one whose sum leaves the
+        # float range totals inf: both without a warning.
+        buf = np.empty(self.horizon)
+
+        def total(col):
+            return float(np.cumsum(col, out=buf)[-1])
+
         with np.errstate(invalid="ignore", over="ignore"):
-            self.unmet = float(np.cumsum(self.unmet_inc)[-1])
-            self.cost_regret = float(np.cumsum(self.cost_inc)[-1])
-            self.payment_regret = float(np.cumsum(self.pay_inc)[-1])
-            self.cost_pos = float(np.cumsum(np.maximum(self.cost_inc, 0.0))[-1])
-            self.pay_pos = float(np.cumsum(np.maximum(self.pay_inc, 0.0))[-1])
-            self.proxy_reg = (
-                math.nan if self.proxy_inc is None else float(np.cumsum(self.proxy_inc)[-1])
-            )
+            self.unmet = total(self.unmet_inc)
+            self.cost_regret = total(self.cost_inc)
+            self.payment_regret = total(self.pay_inc)
+            self.cost_pos = total(np.maximum(self.cost_inc, 0.0, out=buf))
+            self.pay_pos = total(np.maximum(self.pay_inc, 0.0, out=buf))
+            self.proxy_reg = math.nan if self.proxy_inc is None else total(self.proxy_inc)
 
     @property
     def final_price(self) -> float:
@@ -504,11 +522,17 @@ def _csv_block(block: np.ndarray) -> bytes:
     seps = chars.reshape(rows, ncols, _FIELD)[:, :, -1]
     seps[:, :-1] = ord(",")
     seps[:, -1] = ord("\n")
-    for i in np.flatnonzero(~(fast | zero)):
-        text = _fmt(v[i]).encode()
-        chars[i, : len(text)] = np.frombuffer(text, np.uint8)
-        keep[i, :-1] = False
-        keep[i, : len(text)] = True
+    # Other values are formatted one by one and placed by flat position
+    # (assigning a (fields, slots) mask instead raised the peak RSS).
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size:
+        texts = [_fmt(x).encode() for x in v[slow].tolist()]
+        lengths = np.array([len(t) for t in texts])
+        at = np.repeat(slow * _FIELD - np.cumsum(lengths) + lengths, lengths)
+        at += np.arange(at.size)
+        chars.ravel()[at] = np.frombuffer(b"".join(texts), np.uint8)
+        keep[slow, :-1] = False
+        keep.ravel()[at] = True
     return chars[keep].tobytes()
 
 

@@ -9,8 +9,10 @@ exponential-weights oracle (``mixture_coefficient`` through
 horizon, and the step-level API (:mod:`eqprice.policy_fixed`,
 :mod:`eqprice.policy_demand`, :mod:`eqprice.policy_contextual`,
 :mod:`eqprice.oracle`) converts its frozen states to lists and calls the
-same steps. The one numpy twin of a step is :func:`cell_indices`, every
-period's :func:`cell_index` in one pass, and a test pins the two together.
+same steps. Two steps have a numpy twin, each pinned to its step by a
+test: :func:`fixed_offers`, a probe run's :func:`fixed_offer` prices in one
+expression, and :func:`cell_indices`, every period's :func:`cell_index` in
+one pass.
 
 The contextual loop calls the steps period by period. The two trackers
 skip most periods instead. Between two shrinks, a tracker's searching
@@ -85,6 +87,13 @@ def fixed_offer(a, b, eps, cursor, frozen):
         return a
     p = a + cursor * eps
     return b if p > b else p
+
+
+def fixed_offers(a, b, eps, lo, hi):
+    """The searching offers :func:`fixed_offer` posts at cursors lo, ...,
+    hi - 1, as one array: the same product, sum and cap at b."""
+    o = a + np.arange(lo, hi) * eps
+    return np.where(o > b, b, o)
 
 
 def fixed_update(a, b, eps, cursor, shrinks, resets, p, total, d, T):
@@ -278,7 +287,10 @@ def fixed_trajectory(fam, param1, param2, d, T):
     Within a sub-phase only the period that shrinks or resets changes more
     than the cursor, and whether cursor c is that period is monotone in c
     (see the module docstring), so :func:`_first_event` finds it and the
-    probes before it are priced by :func:`fixed_offer` alone."""
+    probes before it are priced by :func:`fixed_offers` in one pass. A
+    reset leaves the state the sub-phase started from, so the rest of the
+    horizon repeats that sub-phase: it is tiled, and its whole repetitions
+    are counted as resets."""
     fam, param1, param2 = fam.tolist(), param1.tolist(), param2.tolist()
     d = float(d)
     price = np.empty(T)
@@ -291,20 +303,28 @@ def fixed_trajectory(fam, param1, param2, d, T):
             p = fixed_offer(a, b, eps, c, False)
             return p >= b or supply(fam, param1, param2, p) >= d
 
+        start = t
         c = _first_event(event, cursor, cursor + T - 1 - t)
         stop = cursor + T - t if c is None else c
-        price[t : t + stop - cursor] = [
-            fixed_offer(a, b, eps, j, False) for j in range(cursor, stop)
-        ]
+        price[t : t + stop - cursor] = fixed_offers(a, b, eps, cursor, stop)
         t += stop - cursor
         if c is None:
             break
         p = fixed_offer(a, b, eps, c, False)
         price[t] = p
         t += 1
+        reset_before = resets
         a, b, eps, cursor, frozen, shrinks, resets = fixed_update(
             a, b, eps, c, shrinks, resets, p, supply(fam, param1, param2, p), d, T
         )
+        if resets > reset_before:
+            # the cycle price[start:t] ran from cursor 0, where it restarts
+            cycle = t - start
+            rest = T - t
+            price[t:] = np.resize(price[start:t], rest)
+            resets += rest // cycle
+            cursor = rest % cycle
+            t = T
     price[t:] = fixed_offer(a, b, eps, cursor, frozen)
     return price, a, b, eps, frozen, shrinks, resets
 

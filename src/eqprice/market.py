@@ -593,6 +593,13 @@ class MarketInstance:
             tot += x
         return tot, cost
 
+    @property
+    def _price_only(self) -> bool:
+        """Whether every period clears alike, so that each regret column is
+        a function of the posted price alone: a quadratic or linear market
+        with a constant demand."""
+        return self.constant_demand and self.mix != CONTEXT_QUADRATIC
+
     def _clearing_cost_and_payment(self) -> tuple[np.ndarray, np.ndarray]:
         """Total cost and total payment of every period's clearing allocation.
 
@@ -600,9 +607,7 @@ class MarketInstance:
         way in every period, so it solves one period and returns arrays of
         shape (1,), which broadcast over the horizon.
         """
-        demands = self.demands
-        if self.constant_demand and self.mix != CONTEXT_QUADRATIC:
-            demands = demands[:1]
+        demands = self.demands[:1] if self._price_only else self.demands
         if self.mix == LINEAR:
             # p* = c, where the supplier is indifferent and the clearing
             # allocation produces exactly the demand.
@@ -628,6 +633,12 @@ class MarketInstance:
         clearing allocation (signed). Keys are the
         :class:`~eqprice.harness.RunRecord` column names ``price``,
         ``production``, ``unmet_inc``, ``cost_inc`` and ``pay_inc``.
+
+        When every period clears alike (a quadratic or linear market with a
+        constant demand), the columns are computed once per run of
+        bit-equal prices and repeated over it, so the work scales with the
+        number of price changes; the values are those of the per-period
+        pass, since each is the same arithmetic on the same operands.
         """
         prices = np.asarray(prices, dtype=np.float64)
         if prices.shape != (self.horizon,):
@@ -635,11 +646,20 @@ class MarketInstance:
         if not (0.0 <= prices.min() and prices.max() <= 1.0):
             raise ValueError("prices must lie in [0, 1]")
         cost_eq, pay_eq = self._clearing_cost_and_payment()
-        prod, cost = self._production(prices)
-        return dict(
-            price=prices,
+        posted, demands = prices, self.demands
+        if self._price_only:
+            # bit patterns, so that 0.0 and -0.0 stay apart
+            bits = prices.view(np.int64)
+            starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+            posted, demands = prices[starts], demands[:1]
+        prod, cost = self._production(posted)
+        cols = dict(
             production=prod,
-            unmet_inc=np.maximum(0.0, self.demands - prod),
+            unmet_inc=np.maximum(0.0, demands - prod),
             cost_inc=cost - cost_eq,
-            pay_inc=prices * prod - pay_eq,
+            pay_inc=posted * prod - pay_eq,
         )
+        if self._price_only:
+            lengths = np.diff(np.append(starts, self.horizon))
+            cols = {k: np.repeat(v, lengths) for k, v in cols.items()}
+        return dict(price=prices, **cols)

@@ -522,6 +522,12 @@ def test_run_csv_edge_values_and_block_edges(tmp_path, T):
     edges = _csv_edge_values()
     cols = [np.resize(np.roll(edges, 7 * j), T) for j in range(6)]
     assert _csv_bytes(tmp_path / "run.csv", cols) == _per_value_rows(cols)
+    # blocks whose every value field takes the per-value path: tiny, huge,
+    # nan and inf, of both signs
+    slow = np.abs(edges[~((np.abs(edges) >= 1e-4) & (np.abs(edges) < 1e17)) & (edges != 0)])
+    slow = np.concatenate([slow, -slow, [3.5e-7, -9.99e-5, -math.nan]])
+    cols = [np.resize(np.roll(slow, 3 * j), T) for j in range(6)]
+    assert _csv_bytes(tmp_path / "slow.csv", cols) == _per_value_rows(cols)
 
 
 def test_summary_csv_round_trip(tmp_path):
@@ -665,6 +671,38 @@ def test_record_totals_are_derived_not_passed(name):
     with pytest.raises(TypeError):
         RunRecord("constant_price", 3, 0, 0, *cols, **{name: 5.0})
     assert RunRecord("constant_price", 3, 0, 0, *cols).metric("U_T") == 3.0
+
+
+@pytest.mark.parametrize(
+    "horizon, lengths, proxy",
+    [
+        (5, (3, 4, 5, 2, 5, 5), None),
+        (5, (4, 5, 5, 5, 5, 5), None),
+        (5, (5, 5, 5, 5, 5, 6), None),
+        (5, (5,) * 6, 4),
+        (0, (0,) * 6, None),
+        (5, ((5, 1),) * 6, None),
+    ],
+    ids=[
+        "mixed-lengths", "short-demand", "one-long", "short-proxy", "empty", "two-dimensional"
+    ],
+)
+def test_record_rejects_bad_shapes(horizon, lengths, proxy):
+    cols = [np.ones(n) for n in lengths]
+    proxy_inc = None if proxy is None else np.ones(proxy)
+    with pytest.raises(ValueError, match="horizon|column"):
+        RunRecord("constant_price", horizon, 0, 0, *cols, proxy_inc=proxy_inc)
+
+
+def test_record_totals_are_left_to_right_sums():
+    rng = np.random.Generator(np.random.Philox(key=17))
+    T = 10_000
+    cols = [rng.normal(size=T) * 10.0 ** rng.integers(-8, 8, T) for _ in range(7)]
+    rec = RunRecord("constant_price", T, 0, 0, *cols[:6], proxy_inc=cols[6])
+    pos = {"C_T_pos": np.maximum(cols[4], 0.0), "P_T_pos": np.maximum(cols[5], 0.0)}
+    want = {"U_T": cols[3], "C_T": cols[4], "P_T": cols[5], "proxy_reg": cols[6], **pos}
+    for name, col in want.items():
+        assert rec.metric(name).hex() == float(np.cumsum(col)[-1]).hex(), name
 
 
 def test_record_totals_of_opposite_infinities_are_nan():

@@ -72,12 +72,21 @@ def test_fixed_kernel_linear_instance():
     [
         ((CostSpec.quadratic(0.3, a=0.05), CostSpec.quadratic(0.8, a=0.2)), 1.1),
         ((CostSpec.linear(c=0.4, cap=2.0),), 1.0),
+        # production at p = 1 falls short of d, so the tracker resets every
+        # third period and the kernel tiles that cycle
+        (
+            (
+                CostSpec.quadratic(0.3, a=0.05), CostSpec.quadratic(0.8),
+                CostSpec.quadratic(0.6, a=0.2),
+            ),
+            7.0,
+        ),
     ],
-    ids=["quadratic-intercepts", "linear"],
+    ids=["quadratic-intercepts", "linear", "resets"],
 )
 def test_fixed_kernel_matches_reference_long_horizon(suppliers, d):
-    # at T = 1e5 the probe runs are thousands of periods long, so the
-    # kernel skips most of them
+    # at T = 1e5 the probe runs are thousands of periods long, or the reset
+    # cycle repeats thousands of times, so the kernel skips most periods
     T = 100_000
     fam, p1, p2 = kernels.encode_suppliers(suppliers)
     price, a, b, eps, frozen, shrinks, resets = kernels.fixed_trajectory(fam, p1, p2, d, T)
@@ -151,6 +160,25 @@ def test_first_event_matches_linear_scan(lo, width, offset):
     # a gallop, then a bisection of the last gap: O(log(j - lo)) evaluations
     reach = (hi if got is None else got) - lo
     assert len(calls) <= 2 * (reach + 1).bit_length() + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(0.0, 1.0),
+    width=st.floats(0.0, 1.0),
+    eps=st.floats(2.0**-64, 0.5),
+    lo=st.integers(0, 2**53 - 300),
+    n=st.integers(0, 200),
+)
+@example(a=0.25, width=0.5, eps=0.125, lo=0, n=10)  # offers reach b at cursor 4, capped after it
+@example(a=0.25, width=0.5, eps=0.125, lo=7, n=0)  # lo == hi
+@example(a=0.0, width=1.0, eps=2.0**-64, lo=2**52, n=100)  # large cursors
+def test_fixed_offers_match_fixed_offer(a, width, eps, lo, n):
+    b = min(a + width, 1.0)
+    got = kernels.fixed_offers(a, b, eps, lo, lo + n)
+    want = np.array([kernels.fixed_offer(a, b, eps, j, False) for j in range(lo, lo + n)])
+    assert got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cell_indices_match_cell_index():

@@ -267,6 +267,44 @@ def test_regret_columns_signs_follow_price_gap():
     assert np.array_equal(np.sign(cols["cost_inc"]), gap)
 
 
+def _constant_demand_market(suppliers, d, T):
+    return MarketInstance(
+        suppliers=suppliers, demands=np.full(T, d), contexts=None, horizon=T,
+        demand_bounds=(d, d),
+    )
+
+
+_RUN_PATHS = {
+    "probe-runs": np.repeat([0.1, 0.3, 0.3000000000000001, 0.55, 0.7, 0.55], [3, 1, 4, 2, 7, 5]),
+    "constant": np.full(40, 0.62),
+    "no-repeats": np.random.Generator(np.random.Philox(key=31)).uniform(0.0, 1.0, 50),
+    "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0, 0.4, 0.0, -0.0]),
+    "one-period": np.array([0.8]),
+}
+
+
+@pytest.mark.parametrize("path", list(_RUN_PATHS), ids=list(_RUN_PATHS))
+@pytest.mark.parametrize(
+    "suppliers, d",
+    [
+        ((CostSpec.quadratic(0.3, a=0.05), CostSpec.quadratic(0.8, a=0.2)), 1.1),
+        ((CostSpec.linear(c=0.4, cap=2.0),), 1.0),
+    ],
+    ids=["quadratic-intercepts", "linear"],
+)
+def test_regret_columns_per_run_match_per_period(suppliers, d, path):
+    # a constant-demand market prices each run of equal prices once; every
+    # column must be bit for bit the one-period market's, period by period
+    prices = _RUN_PATHS[path]
+    cols = _constant_demand_market(suppliers, d, prices.size).regret_columns(prices)
+    for t, p in enumerate(prices):
+        want = _constant_demand_market(suppliers, d, 1).regret_columns(prices[t : t + 1])
+        for name, col in want.items():
+            assert cols[name][t : t + 1].tobytes() == col.tobytes(), (name, t, p)
+    assert set(cols) == {"price", "production", "unmet_inc", "cost_inc", "pay_inc"}
+    assert all(c.shape == prices.shape for c in cols.values())
+
+
 def test_regret_columns_reject_bad_price_paths():
     inst = MarketInstance(
         suppliers=(CostSpec.quadratic(0.5),), demands=np.ones(3), contexts=None,
