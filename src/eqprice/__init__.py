@@ -25,6 +25,7 @@ from .hardness import (
 from .market import (
     Allocation,
     CostSpec,
+    FunctionClass,
     GeneratorSpec,
     InstanceSpec,
     MarketInstance,
@@ -33,7 +34,6 @@ from .market import (
     equilibrium_price,
 )
 from .oracle import (
-    FunctionClass,
     OracleState,
     make_oracle_state,
     oracle_excess_loss,

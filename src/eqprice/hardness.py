@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, _fit_line, run_experiment
 from .market import CostSpec, GeneratorSpec, InstanceSpec, MarketInstance
 
 
@@ -182,6 +182,8 @@ def linear_cost_demo(
     The ``fixed_interval`` run goes through
     :func:`~eqprice.harness.run_experiment` with ``seed`` as its base seed.
     """
+    if horizon < 2:
+        raise ValueError("linear_cost_demo needs horizon >= 2 to fit a line")
     if cap is None:
         cap = 2.0 * demand
     if cap < demand:
@@ -202,12 +204,7 @@ def linear_cost_demo(
     totals = rec.unmet_inc + rec.cost_inc + rec.pay_inc
     violations = np.count_nonzero((rec.price != unit_cost) & (totals < bound - 1e-12))
 
-    cum = np.cumsum(totals)
-    ts = np.arange(1, horizon + 1, dtype=np.float64)
-    slope, intercept = np.polyfit(ts, cum, 1)
-    resid = cum - (slope * ts + intercept)
-    ss_tot = float(np.sum((cum - cum.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _fit_line(np.arange(1.0, horizon + 1), np.cumsum(totals))
 
     return LinearDemoReport(
         policy=rec.policy,
@@ -218,8 +215,8 @@ def linear_cost_demo(
         unmet=rec.unmet,
         cost_regret=rec.cost_regret,
         payment_regret=rec.payment_regret,
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         r_squared=r2,
         per_period_bound=bound,
         bound_violations=int(violations),

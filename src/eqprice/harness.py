@@ -46,8 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .market import CONTEXT_QUADRATIC, QUADRATIC, CostSpec, InstanceSpec, MarketInstance
-from .oracle import FunctionClass
+from .market import CONTEXT_QUADRATIC, QUADRATIC, FunctionClass, InstanceSpec, MarketInstance
 from .policy_contextual import default_gamma, default_grid_size, make_contextual_state
 from .policy_demand import DemandGrid, make_demand_state
 from .policy_demand import default_gamma as demand_default_gamma
@@ -244,8 +243,7 @@ def _contextual_class(inst_spec: InstanceSpec) -> FunctionClass:
         raise ValueError("contextual_igw requires a function_class on the instance")
     if inst_spec.class_bound is None:
         raise ValueError("contextual_igw requires class_bound (output bound B)")
-    members = tuple(CostSpec.from_json_dict(m) for m in inst_spec.function_class)
-    return FunctionClass(members=members, bound=float(inst_spec.class_bound))
+    return FunctionClass(members=inst_spec.function_class, bound=float(inst_spec.class_bound))
 
 
 def _contextual_prices(
@@ -354,9 +352,23 @@ class ScalingFit:
     r_squared: float
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, r^2) of the least-squares line of ``y`` on ``x``,
+    in closed form from the centred sums; ``x`` must hold two distinct
+    values, and r^2 is 1 when ``y`` equals its mean exactly."""
+    x_mean, y_mean = x.mean(), y.mean()
+    dx, dy = x - x_mean, y - y_mean
+    slope = float(dx @ dy) / float(dx @ dx)
+    resid = dy - slope * dx
+    ss_tot = float(dy @ dy)
+    r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
+    return slope, float(y_mean - slope * x_mean), r2
+
+
 def fit_scaling(horizons, values, model: str) -> ScalingFit:
     """Fit ``power_law`` (log value vs log T) or ``loglog`` (value vs
-    log log T) over at least three horizons."""
+    log log T) over at least three horizons, two of them distinct, where
+    the model's logarithms are defined."""
     horizons = np.asarray(horizons, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if len(horizons) < 3:
@@ -365,23 +377,23 @@ def fit_scaling(horizons, values, model: str) -> ScalingFit:
         raise ValueError("horizons and values must have equal length")
     if not (np.all(np.isfinite(horizons)) and np.all(np.isfinite(values))):
         raise ValueError("scaling fits need finite horizons and values")
+    if np.all(horizons == horizons[0]):
+        raise ValueError("scaling fits need at least 2 distinct horizons")
     if np.all(values == values[0]):
         raise ValueError("degenerate fit: regret values have zero variance")
-    if model == POWER_LAW:
+    if model not in (POWER_LAW, LOGLOG):
+        raise ValueError(f"unknown scaling model {model!r}")
+    floor = 0.0 if model == POWER_LAW else 1.0  # where log T, log log T are defined
+    if np.any(horizons <= floor):
+        raise ValueError(f"{model} fit requires horizons > {floor:g}")
+    if model == LOGLOG:
+        x, y = np.log(np.log(horizons)), values
+    else:
         if np.any(values <= 0):
             raise ValueError("power_law fit requires positive regret values")
-        x = np.log(horizons)
-        y = np.log(values)
-    elif model == LOGLOG:
-        x = np.log(np.log(horizons))
-        y = values
-    else:
-        raise ValueError(f"unknown scaling model {model!r}")
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot
-    return ScalingFit(model=model, slope=float(slope), intercept=float(intercept), r_squared=r2)
+        x, y = np.log(horizons), np.log(values)
+    slope, intercept, r2 = _fit_line(x, y)
+    return ScalingFit(model=model, slope=slope, intercept=intercept, r_squared=r2)
 
 
 def _means_by_horizon(pairs) -> tuple[list[int], list[float]]:

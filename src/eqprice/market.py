@@ -8,14 +8,24 @@ over ``x >= 0``. The clearing price of a demand ``d`` is the price at which
 aggregate best-response production equals ``d``; for convex costs it is also
 the price minimizing total production cost and total payment among all
 allocations meeting ``d``, which is what :meth:`MarketInstance.regret_columns`
-measures against.
+measures against. :func:`equilibrium_price` solves it exactly, for one
+demand or an array of demands.
 
-The scalar functions (:func:`best_response`, :func:`aggregate_production`,
-:func:`equilibrium_price`, :meth:`CostSpec.cost`) serve one price at a time;
-:class:`MarketInstance` computes the same quantities over a whole horizon
-for the supplier mixes the policies run on. Prices are normalized to
-[0, 1]; instance constructors reject inputs whose clearing price would fall
-outside that range.
+Supply is computed in three forms, each for its own callers: one price at
+a time by :func:`best_response` and :func:`aggregate_production`, the
+independent reference the tests drive the step-level API with; over a
+whole horizon by :class:`MarketInstance`, for the feasibility check and the
+regret pass every policy shares; and on Python floats by
+``eqprice.kernels.supply``, cheap enough for the trackers' galloping search.
+
+Contextual suppliers and :class:`FunctionClass` members are both
+``context_quadratic`` :class:`CostSpec` records, and
+:func:`context_coefficients` computes every <phi, sigma(theta)> but one: a
+:class:`MarketInstance`'s supplier path is a matrix product, whose bits the
+benchmark reference records (see the comment there).
+
+Prices are normalized to [0, 1]; instance constructors reject inputs whose
+clearing price would fall outside that range.
 """
 
 from __future__ import annotations
@@ -111,10 +121,11 @@ class CostSpec:
         return self.family in (QUADRATIC, CONTEXT_QUADRATIC)
 
     def coefficient(self, theta) -> float:
-        """<phi, sigma(theta)>, the inverse curvature of the contextual family."""
+        """<phi, sigma(theta)>, the inverse curvature of the contextual family,
+        at one context (see :func:`context_coefficients`)."""
         if self.family != CONTEXT_QUADRATIC:
             raise ValueError("coefficient is defined for the context_quadratic family")
-        u = float(np.dot(self.phi, apply_feature_map(self.feature_map_id, theta)))
+        u = float(context_coefficients((self,), theta)[0])
         if not u > 0:
             raise ValueError(
                 f"context_quadratic requires <phi, sigma(theta)> > 0, got {u}"
@@ -129,19 +140,14 @@ class CostSpec:
             return 0.5 * self.mu * x * x + self.a * x
         if self.family == LINEAR:
             return self.c * x
-        return x * x / (2.0 * self._require_coefficient(theta))
+        return x * x / (2.0 * self.coefficient(theta))
 
     def marginal_cost(self, x: float, theta=None) -> float:
         if self.family == QUADRATIC:
             return self.mu * x + self.a
         if self.family == LINEAR:
             return self.c
-        return x / self._require_coefficient(theta)
-
-    def _require_coefficient(self, theta) -> float:
-        if theta is None:
-            raise ValueError("context_quadratic cost requires a context")
-        return self.coefficient(theta)
+        return x / self.coefficient(theta)
 
     def to_json_dict(self) -> dict:
         if self.family == QUADRATIC:
@@ -166,12 +172,82 @@ class CostSpec:
         raise ValueError(f"unknown cost family {fam!r}")
 
 
-def _check_class_member(i: int, member) -> None:
-    """The rule for entry ``i`` of a contextual function class: a
-    ``context_quadratic`` :class:`CostSpec`, whose constructor has already
-    checked it as it checks a supplier."""
-    if not (isinstance(member, CostSpec) and member.family == CONTEXT_QUADRATIC):
-        raise ValueError(f"class member {i} must be a context_quadratic CostSpec")
+def _features(specs: Sequence[CostSpec], contexts: np.ndarray, role: str) -> dict:
+    """The features at ``contexts`` of each map the specs name, applied once;
+    a spec whose parameter count is not its map's feature count is rejected,
+    named by ``role`` and position."""
+    feats = {}
+    for i, s in enumerate(specs):
+        if s.feature_map_id not in feats:
+            feats[s.feature_map_id] = apply_feature_map(s.feature_map_id, contexts)
+        n = feats[s.feature_map_id].shape[-1]
+        if n != len(s.phi):
+            raise ValueError(f"{role} {i} has {len(s.phi)} parameters, context {n} features")
+    return feats
+
+
+def context_coefficients(specs: Sequence[CostSpec], contexts) -> np.ndarray:
+    """<phi, sigma(theta)> of every ``context_quadratic`` spec, its
+    production at p = 1: shape (n,) at one context, (n, T) over a (T, m)
+    context path.
+
+    The inner product is summed left to right over the features, on Python
+    floats at one context and on per-feature arrays over a path. Both are
+    the same sequence of products and additions, so column t of a path
+    equals the coefficients at context t bit for bit; the fused kernel and
+    the step-level oracle rely on that."""
+    if contexts is None:
+        # a missing context would map to NaN features, not an error
+        raise ValueError("context_quadratic coefficients require a context")
+    contexts = np.asarray(contexts, dtype=np.float64)
+    feats = _features(specs, contexts, "spec")
+    cols = {k: f.tolist() if f.ndim == 1 else f.T for k, f in feats.items()}
+    out = np.empty((len(specs),) + contexts.shape[:-1])
+    for i, s in enumerate(specs):
+        u = 0.0
+        for phi_k, f_k in zip(s.phi, cols[s.feature_map_id]):
+            u = u + phi_k * f_k
+        out[i] = u
+    return out
+
+
+def _class_members(entries) -> tuple[CostSpec, ...]:
+    """The entries of a contextual function class, each a
+    ``context_quadratic`` :class:`CostSpec` or its JSON dict, as checked
+    specs: a dict is parsed, and checked as a supplier entry is."""
+    members = tuple(CostSpec.from_json_dict(m) if isinstance(m, dict) else m for m in entries)
+    for i, m in enumerate(members):
+        if not (isinstance(m, CostSpec) and m.family == CONTEXT_QUADRATIC):
+            raise ValueError(f"class member {i} must be a context_quadratic CostSpec")
+    return members
+
+
+@dataclass(frozen=True)
+class FunctionClass:
+    """Finite set of candidate production functions with output bound B.
+
+    Each member is a ``context_quadratic`` :class:`CostSpec`, the suppliers'
+    own form: it produces p * <phi, sigma(theta)> at price p and context
+    theta, with sigma the member's feature map. A JSON dict is parsed.
+    """
+
+    members: tuple[CostSpec, ...]
+    bound: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", _class_members(self.members))
+        if len(self.members) == 0:
+            raise ValueError("function class must be non-empty")
+        if not (math.isfinite(self.bound) and self.bound > 0):
+            raise ValueError(f"output bound B must be finite and positive, got {self.bound}")
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def member_coefficients(self, contexts) -> np.ndarray:
+        """Every member's production at p = 1: shape (F,) at one context,
+        (F, T) over a (T, m) context path (see :func:`context_coefficients`)."""
+        return context_coefficients(self.members, contexts)
 
 
 @dataclass(frozen=True)
@@ -194,8 +270,6 @@ def best_response(cost: CostSpec, p: float, theta=None) -> float:
         return max(0.0, (p - cost.a) / cost.mu)
     if cost.family == LINEAR:
         return cost.cap if p >= cost.c else 0.0
-    if theta is None:
-        raise ValueError("best_response for context_quadratic requires a context")
     return p * cost.coefficient(theta)
 
 
@@ -210,47 +284,23 @@ def aggregate_production(
     return Allocation(per_supplier=per, total=total)
 
 
-def _clearing_prices(
-    slopes: np.ndarray, intercepts: np.ndarray, demands: np.ndarray
-) -> np.ndarray:
-    """Exact clearing prices of a market whose supplier ``i`` produces
-    ``slopes[i] * max(0, p - intercepts[i])`` at price ``p``.
-
-    Aggregate supply is piecewise linear with kinks at the sorted
-    intercepts. Supply at each kink locates every demand's active set (the
-    suppliers whose intercept lies below its clearing price) by
-    ``searchsorted``; over that set S(p) = p * sum(s) - sum(s * a), so
-    p* = (d + sum(s * a)) / sum(s). Demands must be positive and the slopes
-    positive; feasibility at p = 1 is the caller's check.
-    """
-    slopes = np.asarray(slopes, dtype=np.float64)
-    intercepts = np.asarray(intercepts, dtype=np.float64)
-    demands = np.asarray(demands, dtype=np.float64)
-    if np.any(demands <= 0):
-        raise ValueError("demand must be positive")
-    order = np.argsort(intercepts, kind="stable")
-    a = intercepts[order]
-    s = slopes[order]
-    cum_s = np.cumsum(s)
-    cum_sa = np.cumsum(s * a)
-    # Supply at the k-th kink; rounding can break ties in a, so keep it monotone.
-    kink_supply = np.maximum.accumulate(a * cum_s - cum_sa)
-    k = np.searchsorted(kink_supply, demands, side="left") - 1
-    return np.minimum((demands + cum_sa[k]) / cum_s[k], 1.0)
-
-
-def equilibrium_price(suppliers: Sequence[CostSpec], d: float, theta=None) -> float:
+def equilibrium_price(suppliers: Sequence[CostSpec], d, theta=None) -> float | np.ndarray:
     """Market-clearing price: the exact root of total production(p) = d.
 
-    Requires every supplier strongly convex and the demand feasible at
-    p = 1. A quadratic supplier responds with slope 1/mu above its
-    intercept a, a contextual one with slope <phi, sigma(theta)> above 0,
-    so mixed markets solve through the same exact formula. By the
-    first-order conditions the price equals every active supplier's
+    ``d`` is one demand, giving a float, or an array of demands, giving an
+    array of their prices; a contextual market clears them all at the one
+    context ``theta``. Every demand must be positive and feasible at p = 1,
+    and every supplier strongly convex. Supplier i produces s_i * max(0, p - a_i): slope 1/mu above its
+    intercept a for a quadratic supplier, <phi, sigma(theta)> above 0 for a
+    contextual one. Aggregate supply is piecewise linear with kinks at the
+    sorted intercepts; supply at each kink locates every demand's active set
+    by ``searchsorted``, and over that set p* = (d + sum(s a)) / sum(s). By
+    the first-order conditions the price equals every active supplier's
     marginal cost, so it also minimizes total cost and total payment among
     demand-feasible allocations.
     """
-    if d <= 0:
+    demands = np.asarray(d, dtype=np.float64)
+    if not np.all(demands > 0):
         raise ValueError("demand must be positive")
     for s in suppliers:
         if not s.strongly_convex:
@@ -258,33 +308,24 @@ def equilibrium_price(suppliers: Sequence[CostSpec], d: float, theta=None) -> fl
                 "equilibrium_price requires strongly convex suppliers; "
                 f"{s.family} family present"
             )
-    if aggregate_production(suppliers, 1.0, theta).total < d:
+    d_max = float(demands.max(initial=0.0))
+    if aggregate_production(suppliers, 1.0, theta).total < d_max:
         raise InfeasibleMarket(
-            f"aggregate production at p=1 is below demand {d}; no clearing price in [0, 1]"
+            f"aggregate production at p=1 is below demand {d_max}; no clearing price in [0, 1]"
         )
-    slopes = [1.0 / s.mu if s.family == QUADRATIC else s.coefficient(theta) for s in suppliers]
-    intercepts = [s.a if s.family == QUADRATIC else 0.0 for s in suppliers]
-    return float(_clearing_prices(slopes, intercepts, [d])[0])
-
-
-def equilibrium_price_batch(
-    mus: np.ndarray, intercepts: np.ndarray, demands: np.ndarray
-) -> np.ndarray:
-    """Exact clearing prices of an all-quadratic market over many demands.
-
-    Element-for-element identical to calling :func:`equilibrium_price` per
-    demand.
-    """
-    mus = np.asarray(mus, dtype=np.float64)
-    intercepts = np.asarray(intercepts, dtype=np.float64)
-    demands = np.asarray(demands, dtype=np.float64)
-    # Production at p = 1, summed in supplier order as aggregate_production does.
-    cap = 0.0
-    for mu, a in zip(mus, intercepts):
-        cap += max(0.0, (1.0 - a) / mu)
-    if np.any(demands > cap):
-        raise InfeasibleMarket("some demands infeasible at p=1")
-    return _clearing_prices(1.0 / mus, intercepts, demands)
+    a = np.array([s.a if s.family == QUADRATIC else 0.0 for s in suppliers])
+    slope = np.array(
+        [1.0 / s.mu if s.family == QUADRATIC else s.coefficient(theta) for s in suppliers]
+    )
+    order = np.argsort(a, kind="stable")
+    a, slope = a[order], slope[order]
+    cum_s = np.cumsum(slope)
+    cum_sa = np.cumsum(slope * a)
+    # Supply at the k-th kink; rounding can break ties in a, so keep it monotone.
+    kink_supply = np.maximum.accumulate(a * cum_s - cum_sa)
+    k = np.searchsorted(kink_supply, demands, side="left") - 1
+    prices = np.minimum((demands + cum_sa[k]) / cum_s[k], 1.0)
+    return float(prices) if demands.ndim == 0 else prices
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +397,10 @@ class InstanceSpec:
     ``demands`` and ``contexts`` are either explicit sequences or
     :class:`GeneratorSpec` entries materialized per replication by the
     harness. ``function_class`` optionally lists candidate production
-    functions for the contextual policy as ``context_quadratic`` cost
-    records (the JSON of :class:`CostSpec`); ``class_bound`` is their shared
-    output bound B. Each member is parsed and checked when the spec is
-    built; the bound is checked by the :class:`~eqprice.oracle.FunctionClass`
-    the contextual policy builds from them.
+    functions for the contextual policy, ``context_quadratic`` specs or their
+    JSON dicts, which the constructor turns into checked :class:`CostSpec`
+    records; ``class_bound`` is their shared output bound B, checked by the
+    :class:`FunctionClass` the contextual policy builds from them.
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -368,12 +408,12 @@ class InstanceSpec:
     horizon: int
     contexts: tuple[tuple[float, ...], ...] | GeneratorSpec | None = None
     demand_bounds: tuple[float, float] | None = None
-    function_class: tuple[dict, ...] | None = None
+    function_class: tuple[CostSpec, ...] | None = None
     class_bound: float | None = None
 
     def __post_init__(self):
-        for i, member in enumerate(self.function_class or ()):
-            _check_class_member(i, CostSpec.from_json_dict(member))
+        if self.function_class is not None:
+            object.__setattr__(self, "function_class", _class_members(self.function_class))
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -394,7 +434,7 @@ class InstanceSpec:
         if self.demand_bounds is not None:
             doc["demand_bounds"] = list(self.demand_bounds)
         if self.function_class is not None:
-            doc["function_class"] = [dict(m) for m in self.function_class]
+            doc["function_class"] = [m.to_json_dict() for m in self.function_class]
         if self.class_bound is not None:
             doc["class_bound"] = self.class_bound
         return doc
@@ -415,7 +455,6 @@ class InstanceSpec:
             contexts = GeneratorSpec.from_json_dict(raw_c)
         else:
             contexts = tuple(tuple(float(v) for v in row) for row in raw_c)
-        fc = doc.get("function_class")
         return cls(
             suppliers=suppliers,
             demands=demands,
@@ -426,7 +465,7 @@ class InstanceSpec:
                 if "demand_bounds" in doc
                 else None
             ),
-            function_class=tuple(dict(m) for m in fc) if fc is not None else None,
+            function_class=doc.get("function_class"),
             class_bound=float(doc["class_bound"]) if "class_bound" in doc else None,
         )
 
@@ -541,19 +580,16 @@ class MarketInstance:
         if self.mix == CONTEXT_QUADRATIC:
             if self.contexts is None:
                 raise ValueError("contextual suppliers require a context sequence")
+            feats = _features(self.suppliers, self.contexts, "supplier")
             total = np.zeros(self.horizon)
-            for i, s in enumerate(self.suppliers):
-                feats = apply_feature_map(s.feature_map_id, self.contexts)
-                if feats.shape[1] != len(s.phi):
-                    raise ValueError(
-                        f"supplier {i} has {len(s.phi)} parameters, context "
-                        f"{feats.shape[1]} features"
-                    )
-                # A matrix product, not the class members' left-to-right sum
-                # (FunctionClass.member_coefficients): the two differ in the
-                # last bit on some periods, and this path's bits are the ones
-                # recorded in the committed benchmark reference digests.
-                u = feats @ np.asarray(s.phi)
+            for s in self.suppliers:
+                # A matrix product, not context_coefficients' left-to-right
+                # sum: the two differ in the last bit in some periods, and the
+                # benchmark reference digests record this path's bits. No
+                # matrix product can serve one context instead: row t of a
+                # (T, m) product differed from the one-row product at context
+                # t in 123,571 of 393,837 random rows of 1 to 4 features.
+                u = feats[s.feature_map_id] @ np.asarray(s.phi)
                 if not u.min() > 0:
                     raise ValueError(
                         "context_quadratic requires <phi, sigma(theta)> > 0 "
@@ -614,11 +650,7 @@ class MarketInstance:
             base = self.suppliers[0].c * demands
             return base, base
         if self.mix == QUADRATIC:
-            p_stars = equilibrium_price_batch(
-                np.array([s.mu for s in self.suppliers]),
-                np.array([s.a for s in self.suppliers]),
-                demands,
-            )
+            p_stars = equilibrium_price(self.suppliers, demands)
         else:
             p_stars = demands / self.coefficients
         tot_eq, cost_eq = self._production(p_stars)

@@ -11,10 +11,12 @@ on [0, B] is eta-exp-concave (Cesa-Bianchi and Lugosi, *Prediction,
 Learning, and Games*, 2006, section 3.3). At the default eta = 2/B^2 it is
 only observed, on the streams this package tests.
 
-The class members are ``context_quadratic``
-:class:`~eqprice.market.CostSpec` records, the suppliers' own form. The
-oracle is a value: :class:`OracleState` is frozen, :func:`oracle_update`
-returns a new state, and :func:`oracle_predict` reads one. The arithmetic
+The class is a :class:`~eqprice.market.FunctionClass`, whose members are
+``context_quadratic`` :class:`~eqprice.market.CostSpec` records, the
+suppliers' own form; :mod:`eqprice.market` owns that model and computes
+every member's <phi, sigma(theta)>. The oracle is a value:
+:class:`OracleState` is frozen, :func:`oracle_update` returns a new state,
+and :func:`oracle_predict` reads one. The arithmetic
 is :func:`eqprice.kernels.mixture_coefficient` and
 :func:`eqprice.kernels.exp_weights_update`, shared with the fused kernel.
 """
@@ -27,62 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .features import apply_feature_map
-from .market import CostSpec, _check_class_member
-
-
-@dataclass(frozen=True)
-class FunctionClass:
-    """Finite set of candidate production functions with output bound B.
-
-    Each member is a ``context_quadratic`` :class:`~eqprice.market.CostSpec`,
-    the suppliers' own form: it produces p * <phi, sigma(theta)> at price p
-    and context theta, with sigma the member's feature map.
-    """
-
-    members: tuple[CostSpec, ...]
-    bound: float
-
-    def __post_init__(self):
-        if len(self.members) == 0:
-            raise ValueError("function class must be non-empty")
-        for i, m in enumerate(self.members):
-            _check_class_member(i, m)
-        if not (math.isfinite(self.bound) and self.bound > 0):
-            raise ValueError(f"output bound B must be finite and positive, got {self.bound}")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def member_coefficients(self, contexts) -> np.ndarray:
-        """Every member's production at p = 1, <phi, sigma(theta)>: shape
-        (F,) at one context, (F, T) over a (T, m) context path.
-
-        The inner product is summed left to right over the features, on
-        Python floats at one context and on per-feature arrays over a path.
-        Both are the same sequence of products and additions, so column t of
-        a path equals the coefficients at context t bit for bit; the fused
-        kernel and the step-level oracle rely on that."""
-        if contexts is None:
-            # a missing context would map to NaN features, not an error
-            raise ValueError("class members require a context")
-        contexts = np.asarray(contexts, dtype=np.float64)
-        feats = {}
-        out = np.empty((len(self.members),) + contexts.shape[:-1])
-        for i, m in enumerate(self.members):
-            if m.feature_map_id not in feats:
-                f = apply_feature_map(m.feature_map_id, contexts)
-                feats[m.feature_map_id] = f.tolist() if f.ndim == 1 else f.T
-            f = feats[m.feature_map_id]
-            if len(f) != len(m.phi):
-                raise ValueError(
-                    f"member {i} has {len(m.phi)} parameters, context {len(f)} features"
-                )
-            u = 0.0
-            for phi_k, f_k in zip(m.phi, f):
-                u = u + phi_k * f_k
-            out[i] = u
-        return out
+from .market import FunctionClass
 
 
 def default_eta(bound: float) -> float:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
+from .market import FunctionClass
 from .oracle import (
-    FunctionClass,
     OracleState,
     make_oracle_state,
     oracle_predict,

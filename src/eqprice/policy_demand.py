@@ -128,8 +128,10 @@ def demand_step(
     cell's current price; a cell wider than the freeze width updates as
     :func:`eqprice.kernels.demand_update` describes. Comparing against the
     cell lower bound rather than d itself is what rounds demands down
-    within a cell.
+    within a cell. A NaN production is rejected.
     """
+    if math.isnan(total_production):
+        raise ValueError("observed production must not be NaN")
     grid = state.grid
     k = interval_index(grid, d)
     offered = float(state.price[k - 1])

@@ -67,7 +67,10 @@ def fixed_observe(
     state: FixedPolicyState, total_production: float, d: float
 ) -> FixedPolicyState:
     """Advance the tracker given production observed at fixed_next_price(state)
-    (see :func:`eqprice.kernels.fixed_update`); a no-op once frozen."""
+    (see :func:`eqprice.kernels.fixed_update`); a no-op once frozen. A NaN
+    production, which would read as a shortfall, is rejected."""
+    if math.isnan(total_production):
+        raise ValueError("observed production must not be NaN")
     if state.frozen:
         return state
     tracker = kernels.fixed_update(

@@ -23,15 +23,14 @@ from eqprice.harness import (
 from eqprice.hardness import expected_total_regret, verify_lower_bound
 from eqprice.market import (
     CostSpec,
+    FunctionClass,
     GeneratorSpec,
     InstanceSpec,
     aggregate_production,
     best_response,
     equilibrium_price,
-    equilibrium_price_batch,
 )
 from eqprice.oracle import (
-    FunctionClass,
     make_oracle_state,
     oracle_excess_loss,
     oracle_update,
@@ -248,6 +247,17 @@ def _contextual_instance(seed=313, n_members=8):
     )
 
 
+def test_criterion_5_instance_is_hashable_and_round_trips():
+    # the class members are CostSpecs once the spec is built, not JSON dicts
+    spec = _contextual_instance()
+    assert all(isinstance(m, CostSpec) for m in spec.function_class)
+    assert hash(spec) == hash(_contextual_instance())
+    assert InstanceSpec.from_json(spec.to_json()) == spec
+    assert spec.to_json_dict()["function_class"][0] == {
+        "family": "context_quadratic", "phi": [1.5, 1.5, 1.0], "feature_map_id": "identity"
+    }
+
+
 def test_criterion_5_contextual_rate():
     instance = _contextual_instance()
     horizons = (10**3, 10**4, 10**5)
@@ -381,8 +391,9 @@ def test_criterion_7_lemma_suite():
     inv_sum = float(np.sum(1.0 / mus))
     d1 = rng.uniform(0.1, 2.0, n_pairs)
     d2 = rng.uniform(0.1, 2.0, n_pairs)
-    ps1 = equilibrium_price_batch(mus, np.zeros(3), d1)
-    ps2 = equilibrium_price_batch(mus, np.zeros(3), d2)
+    sup = [CostSpec.quadratic(mu) for mu in mus]
+    ps1 = equilibrium_price(sup, d1)
+    ps2 = equilibrium_price(sup, d2)
     gap = np.abs(ps1 - ps2)
     exact = np.abs(d1 - d2) / inv_sum
     price_viol = int(np.count_nonzero(np.abs(gap - exact) > 1e-8))

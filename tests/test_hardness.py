@@ -113,3 +113,7 @@ def test_linear_demo_interval_tracking_grows_linearly():
 def test_linear_demo_validates_inputs():
     with pytest.raises(ValueError, match="cap below demand"):
         linear_cost_demo(horizon=10, cap=0.5)
+    # a line needs two points: horizon 1 used to fit through one
+    for horizon in (1, 0):
+        with pytest.raises(ValueError, match="horizon >= 2"):
+            linear_cost_demo(horizon=horizon)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqprice import harness, kernels, market
@@ -198,20 +198,26 @@ def test_unsupported_supplier_mix_rejected_before_policy_runs(suppliers, monkeyp
 
 
 def test_contextual_coefficients_computed_once_per_run(monkeypatch):
-    # one feature-map pass per contextual supplier, when the instance is
-    # materialised; the policy and the regret pass reuse the path
+    # one pass per distinct feature map over the whole context path: the
+    # suppliers' when the instance is materialised, the class members' when
+    # the policy starts; the policy and the regret pass reuse both paths
     calls = []
     original = market.apply_feature_map
 
     def counting(map_id, contexts):
-        calls.append(map_id)
+        calls.append((map_id, np.shape(contexts)))
         return original(map_id, contexts)
 
     monkeypatch.setattr(market, "apply_feature_map", counting)
     spec = contextual_spec()
+    tanh_member = CostSpec.context_quadratic((1.0, 0.5, 0.5, 0.5), "tanh_affine")
+    spec = dataclasses.replace(spec, function_class=spec.function_class + (tanh_member,))
     cfg = ExperimentConfig(instance=spec, policy="contextual_igw", horizons=(100,))
     run_experiment(cfg)
-    assert len(calls) == len(spec.suppliers)
+    # two identity suppliers; identity and tanh_affine members
+    assert sorted(calls) == [
+        ("identity", (100, 3)), ("identity", (100, 3)), ("tanh_affine", (100, 3))
+    ]
 
 
 def test_fixed_interval_converges_to_clearing_price():
@@ -407,6 +413,19 @@ def test_fit_scaling_errors():
         fit_scaling([10, 100, 1000], [1.0, -2.0, 3.0], "power_law")  # nonpositive
     with pytest.raises(ValueError):
         fit_scaling([10, 100, 1000], [1.0, 2.0, 3.0], "parabola")
+    # the model's logarithms must be defined, and the horizons must differ:
+    # these used to reach LAPACK (LinAlgError) or fit slope 0.1297 with r^2 0
+    domain = [
+        ([1, 10, 100], "loglog", "horizons > 1"),
+        ([0.5, 10, 100], "loglog", "horizons > 1"),
+        ([0, 10, 100], "power_law", "horizons > 0"),
+        ([-10, 10, 100], "power_law", "horizons > 0"),
+        ([10, 10, 10], "power_law", "distinct"),
+        ([10, 10, 10], "loglog", "distinct"),
+    ]
+    for horizons, model, message in domain:
+        with pytest.raises(ValueError, match=message):
+            fit_scaling(horizons, [1.0, 2.0, 3.0], model)
     non_finite = [
         ([10, 100, 1000], [1.0, math.nan, 3.0]),
         ([10, 100, 1000], [math.nan] * 3),
@@ -418,6 +437,39 @@ def test_fit_scaling_errors():
         for model in ("power_law", "loglog"):
             with pytest.raises(ValueError, match="finite"):
                 fit_scaling(horizons, values, model)
+
+
+# no magnitudes below 1e-6, whose squares would underflow toward 0
+_fit_floats = st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) >= 1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@example([(1.0, 2.0), (2.0, 2.0), (4.0, 2.0)])
+@example([(0.0, 1.0579192434033312e-66)] * 2 + [(1.0, 1.0579192434033312e-66)])
+@given(
+    st.lists(st.tuples(_fit_floats, _fit_floats), min_size=2, max_size=60).filter(
+        lambda pts: np.ptp([x for x, _ in pts]) >= 1e-3
+    )
+)
+def test_fit_line_matches_polyfit(points):
+    x, y = (np.array(v) for v in zip(*points))
+    slope, intercept, r2 = harness._fit_line(x, y)
+    want_slope, want_intercept = np.polyfit(x, y, 1)
+    # absolute floors at the data's scale, for fits whose slope or
+    # intercept is near 0
+    y_scale = max(1.0, float(np.abs(y).max()))
+    assert slope == pytest.approx(want_slope, rel=1e-9, abs=1e-9 * y_scale / np.ptp(x))
+    assert intercept == pytest.approx(
+        want_intercept, rel=1e-9, abs=1e-9 * y_scale * (1.0 + np.abs(x).max() / np.ptp(x))
+    )
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if np.ptp(y) > 1e-6 * np.abs(y).max():
+        resid = y - (want_slope * x + want_intercept)
+        assert r2 == pytest.approx(1.0 - float(np.sum(resid**2)) / ss_tot, rel=1e-9, abs=1e-9)
+    elif ss_tot == 0:
+        # y's spread is all rounding otherwise, and so is r^2 (the polyfit
+        # residuals give 0.33 for three equal tiny values whose mean rounds)
+        assert r2 == 1.0
 
 
 def test_run_csv_schema(tmp_path):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from eqprice import kernels
 from eqprice.features import apply_feature_map
-from eqprice.market import CostSpec, aggregate_production, equilibrium_price
-from eqprice.oracle import FunctionClass
+from eqprice.market import CostSpec, FunctionClass, aggregate_production, equilibrium_price
 from eqprice.policy_contextual import (
     contextual_observe,
     contextual_step,

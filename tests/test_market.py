@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from eqprice.market import (
     CostSpec,
+    FunctionClass,
     GeneratorSpec,
     InfeasibleMarket,
     InstanceSpec,
     MarketInstance,
     aggregate_production,
     best_response,
+    context_coefficients,
     equilibrium_price,
-    equilibrium_price_batch,
 )
 from eqprice.features import apply_feature_map
 
@@ -125,15 +126,41 @@ def test_equilibrium_price_infeasible():
         equilibrium_price([CostSpec.quadratic(10.0)], 5.0)
 
 
-def test_equilibrium_price_batch_matches_scalar():
+@pytest.mark.parametrize(
+    "suppliers, theta",
+    [
+        ([CostSpec.quadratic(m, a) for m, a in ((0.3, 0.0), (0.8, 0.1), (1.5, 0.3))], None),
+        (
+            [
+                CostSpec.quadratic(0.6, 0.2),
+                CostSpec.context_quadratic((0.5, 0.25)),
+                CostSpec.context_quadratic((0.3, 0.2, 0.4), "tanh_affine"),
+            ],
+            (0.7, -1.2),
+        ),
+    ],
+    ids=["quadratic", "contextual"],
+)
+def test_equilibrium_price_array_matches_scalar(suppliers, theta):
     rng = np.random.Generator(np.random.Philox(key=5))
-    mus = np.array([0.3, 0.8, 1.5])
-    ints = np.array([0.0, 0.1, 0.3])
-    sup = [CostSpec.quadratic(m, a) for m, a in zip(mus, ints)]
-    demands = rng.uniform(0.2, 2.0, 64)
-    batch = equilibrium_price_batch(mus, ints, demands)
-    for d, p in zip(demands, batch):
-        assert p == equilibrium_price(sup, d)  # element-for-element identical
+    cap = aggregate_production(suppliers, 1.0, theta).total
+    demands = np.append(rng.uniform(0.05, cap, 64), cap)  # at capacity too
+    prices = equilibrium_price(suppliers, demands, theta)
+    assert prices.shape == demands.shape and prices[-1] == 1.0
+    for d, p in zip(demands, prices):
+        assert p == equilibrium_price(suppliers, d, theta)  # element-for-element identical
+    grid = equilibrium_price(suppliers, demands.reshape(5, 13), theta)
+    assert np.array_equal(grid.ravel(), prices)
+
+
+def test_equilibrium_price_array_checks_every_demand():
+    sup = [CostSpec.quadratic(0.5)]  # production 2 at p = 1
+    for bad in ([0.5, 0.0], [0.5, -1.0], [0.5, math.nan]):
+        with pytest.raises(ValueError, match="positive"):
+            equilibrium_price(sup, np.array(bad))
+    # the message names the largest demand, not the array
+    with pytest.raises(InfeasibleMarket, match=r"below demand 3\.5;"):
+        equilibrium_price(sup, np.array([0.5, 3.5, 2.5]))
 
 
 def test_kkt_consistency_at_equilibrium():
@@ -211,8 +238,9 @@ def test_price_lipschitz_in_demand():
     inv_sum = float(np.sum(1.0 / mus))
     d1 = rng.uniform(0.1, 2.0, 2000)
     d2 = rng.uniform(0.1, 2.0, 2000)
-    ps1 = equilibrium_price_batch(mus, ints, d1)
-    ps2 = equilibrium_price_batch(mus, ints, d2)
+    sup = [CostSpec.quadratic(m, a) for m, a in zip(mus, ints)]
+    ps1 = equilibrium_price(sup, d1)
+    ps2 = equilibrium_price(sup, d2)
     gap = np.abs(ps1 - ps2)
     exact = np.abs(d1 - d2) / inv_sum
     assert np.all(np.abs(gap - exact) <= 1e-8)
@@ -259,7 +287,7 @@ def test_regret_columns_signs_follow_price_gap():
         suppliers=sup, demands=demands, contexts=None, horizon=T, demand_bounds=(0.2, 1.0)
     )
     cols = inst.regret_columns(prices)
-    p_stars = equilibrium_price_batch(np.array([0.5, 1.1]), np.array([0.1, 0.0]), demands)
+    p_stars = equilibrium_price(sup, demands)
     gap = np.sign(prices - p_stars)
     assert np.all(cols["unmet_inc"] >= 0.0)
     assert np.array_equal(cols["unmet_inc"] > 0.0, gap < 0)
@@ -556,7 +584,7 @@ def test_capacity_rule_is_shared_by_instance_and_solver():
         suppliers=spec.suppliers, demands=GeneratorSpec(kind="constant", value=2.0), horizon=8
     )
     inst = at_capacity.materialize(rng)
-    assert np.all(equilibrium_price_batch(np.array([0.5]), np.zeros(1), inst.demands) == 1.0)
+    assert np.all(equilibrium_price(inst.suppliers, inst.demands) == 1.0)
 
 
 def test_instance_rejects_mismatched_lengths():
@@ -686,3 +714,38 @@ def test_feature_map_of_a_path_equals_it_row_by_row(map_id):
     assert path.shape == (40, 3 if map_id == "identity" else 4)
     for t, theta in enumerate(thetas):
         assert np.array_equal(path[t], apply_feature_map(map_id, theta))
+
+
+@st.composite
+def _contextual_spec_and_path(draw):
+    """A context_quadratic spec of 1 to 4 features and a context path it
+    keeps positive."""
+    map_id = draw(st.sampled_from(["identity", "tanh_affine"]))
+    dim = draw(st.integers(1, 4 if map_id == "identity" else 3))
+    n_features = dim if map_id == "identity" else dim + 1
+    positive = st.floats(0.05, 3.0)
+    phi = draw(st.lists(positive, min_size=n_features, max_size=n_features))
+    T = draw(st.integers(1, 12))
+    path = draw(st.lists(st.lists(positive, min_size=dim, max_size=dim), min_size=T, max_size=T))
+    return CostSpec.context_quadratic(phi, map_id), np.array(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contextual_spec_and_path())
+def test_coefficient_is_one_computation(spec_and_path):
+    # CostSpec.coefficient, context_coefficients and a class member's path
+    # are one left-to-right sum, so they agree bit for bit
+    spec, path = spec_and_path
+    member_path = FunctionClass(members=(spec,), bound=100.0).member_coefficients(path)
+    for t, theta in enumerate(path):
+        want = spec.coefficient(theta).hex()
+        assert float(context_coefficients((spec,), theta)[0]).hex() == want
+        assert float(member_path[0, t]).hex() == want
+
+
+def test_coefficient_rejects_feature_count_mismatch():
+    spec = CostSpec.context_quadratic((1.0, 2.0))
+    with pytest.raises(ValueError, match="spec 0 has 2 parameters, context 3 features"):
+        spec.coefficient((1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="require a context"):
+        spec.coefficient(None)

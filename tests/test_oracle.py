@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from eqprice.features import apply_feature_map
-from eqprice.market import CostSpec
+from eqprice.market import CostSpec, FunctionClass
 from eqprice.oracle import (
-    FunctionClass,
     default_eta,
     make_oracle_state,
     oracle_excess_loss,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqprice.market import CostSpec
-from eqprice.oracle import FunctionClass, oracle_predict
+from eqprice.market import CostSpec, FunctionClass
+from eqprice.oracle import oracle_predict
 from eqprice.policy_contextual import (
     IgwDistribution,
     contextual_observe,

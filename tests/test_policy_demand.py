@@ -101,6 +101,15 @@ def test_frozen_cell_price_is_stable():
     assert cell_price(s, 0.7) == p0
 
 
+@pytest.mark.parametrize("freeze_width", [None, 2.0], ids=["searching", "frozen"])
+def test_step_rejects_nan_production(freeze_width):
+    # NaN compares below every demand bound, so it used to move the price up
+    grid = DemandGrid.from_width(0.5, 1.5, 0.5)
+    s = make_demand_state(grid, horizon=100, freeze_width=freeze_width)
+    with pytest.raises(ValueError, match="must not be NaN"):
+        demand_step(s, 0.7, total_production=math.nan)
+
+
 def test_probe_clamped_at_one():
     grid = DemandGrid.from_width(0.5, 1.5, 1.0)
     s = make_demand_state(grid, horizon=10_000)

@@ -35,6 +35,16 @@ def test_second_offer_is_half():
     assert fixed_next_price(s) == 0.5
 
 
+def test_observe_rejects_nan_production():
+    # NaN compares below every demand: three of them used to reset the
+    # tracker, and a frozen tracker used to take one silently
+    s = make_fixed_state(horizon=1000)
+    for state in (s, drive(s, [CostSpec.quadratic(0.3)], 1.0, 500)[0]):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            fixed_observe(state, math.nan, 1.0)
+    assert drive(s, [CostSpec.quadratic(0.3)], 1.0, 500)[0].frozen
+
+
 def test_frozen_returns_lower_end():
     from dataclasses import replace
 
