@@ -46,7 +46,16 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .market import CONTEXT_QUADRATIC, QUADRATIC, FunctionClass, InstanceSpec, MarketInstance
+from .market import (
+    CONTEXT_QUADRATIC,
+    LINEAR,
+    QUADRATIC,
+    FunctionClass,
+    InstanceSpec,
+    MarketInstance,
+    integral,
+    read_json_dict,
+)
 from .policy_contextual import default_gamma, default_grid_size, make_contextual_state
 from .policy_demand import DemandGrid, make_demand_state
 from .policy_demand import default_gamma as demand_default_gamma
@@ -56,8 +65,15 @@ POLICIES = ("fixed_interval", "demand_grid", "contextual_igw", "constant_price")
 POLICY_PARAMS = {
     "fixed_interval": (),
     "demand_grid": ("gamma_demand", "freeze_width"),
-    "contextual_igw": ("n_prices", "gamma_explore", "eta", "delta"),
+    "contextual_igw": ("n_prices", "gamma_explore", "eta"),
     "constant_price": ("p",),
+}
+#: The supplier mixes (:attr:`MarketInstance.mix`) each policy runs on.
+POLICY_MIXES = {
+    "fixed_interval": (QUADRATIC, LINEAR),
+    "demand_grid": (QUADRATIC,),
+    "contextual_igw": (CONTEXT_QUADRATIC,),
+    "constant_price": (QUADRATIC, LINEAR, CONTEXT_QUADRATIC),
 }
 
 PER_PERIOD_HEADER = "t,demand,price,production,unmet_inc,cost_inc,pay_inc"
@@ -78,9 +94,9 @@ class ExperimentConfig:
 
     ``policy_params`` may carry the keys listed in :data:`POLICY_PARAMS`:
     p (constant_price), gamma_demand and freeze_width (demand_grid),
-    n_prices / gamma_explore / eta / delta (contextual_igw). Missing
-    entries fall back to the theory-default tunings; unknown keys and
-    out-of-range values are rejected.
+    n_prices / gamma_explore / eta (contextual_igw). Missing entries fall
+    back to the theory-default tunings; unknown keys and out-of-range
+    values are rejected. Horizons, replications and seed must be integral.
     """
 
     instance: InstanceSpec
@@ -92,6 +108,11 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if isinstance(self.instance, dict):
+            object.__setattr__(self, "instance", InstanceSpec.from_json_dict(self.instance))
+        object.__setattr__(self, "horizons", tuple(integral(T, "horizon") for T in self.horizons))
+        object.__setattr__(self, "replications", integral(self.replications, "replications"))
+        object.__setattr__(self, "seed", integral(self.seed, "seed"))
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
         if len(self.horizons) == 0:
@@ -109,21 +130,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
-        inst = doc["instance"]
-        if isinstance(inst, str):
-            text = (Path(base_dir) / inst).read_text()
-            instance = InstanceSpec.from_json(text)
-        else:
-            instance = InstanceSpec.from_json_dict(inst)
-        return cls(
-            instance=instance,
-            policy=doc["policy"],
-            horizons=tuple(int(t) for t in doc["horizons"]),
-            replications=int(doc.get("replications", 1)),
-            seed=int(doc.get("seed", 0)),
-            policy_params=dict(doc.get("policy_params", {})),
-            out=doc.get("out"),
-        )
+        """A config document; an ``instance`` path is relative to ``base_dir``."""
+        if isinstance(doc.get("instance"), str):
+            doc = {**doc, "instance": json.loads((Path(base_dir) / doc["instance"]).read_text())}
+        return read_json_dict(cls, doc)
 
 
 @dataclass
@@ -187,10 +197,6 @@ class RunRecord:
             self.pay_pos = total(np.maximum(self.pay_inc, 0.0, out=buf))
             self.proxy_reg = math.nan if self.proxy_inc is None else total(self.proxy_inc)
 
-    @property
-    def final_price(self) -> float:
-        return float(self.price[-1])
-
     def metric(self, name: str) -> float:
         """Metric lookup for fits: U_T, C_T, P_T, C_T_pos, P_T_pos, proxy_reg."""
         table = {
@@ -222,8 +228,6 @@ def _fixed_prices(inst: MarketInstance) -> np.ndarray:
 
 
 def _demand_prices(inst: MarketInstance, params: dict) -> np.ndarray:
-    if inst.mix != QUADRATIC:
-        raise ValueError("demand_grid requires strongly convex quadratic suppliers")
     T = inst.horizon
     gamma = float(params.get("gamma_demand", demand_default_gamma(T)))
     freeze = params.get("freeze_width")  # None: make_demand_state's default
@@ -243,7 +247,7 @@ def _contextual_class(inst_spec: InstanceSpec) -> FunctionClass:
         raise ValueError("contextual_igw requires a function_class on the instance")
     if inst_spec.class_bound is None:
         raise ValueError("contextual_igw requires class_bound (output bound B)")
-    return FunctionClass(members=inst_spec.function_class, bound=float(inst_spec.class_bound))
+    return FunctionClass(members=inst_spec.function_class, bound=inst_spec.class_bound)
 
 
 def _contextual_prices(
@@ -253,20 +257,10 @@ def _contextual_prices(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(price path, proxy increments) of the sampling policy."""
-    if inst.mix != CONTEXT_QUADRATIC:
-        raise ValueError("contextual_igw requires context_quadratic suppliers")
     T = inst.horizon
     n_members = len(cls)
     K = params.get("n_prices", default_grid_size(T, n_members))
-    if "gamma_explore" not in params:
-        gamma = default_gamma(T, K, n_members, delta=params.get("delta", 0.05))
-    elif "delta" in params:
-        raise ValueError(
-            "delta only sets the default gamma_explore, so it has no effect "
-            "when gamma_explore is given"
-        )
-    else:
-        gamma = params["gamma_explore"]
+    gamma = params["gamma_explore"] if "gamma_explore" in params else default_gamma(T, K, n_members)
     state = make_contextual_state(cls, K, gamma, params.get("eta"))
 
     u_true = inst.coefficients
@@ -300,6 +294,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
             key = config.seed + rep
             rng = replication_stream(config.seed, rep)
             inst = spec_T.materialize(rng)
+            if inst.mix not in POLICY_MIXES[config.policy]:
+                raise ValueError(f"{config.policy} does not run on {inst.mix} suppliers")
             proxy = None
             if config.policy == "constant_price":
                 if "p" not in config.policy_params:

@@ -17,17 +17,17 @@ one pass.
 The contextual loop calls the steps period by period. The two trackers
 skip most periods instead. Between two shrinks, a tracker's searching
 periods are a monotone probe: the offers p_0 <= p_1 <= ... only rise, and
-the step that ends the probe (a shrink, or the fixed tracker's reset at b)
-fires at the first offer whose production covers the demand bound, or that
-reaches b. Whether period j fires is therefore monotone in j, because every
-map between the probe index and that test is nondecreasing under IEEE
-rounding: c * eps, a + x, min(x, b) and p + e clamped at 1 for the offers;
-(p - a_i)/mu_i with mu_i > 0, max(0, x), the linear supplier's step and
-the left-to-right sum for production. :func:`_first_event` finds the
-firing period by galloping search in O(log j) production evaluations. The
-periods before it post the offers the steps compute, and the step itself
-runs at it, so the price path, the final state and the counters are the
-ones a period-by-period loop gives, bit for bit.
+the shrink that ends the probe fires at the first offer whose production
+covers the demand bound. Whether period j fires is therefore monotone in
+j, because every map between the probe index and that test is
+nondecreasing under IEEE rounding: c * eps, a + x, min(x, b) and p + e
+clamped at 1 for the offers; (p - a_i)/mu_i with mu_i > 0, max(0, x), the
+linear supplier's step and the left-to-right sum for production.
+:func:`_first_event` finds the firing period by galloping search in
+O(log j) production evaluations. The periods before it post the offers the
+steps compute, and the step itself runs at it, so the price path, the
+final state and the counters are the ones a period-by-period loop gives,
+bit for bit.
 
 The steps run as plain Python, so they avoid numpy-scalar indexing and
 arithmetic, which costs the interpreter several times more than the same
@@ -282,28 +282,27 @@ def _first_event(event, lo, hi):
 
 def fixed_trajectory(fam, param1, param2, d, T):
     """Interval tracking at constant demand ``d``: returns
-    (price, a, b, eps, frozen, shrinks, resets).
+    (price, a, b, eps, frozen, shrinks, resets). A demand that production
+    at p = 1 does not cover raises ``ValueError``, so nothing resets: b is 1
+    or an offer whose production covered d, and the offer at b shrinks.
 
-    Within a sub-phase only the period that shrinks or resets changes more
-    than the cursor, and whether cursor c is that period is monotone in c
-    (see the module docstring), so :func:`_first_event` finds it and the
-    probes before it are priced by :func:`fixed_offers` in one pass. A
-    reset leaves the state the sub-phase started from, so the rest of the
-    horizon repeats that sub-phase: it is tiled, and its whole repetitions
-    are counted as resets."""
+    Within a sub-phase only the period that shrinks changes more than the
+    cursor, and whether cursor c is that period is monotone in c (see the
+    module docstring), so :func:`_first_event` finds it and the probes
+    before it are priced by :func:`fixed_offers` in one pass."""
     fam, param1, param2 = fam.tolist(), param1.tolist(), param2.tolist()
     d = float(d)
+    if not supply(fam, param1, param2, 1.0) >= d:
+        raise ValueError(f"production at p=1 falls short of the demand {d}")
     price = np.empty(T)
     a, b, eps, cursor, frozen, shrinks, resets = fixed_start(T)
     t = 0
     while t < T and not frozen:
 
         def event(c):
-            # fixed_update's shrink and reset tests at cursor c
-            p = fixed_offer(a, b, eps, c, False)
-            return p >= b or supply(fam, param1, param2, p) >= d
+            # fixed_update's shrink test at cursor c
+            return supply(fam, param1, param2, fixed_offer(a, b, eps, c, False)) >= d
 
-        start = t
         c = _first_event(event, cursor, cursor + T - 1 - t)
         stop = cursor + T - t if c is None else c
         price[t : t + stop - cursor] = fixed_offers(a, b, eps, cursor, stop)
@@ -313,18 +312,9 @@ def fixed_trajectory(fam, param1, param2, d, T):
         p = fixed_offer(a, b, eps, c, False)
         price[t] = p
         t += 1
-        reset_before = resets
         a, b, eps, cursor, frozen, shrinks, resets = fixed_update(
             a, b, eps, c, shrinks, resets, p, supply(fam, param1, param2, p), d, T
         )
-        if resets > reset_before:
-            # the cycle price[start:t] ran from cursor 0, where it restarts
-            cycle = t - start
-            rest = T - t
-            price[t:] = np.resize(price[start:t], rest)
-            resets += rest // cycle
-            cursor = rest % cycle
-            t = T
     price[t:] = fixed_offer(a, b, eps, cursor, frozen)
     return price, a, b, eps, frozen, shrinks, resets
 

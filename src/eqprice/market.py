@@ -26,13 +26,18 @@ benchmark reference records (see the comment there).
 
 Prices are normalized to [0, 1]; instance constructors reject inputs whose
 clearing price would fall outside that range.
+
+A spec's JSON keys are its fields, or per cost family :data:`COST_FIELDS`
+and per generator kind :data:`GENERATOR_FIELDS`; ``to_json_dict`` writes
+them and :func:`read_json_dict` rejects any other. Each constructor
+normalises its fields and rejects a parameter its family or kind ignores.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +50,64 @@ CONTEXT_QUADRATIC = "context_quadratic"
 
 class InfeasibleMarket(ValueError):
     """Demand cannot be met at any price in [0, 1]."""
+
+
+#: The JSON keys of each cost family, in file order: the parameters it reads.
+COST_FIELDS = {
+    QUADRATIC: ("family", "mu", "a"),
+    LINEAR: ("family", "c", "cap"),
+    CONTEXT_QUADRATIC: ("family", "phi", "feature_map_id"),
+}
+#: The JSON keys of each generator kind, in file order: the fields it reads.
+GENERATOR_FIELDS = {
+    "constant": ("kind", "value"),
+    "uniform": ("kind", "lo", "hi"),
+    "uniform_cube": ("kind", "lo", "hi", "dim"),
+}
+
+
+def read_json_dict(cls, doc: dict, table: dict | None = None):
+    """``cls`` built from the JSON document ``doc``, whose keys must be the
+    ``table`` row of the spec's first field (its family or kind), or else
+    fields of ``cls``; any other key is rejected, naming it."""
+    names = [f.name for f in fields(cls)]
+    spec = cls(**{k: v for k, v in doc.items() if k in names})
+    known = table[getattr(spec, names[0])] if table else names
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} for {cls.__name__}; accepted: {list(known)}")
+    return spec
+
+
+def _read(cls, value):
+    """``value``, or the ``cls`` record it describes when a JSON dict."""
+    return cls.from_json_dict(value) if isinstance(value, dict) else value
+
+
+def _json(value):
+    """A field as JSON: a spec as its document, a tuple as a list."""
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value.to_json_dict() if hasattr(value, "to_json_dict") else value
+
+
+def integral(value, name: str) -> int:
+    """``value`` as an int; a value that is not integral (1000.7, nan, "5")
+    is rejected, not truncated."""
+    if not (isinstance(value, (int, float, np.integer)) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _normalise(spec, keys=None, **values) -> None:
+    """Set fields of a frozen spec to their normalised ``values``; then reject
+    any field outside its table row ``keys`` set away from its default."""
+    for name, v in values.items():
+        object.__setattr__(spec, name, v)
+    for f in fields(spec) if keys else ():
+        if f.name not in keys and (v := getattr(spec, f.name)) != f.default:
+            tag = getattr(spec, keys[0])
+            raise ValueError(f"the {tag} {keys[0]} does not read {f.name!r}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +126,8 @@ class CostSpec:
     - ``context_quadratic``: cost(x; theta) = x^2 / (2 <phi, sigma(theta)>)
       where sigma is the feature map named by ``feature_map_id``. Requires
       <phi, sigma(theta)> > 0 for every admissible context.
+
+    A parameter the family does not read (:data:`COST_FIELDS`) is rejected.
     """
 
     family: str
@@ -74,6 +139,12 @@ class CostSpec:
     feature_map_id: str = "identity"
 
     def __post_init__(self):
+        if self.family not in COST_FIELDS:
+            raise ValueError(f"unknown cost family {self.family!r}")
+        _normalise(
+            self, COST_FIELDS[self.family], mu=float(self.mu), a=float(self.a),
+            c=float(self.c), cap=float(self.cap), phi=tuple(map(float, self.phi)),
+        )
         for name in ("mu", "a", "c", "cap", "phi"):
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
@@ -92,29 +163,22 @@ class CostSpec:
                 raise ValueError("linear family requires unit cost c > 0")
             if not self.cap > 0:
                 raise ValueError("linear family requires a production cap > 0")
-        elif self.family == CONTEXT_QUADRATIC:
-            if len(self.phi) == 0:
-                raise ValueError("context_quadratic family requires a parameter vector")
-        else:
-            raise ValueError(f"unknown cost family {self.family!r}")
+        elif len(self.phi) == 0:
+            raise ValueError("context_quadratic family requires a parameter vector")
 
     @classmethod
     def quadratic(cls, mu: float, a: float = 0.0) -> "CostSpec":
-        return cls(family=QUADRATIC, mu=float(mu), a=float(a))
+        return cls(family=QUADRATIC, mu=mu, a=a)
 
     @classmethod
     def linear(cls, c: float, cap: float) -> "CostSpec":
-        return cls(family=LINEAR, c=float(c), cap=float(cap))
+        return cls(family=LINEAR, c=c, cap=cap)
 
     @classmethod
     def context_quadratic(
         cls, phi: Sequence[float], feature_map_id: str = "identity"
     ) -> "CostSpec":
-        return cls(
-            family=CONTEXT_QUADRATIC,
-            phi=tuple(float(v) for v in phi),
-            feature_map_id=feature_map_id,
-        )
+        return cls(family=CONTEXT_QUADRATIC, phi=phi, feature_map_id=feature_map_id)
 
     @property
     def strongly_convex(self) -> bool:
@@ -150,26 +214,11 @@ class CostSpec:
         return x / self.coefficient(theta)
 
     def to_json_dict(self) -> dict:
-        if self.family == QUADRATIC:
-            return {"family": QUADRATIC, "mu": self.mu, "a": self.a}
-        if self.family == LINEAR:
-            return {"family": LINEAR, "c": self.c, "cap": self.cap}
-        return {
-            "family": CONTEXT_QUADRATIC,
-            "phi": list(self.phi),
-            "feature_map_id": self.feature_map_id,
-        }
+        return {k: _json(getattr(self, k)) for k in COST_FIELDS[self.family]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CostSpec":
-        fam = doc["family"]
-        if fam == QUADRATIC:
-            return cls.quadratic(doc["mu"], doc.get("a", 0.0))
-        if fam == LINEAR:
-            return cls.linear(doc["c"], doc["cap"])
-        if fam == CONTEXT_QUADRATIC:
-            return cls.context_quadratic(doc["phi"], doc.get("feature_map_id", "identity"))
-        raise ValueError(f"unknown cost family {fam!r}")
+        return read_json_dict(cls, doc, COST_FIELDS)
 
 
 def _features(specs: Sequence[CostSpec], contexts: np.ndarray, role: str) -> dict:
@@ -212,10 +261,9 @@ def context_coefficients(specs: Sequence[CostSpec], contexts) -> np.ndarray:
 
 
 def _class_members(entries) -> tuple[CostSpec, ...]:
-    """The entries of a contextual function class, each a
-    ``context_quadratic`` :class:`CostSpec` or its JSON dict, as checked
-    specs: a dict is parsed, and checked as a supplier entry is."""
-    members = tuple(CostSpec.from_json_dict(m) if isinstance(m, dict) else m for m in entries)
+    """The entries of a contextual function class as checked
+    ``context_quadratic`` specs, each read as a supplier entry is."""
+    members = tuple(_read(CostSpec, m) for m in entries)
     for i, m in enumerate(members):
         if not (isinstance(m, CostSpec) and m.family == CONTEXT_QUADRATIC):
             raise ValueError(f"class member {i} must be a context_quadratic CostSpec")
@@ -340,8 +388,8 @@ class GeneratorSpec:
     kinds: ``constant`` (value), ``uniform`` (lo, hi) for demands,
     ``uniform_cube`` (lo, hi, dim) for contexts. Draws use the replication's
     Philox stream; see the harness docs for the draw order. An unknown kind,
-    a non-finite value, lo or hi, hi < lo and a cube with dim < 1 are
-    rejected.
+    a non-finite value, lo or hi, hi < lo, a cube with dim < 1 and a field
+    the kind does not read (:data:`GENERATOR_FIELDS`) are rejected.
     """
 
     kind: str
@@ -351,8 +399,12 @@ class GeneratorSpec:
     dim: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "uniform", "uniform_cube"):
+        if self.kind not in GENERATOR_FIELDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        _normalise(
+            self, GENERATOR_FIELDS[self.kind], value=float(self.value), lo=float(self.lo),
+            hi=float(self.hi), dim=integral(self.dim, "generator dim"),
+        )
         for name in ("value", "lo", "hi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"generator {name} must be finite, got {getattr(self, name)}")
@@ -362,32 +414,26 @@ class GeneratorSpec:
             raise ValueError(f"uniform_cube needs dim >= 1, got {self.dim}")
 
     def to_json_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-        return {"kind": "uniform_cube", "lo": self.lo, "hi": self.hi, "dim": self.dim}
+        return {k: _json(getattr(self, k)) for k in GENERATOR_FIELDS[self.kind]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GeneratorSpec":
-        kind = doc["kind"]
-        if kind == "constant":
-            return cls(kind="constant", value=float(doc["value"]))
-        if kind == "uniform":
-            return cls(kind="uniform", lo=float(doc["lo"]), hi=float(doc["hi"]))
-        if kind == "uniform_cube":
-            return cls(
-                kind="uniform_cube",
-                lo=float(doc["lo"]),
-                hi=float(doc["hi"]),
-                dim=int(doc["dim"]),
-            )
-        raise ValueError(f"unknown generator kind {kind!r}")
+        return read_json_dict(cls, doc, GENERATOR_FIELDS)
 
     def bounds(self) -> tuple[float, float]:
         if self.kind == "constant":
             return (self.value, self.value)
         return (self.lo, self.hi)
+
+
+def _sequence(values, rows: bool = False):
+    """An instance's ``demands`` or ``contexts`` (``rows``): a generator (a
+    JSON dict read as one) or ``None`` as it is, explicit values as tuples
+    of floats."""
+    values = _read(GeneratorSpec, values)
+    if values is None or isinstance(values, GeneratorSpec):
+        return values
+    return tuple(tuple(map(float, v)) if rows else float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -397,10 +443,12 @@ class InstanceSpec:
     ``demands`` and ``contexts`` are either explicit sequences or
     :class:`GeneratorSpec` entries materialized per replication by the
     harness. ``function_class`` optionally lists candidate production
-    functions for the contextual policy, ``context_quadratic`` specs or their
-    JSON dicts, which the constructor turns into checked :class:`CostSpec`
-    records; ``class_bound`` is their shared output bound B, checked by the
+    functions for the contextual policy, ``context_quadratic`` specs;
+    ``class_bound`` is their shared output bound B, checked by the
     :class:`FunctionClass` the contextual policy builds from them.
+
+    The constructor makes sequences tuples of floats and dicts specs, and
+    ``horizon`` an integer, so a spec hashes and equals its round trip.
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -412,62 +460,27 @@ class InstanceSpec:
     class_bound: float | None = None
 
     def __post_init__(self):
-        if self.function_class is not None:
-            object.__setattr__(self, "function_class", _class_members(self.function_class))
+        _normalise(
+            self,
+            suppliers=tuple(_read(CostSpec, s) for s in self.suppliers),
+            demands=_sequence(self.demands),
+            horizon=integral(self.horizon, "horizon"),
+            contexts=_sequence(self.contexts, rows=True),
+            demand_bounds=(
+                None if self.demand_bounds is None else tuple(map(float, self.demand_bounds))
+            ),
+            function_class=(
+                None if self.function_class is None else _class_members(self.function_class)
+            ),
+            class_bound=None if self.class_bound is None else float(self.class_bound),
+        )
 
     def to_json_dict(self) -> dict:
-        doc: dict = {
-            "suppliers": [s.to_json_dict() for s in self.suppliers],
-            "demands": (
-                self.demands.to_json_dict()
-                if isinstance(self.demands, GeneratorSpec)
-                else list(self.demands)
-            ),
-            "horizon": self.horizon,
-        }
-        if self.contexts is not None:
-            doc["contexts"] = (
-                self.contexts.to_json_dict()
-                if isinstance(self.contexts, GeneratorSpec)
-                else [list(row) for row in self.contexts]
-            )
-        if self.demand_bounds is not None:
-            doc["demand_bounds"] = list(self.demand_bounds)
-        if self.function_class is not None:
-            doc["function_class"] = [m.to_json_dict() for m in self.function_class]
-        if self.class_bound is not None:
-            doc["class_bound"] = self.class_bound
-        return doc
+        return {f.name: _json(v) for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "InstanceSpec":
-        suppliers = tuple(CostSpec.from_json_dict(s) for s in doc["suppliers"])
-        raw_d = doc["demands"]
-        demands = (
-            GeneratorSpec.from_json_dict(raw_d)
-            if isinstance(raw_d, dict)
-            else tuple(float(v) for v in raw_d)
-        )
-        raw_c = doc.get("contexts")
-        if raw_c is None:
-            contexts = None
-        elif isinstance(raw_c, dict):
-            contexts = GeneratorSpec.from_json_dict(raw_c)
-        else:
-            contexts = tuple(tuple(float(v) for v in row) for row in raw_c)
-        return cls(
-            suppliers=suppliers,
-            demands=demands,
-            horizon=int(doc["horizon"]),
-            contexts=contexts,
-            demand_bounds=(
-                tuple(float(v) for v in doc["demand_bounds"])
-                if "demand_bounds" in doc
-                else None
-            ),
-            function_class=doc.get("function_class"),
-            class_bound=float(doc["class_bound"]) if "class_bound" in doc else None,
-        )
+        return read_json_dict(cls, doc)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -477,7 +490,7 @@ class InstanceSpec:
         return cls.from_json_dict(json.loads(text))
 
     def with_horizon(self, horizon: int) -> "InstanceSpec":
-        return replace(self, horizon=int(horizon))
+        return replace(self, horizon=horizon)
 
     def materialize(self, rng: np.random.Generator) -> "MarketInstance":
         """Draw any generated sequences and validate the concrete instance.

@@ -53,14 +53,16 @@ def default_grid_size(horizon: int, n_members: int) -> int:
     return max(2, math.ceil((horizon / math.log(n_members)) ** (1.0 / 3.0)))
 
 
-def default_gamma(horizon: int, n_prices: int, n_members: int, delta: float = 0.05) -> float:
+#: The failure probability of the regret bound :func:`default_gamma` tunes for.
+DELTA = 0.05
+
+
+def default_gamma(horizon: int, n_prices: int, n_members: int) -> float:
     """gamma = sqrt(K*T / (ln|F| + eps^2 T + ln(1/delta))), the rate-optimal
     exploration weight for a finite class whose best member misses the truth
-    by eps, taken at eps = 0 (a well-specified class):
-    sqrt(K*T / (ln|F| + ln(1/delta)))."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    return math.sqrt(n_prices * horizon / (math.log(max(n_members, 2)) + math.log(1.0 / delta)))
+    by eps, taken at eps = 0 (a well-specified class) and delta =
+    :data:`DELTA`: sqrt(K*T / (ln|F| + ln(1/delta)))."""
+    return math.sqrt(n_prices * horizon / (math.log(max(n_members, 2)) + math.log(1.0 / DELTA)))
 
 
 def igw_distribution(gaps: np.ndarray, gamma_explore: float) -> IgwDistribution:

@@ -90,10 +90,10 @@ def test_criterion_1_fixed_demand_rate():
 
     for rec in records:
         tol = 1.0 / rec.horizon + 1e-8
-        if abs(rec.final_price - p_star) > tol:
+        if abs(rec.price[-1] - p_star) > tol:
             ok = False
             detail.append(
-                f"T={rec.horizon}: |p_T - p*|={abs(rec.final_price - p_star):.3g} > {tol:.3g}"
+                f"T={rec.horizon}: |p_T - p*|={abs(rec.price[-1] - p_star):.3g} > {tol:.3g}"
             )
     detail.append("price convergence |p_T - p*| <= 1/T + 1e-8 on all 20 runs")
 

@@ -92,6 +92,55 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert "error" in doc
 
 
+def _config_doc():
+    return {
+        "instance": {
+            "suppliers": [{"family": "quadratic", "mu": 0.5, "a": 0.0}],
+            "demands": {"kind": "uniform", "lo": 0.5, "hi": 1.5},
+            "horizon": 100,
+        },
+        "policy": "demand_grid",
+        "horizons": [100],
+    }
+
+
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        # each key was read as if absent, and the run went ahead without it
+        (("instance", "suppliers", 0), "intercept", 0.3),
+        (("instance", "suppliers", 0), "c", 0.3),
+        (("instance", "demands"), "dim", 3),
+        (("instance",), "demand_bound", [0.25, 2.0]),
+        ((), "replication", 5),
+        ((), "policy_param", {"gamma_demand": 0.1}),
+    ],
+)
+def test_unknown_key_fails_the_run(tmp_path, capsys, where, key, value):
+    doc = _config_doc()
+    record = doc
+    for step in where:
+        record = record[step]
+    record[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        load_config(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run.csv")]) == 1
+    assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("horizons", [100.5]), ("replications", 1.5), ("seed", 0.5)]
+)
+def test_non_integral_config_counts_rejected(tmp_path, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_config_doc(), key: value}))
+    with pytest.raises(ValueError, match="must be an integer"):
+        load_config(path)
+
+
 def test_fit_rejects_nan_metric(tmp_path, config_path, capsys):
     # proxy_reg is nan for every non-sampling policy, so a fit over it has no
     # meaning and must fail with the one-line error, not print a nan slope

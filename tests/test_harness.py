@@ -177,24 +177,54 @@ def test_regret_columns_single_linear_supplier(policy, params):
         assert rec.pay_inc[t] == pytest.approx(p * x - 0.4 * d, abs=1e-12)
 
 
+#: The policies each supported supplier mix is refused by: the README's
+#: "suppliers | policies" table, read the other way.
+REFUSED_BY = {
+    "quadratic": ("contextual_igw",),
+    "linear": ("demand_grid", "contextual_igw"),
+    "context_quadratic": ("fixed_interval", "demand_grid"),
+}
+
+
 @pytest.mark.parametrize(
     "suppliers",
     [
         (CostSpec.quadratic(0.5), CostSpec.linear(c=0.4, cap=2.0)),
         (CostSpec.linear(c=0.4, cap=2.0), CostSpec.linear(c=0.6, cap=2.0)),
+        (CostSpec.quadratic(0.5), CostSpec.quadratic(1.0)),
+        (CostSpec.linear(c=0.4, cap=2.0),),
+        (CostSpec.context_quadratic((1.0,)), CostSpec.context_quadratic((0.5,))),
     ],
 )
 def test_unsupported_supplier_mix_rejected_before_policy_runs(suppliers, monkeypatch):
     def never(*args):
         raise AssertionError("kernel ran on an unsupported supplier mix")
 
-    monkeypatch.setattr(kernels, "fixed_trajectory", never)
+    for name in ("fixed_trajectory", "demand_trajectory", "contextual_trajectory"):
+        monkeypatch.setattr(kernels, name, never)
+    member = CostSpec.context_quadratic((1.0,))
     instance = InstanceSpec(
-        suppliers=suppliers, demands=GeneratorSpec(kind="constant", value=1.0), horizon=100
+        suppliers=suppliers,
+        demands=GeneratorSpec(kind="constant", value=1.0),
+        contexts=GeneratorSpec(kind="uniform_cube", lo=1.0, hi=1.5, dim=1),
+        horizon=100,
+        function_class=(member,),
+        class_bound=9.0,
     )
-    cfg = ExperimentConfig(instance=instance, policy="fixed_interval", horizons=(100,))
-    with pytest.raises(ValueError, match="support"):
-        run_experiment(cfg)
+    families = {s.family for s in suppliers}
+    if len(families) > 1 or (len(suppliers) > 1 and families == {"linear"}):
+        # no policy runs on these: the instance refuses them
+        refused = [(policy, "support") for policy in harness.POLICIES]
+    else:
+        (family,) = families
+        refused = [(policy, f"{policy} .*{family}") for policy in REFUSED_BY[family]]
+    for policy, message in refused:
+        params = {"p": 0.5} if policy == "constant_price" else {}
+        cfg = ExperimentConfig(
+            instance=instance, policy=policy, horizons=(100,), policy_params=params
+        )
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg)
 
 
 def test_contextual_coefficients_computed_once_per_run(monkeypatch):
@@ -225,7 +255,7 @@ def test_fixed_interval_converges_to_clearing_price():
         instance=QUAD_FIXED, policy="fixed_interval", horizons=(100_000,)
     )
     rec = run_experiment(cfg)[0]
-    assert abs(rec.final_price - 0.3) <= 1e-5 + 1e-10
+    assert abs(rec.price[-1] - 0.3) <= 1e-5 + 1e-10
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -312,16 +342,19 @@ def test_config_validation():
 
 
 def test_policy_params_unknown_key_rejected():
-    with pytest.raises(ValueError, match="n_prise"):
-        ExperimentConfig(
-            instance=contextual_spec(), policy="contextual_igw", horizons=(100,),
-            policy_params={"n_prise": 5},
-        )
-    with pytest.raises(ValueError, match="oracle_mode"):
-        ExperimentConfig(
-            instance=contextual_spec(), policy="contextual_igw", horizons=(100,),
-            policy_params={"oracle_mode": "hedge"},
-        )
+    # delta is a constant of the default gamma_explore, not a setting
+    for params, key in [
+        ({"n_prise": 5}, "n_prise"),
+        ({"oracle_mode": "hedge"}, "oracle_mode"),
+        ({"delta": 5}, "delta"),
+        ({"gamma_explore": 10.0, "delta": 5}, "delta"),
+        ({"gamma_explore": 10.0, "delta": 0.1}, "delta"),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(
+                instance=contextual_spec(), policy="contextual_igw", horizons=(100,),
+                policy_params=params,
+            )
 
 
 @pytest.mark.parametrize(
@@ -329,14 +362,12 @@ def test_policy_params_unknown_key_rejected():
     [
         ({"n_prices": 1}, "n_prices"),
         ({"n_prices": 0}, "n_prices"),
-        ({"delta": 5}, "delta"),
-        ({"gamma_explore": 10.0, "delta": 5}, "delta"),
+        ({"n_prices": 2.5}, "n_prices"),
+        ({"n_prices": -3, "gamma_explore": 10.0}, "n_prices"),
         ({"eta": 0.0}, "eta"),
         ({"eta": math.inf}, "eta"),
         ({"gamma_explore": math.inf}, "gamma_explore"),
-        # delta only sets the default gamma, so beside gamma_explore it
-        # would be ignored
-        ({"gamma_explore": 10.0, "delta": 0.1}, "delta"),
+        ({"gamma_explore": 0.0}, "gamma_explore"),
     ],
 )
 def test_contextual_params_out_of_range_rejected(params, message):

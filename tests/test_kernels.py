@@ -71,8 +71,8 @@ def test_fixed_kernel_linear_instance():
     [
         ((CostSpec.quadratic(0.3, a=0.05), CostSpec.quadratic(0.8, a=0.2)), 1.1),
         ((CostSpec.linear(c=0.4, cap=2.0),), 1.0),
-        # production at p = 1 falls short of d, so the tracker resets every
-        # third period and the kernel tiles that cycle
+        # production at p = 1 falls short of d: the step API resets every
+        # third period, and the kernel rejects the demand
         (
             (
                 CostSpec.quadratic(0.3, a=0.05), CostSpec.quadratic(0.8),
@@ -84,15 +84,19 @@ def test_fixed_kernel_linear_instance():
     ids=["quadratic-intercepts", "linear", "resets"],
 )
 def test_fixed_kernel_matches_reference_long_horizon(suppliers, d):
-    # at T = 1e5 the probe runs are thousands of periods long, or the reset
-    # cycle repeats thousands of times, so the kernel skips most periods
+    # at T = 1e5 the probe runs are thousands of periods long, so the kernel
+    # skips most periods
     T = 100_000
     fam, p1, p2 = kernels.encode_suppliers(suppliers)
+    if aggregate_production(suppliers, 1.0).total < d:
+        with pytest.raises(ValueError, match="falls short of the demand"):
+            kernels.fixed_trajectory(fam, p1, p2, d, T)
+        return
     price, a, b, eps, frozen, shrinks, resets = kernels.fixed_trajectory(fam, p1, p2, d, T)
     ref_prices, ref = reference_fixed(suppliers, d, T)
     assert np.array_equal(price, ref_prices)
     assert (a, b, eps, frozen) == (ref.a, ref.b, ref.eps, ref.frozen)
-    assert (shrinks, resets) == (ref.shrink_count, ref.resets)
+    assert (shrinks, resets) == (ref.shrink_count, ref.resets) and resets == 0
     assert np.count_nonzero(np.diff(price)) > 1000  # long probe runs
 
 
@@ -267,13 +271,18 @@ _markets = st.one_of(_quadratic_market, _linear_market)
 @settings(max_examples=100, deadline=None)
 @given(suppliers=_markets, d=st.floats(0.01, 3.0), T=st.integers(1, 300))
 def test_fixed_kernel_equals_step_api_property(suppliers, d, T):
-    # demands above production at p = 1 are included: both sides then reset
+    # demands above production at p = 1 are drawn too: the kernel rejects
+    # them, and on the rest neither side ever resets
     fam, p1, p2 = kernels.encode_suppliers(suppliers)
+    if aggregate_production(suppliers, 1.0).total < d:
+        with pytest.raises(ValueError, match="falls short of the demand"):
+            kernels.fixed_trajectory(fam, p1, p2, d, T)
+        return
     price, a, b, eps, frozen, shrinks, resets = kernels.fixed_trajectory(fam, p1, p2, d, T)
     ref_prices, ref = reference_fixed(suppliers, d, T)
     assert np.array_equal(price, ref_prices)
     assert (a, b, eps, frozen) == (ref.a, ref.b, ref.eps, ref.frozen)
-    assert (shrinks, resets) == (ref.shrink_count, ref.resets)
+    assert (shrinks, resets) == (ref.shrink_count, ref.resets) and resets == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -558,6 +558,185 @@ def test_instance_json_round_trip_property(
     assert again.to_json() == text
 
 
+# --- reading: every key checked ----------------------------------------------
+
+_QUADRATIC_DOC = {"family": "quadratic", "mu": 1.0}
+_INSTANCE_DOC = {
+    "suppliers": [_QUADRATIC_DOC],
+    "demands": {"kind": "uniform", "lo": 0.5, "hi": 1.5},
+    "horizon": 10,
+}
+
+
+@pytest.mark.parametrize(
+    "cls, doc, key",
+    [
+        # each was read as if absent: a = 0, c dropped, dim ignored, and the
+        # generator's bounds used
+        (CostSpec, {**_QUADRATIC_DOC, "intercept": 0.3}, "intercept"),
+        (CostSpec, {**_QUADRATIC_DOC, "c": 0.3}, "c"),
+        (GeneratorSpec, {"kind": "uniform", "lo": 0.5, "hi": 1.5, "dim": 3}, "dim"),
+        (InstanceSpec, {**_INSTANCE_DOC, "demand_bound": [0.25, 2.0]}, "demand_bound"),
+        # a field of another family or kind is refused at its default too
+        (CostSpec, {**_QUADRATIC_DOC, "feature_map_id": "identity"}, "feature_map_id"),
+        (GeneratorSpec, {"kind": "constant", "value": 1.0, "lo": 0.0}, "lo"),
+        (CostSpec, {"family": "linear", "c": 0.4, "cap": 2.0, "phi": [1.0]}, "phi"),
+        # and inside an instance, wherever the record sits
+        (InstanceSpec, {**_INSTANCE_DOC, "suppliers": [{**_QUADRATIC_DOC, "mu_": 2}]}, "mu_"),
+        (
+            InstanceSpec,
+            {**_INSTANCE_DOC, "function_class": [{"family": "context_quadratic", "phi": [1.0],
+                                                   "feature_map": "identity"}]},
+            "feature_map",
+        ),
+        (
+            InstanceSpec,
+            {**_INSTANCE_DOC, "contexts": {"kind": "uniform_cube", "lo": 0, "hi": 1, "dim": 1,
+                                           "value": 2}},
+            "value",
+        ),
+    ],
+)
+def test_reader_rejects_unknown_keys(cls, doc, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        cls.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda: CostSpec(family="quadratic", mu=1.0, c=0.3), "c"),
+        (lambda: CostSpec(family="linear", c=0.4, cap=2.0, feature_map_id="tanh_affine"),
+         "feature_map_id"),
+        (lambda: CostSpec(family="context_quadratic", phi=(1.0,), mu=2.0), "mu"),
+        (lambda: GeneratorSpec(kind="uniform", lo=0.5, hi=1.5, dim=3), "dim"),
+        (lambda: GeneratorSpec(kind="uniform_cube", lo=0.5, hi=1.5, dim=1, value=1.0), "value"),
+    ],
+)
+def test_constructor_rejects_foreign_parameters(make, key):
+    with pytest.raises(ValueError, match=f"does not read '{key}'"):
+        make()
+
+
+def test_unknown_family_or_kind_is_named_first():
+    with pytest.raises(ValueError, match="unknown cost family 'cubic'"):
+        CostSpec.from_json_dict({"family": "cubic", "k": 1.0})
+    with pytest.raises(ValueError, match="unknown generator kind 'normal'"):
+        GeneratorSpec.from_json_dict({"kind": "normal", "sigma": 1.0})
+
+
+@pytest.mark.parametrize("horizon", [1000.7, math.nan, math.inf, "1000"])
+def test_non_integral_horizon_rejected(horizon):
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        InstanceSpec.from_json_dict({**_INSTANCE_DOC, "horizon": horizon})
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        InstanceSpec(suppliers=(CostSpec.quadratic(1.0),), demands=(0.5,), horizon=horizon)
+
+
+@pytest.mark.parametrize("dim", [2.5, math.nan])
+def test_non_integral_dim_rejected(dim):
+    doc = {"kind": "uniform_cube", "lo": 0.5, "hi": 1.5, "dim": dim}
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        GeneratorSpec.from_json_dict(doc)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        GeneratorSpec(**doc)
+
+
+def test_integral_floats_become_ints():
+    spec = InstanceSpec.from_json_dict(
+        {**_INSTANCE_DOC, "horizon": 1e3,
+         "contexts": {"kind": "uniform_cube", "lo": 0, "hi": 1, "dim": 2.0}}
+    )
+    assert (spec.horizon, spec.contexts.dim) == (1000, 2)
+    assert type(spec.horizon) is int and type(spec.contexts.dim) is int
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        InstanceSpec(suppliers=[CostSpec.quadratic(1.0)], demands=[0.5], horizon=1),
+        CostSpec(family="context_quadratic", phi=[1.0, 2.0]),
+        InstanceSpec(
+            suppliers=[{"family": "quadratic", "mu": 2, "a": 0}], demands=[1, 2], horizon=2,
+            contexts=[[1, 2], [3, 4]], demand_bounds=[1, 2], class_bound=3,
+            function_class=[{"family": "context_quadratic", "phi": [1]}],
+        ),
+    ],
+    ids=["lists", "phi-list", "dicts-and-ints"],
+)
+def test_list_built_specs_hash_and_round_trip(spec):
+    hash(spec)
+    assert type(spec).from_json_dict(json.loads(json.dumps(spec.to_json_dict()))) == spec
+
+
+def test_instance_json_text_every_field():
+    spec = InstanceSpec(
+        suppliers=(
+            CostSpec.quadratic(0.5, a=0.125),
+            CostSpec.linear(c=0.25, cap=2.0),
+            CostSpec.context_quadratic((0.75, 1 / 3), "tanh_affine"),
+        ),
+        demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
+        horizon=2,
+        contexts=((0.5,), (1.5,)),
+        demand_bounds=(0.25, 2.0),
+        function_class=(CostSpec.context_quadratic((1.0, 0.1), "tanh_affine"),),
+        class_bound=9.0,
+    )
+    assert spec.to_json() == """{
+  "suppliers": [
+    {
+      "family": "quadratic",
+      "mu": 0.5,
+      "a": 0.125
+    },
+    {
+      "family": "linear",
+      "c": 0.25,
+      "cap": 2.0
+    },
+    {
+      "family": "context_quadratic",
+      "phi": [
+        0.75,
+        0.3333333333333333
+      ],
+      "feature_map_id": "tanh_affine"
+    }
+  ],
+  "demands": {
+    "kind": "uniform",
+    "lo": 0.5,
+    "hi": 1.5
+  },
+  "horizon": 2,
+  "contexts": [
+    [
+      0.5
+    ],
+    [
+      1.5
+    ]
+  ],
+  "demand_bounds": [
+    0.25,
+    2.0
+  ],
+  "function_class": [
+    {
+      "family": "context_quadratic",
+      "phi": [
+        1.0,
+        0.1
+      ],
+      "feature_map_id": "tanh_affine"
+    }
+  ],
+  "class_bound": 9.0
+}"""
+    assert InstanceSpec.from_json(spec.to_json()) == spec
+
+
 def test_instance_rejects_out_of_range_price():
     with pytest.raises(InfeasibleMarket):
         MarketInstance(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from eqprice.market import CostSpec, FunctionClass
 from eqprice.oracle import oracle_predict
 from eqprice.policy_contextual import (
+    DELTA,
     IgwDistribution,
     contextual_observe,
     contextual_step,
@@ -129,7 +130,8 @@ def test_sample_price_inverse_cdf():
 
 def test_default_tunings():
     assert default_grid_size(10**5, 8) == math.ceil((10**5 / math.log(8)) ** (1 / 3))
-    g = default_gamma(10**5, 37, 8, delta=0.05)
+    assert DELTA == 0.05
+    g = default_gamma(10**5, 37, 8)
     expected = math.sqrt(37 * 10**5 / (math.log(8) + math.log(1 / 0.05)))
     assert g == pytest.approx(expected)
 
@@ -142,8 +144,6 @@ def test_params_validation():
     for gamma in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="gamma_explore"):
             make_contextual_state(ONE_MEMBER, 4, gamma)
-    with pytest.raises(ValueError, match="delta"):
-        default_gamma(100, 4, 1, delta=1.5)  # delta only sets the default gamma
 
 
 def test_state_carries_its_configuration():
