@@ -342,13 +342,9 @@ def test_config_validation():
 
 
 def test_policy_params_unknown_key_rejected():
-    # delta is a constant of the default gamma_explore, not a setting
     for params, key in [
         ({"n_prise": 5}, "n_prise"),
         ({"oracle_mode": "hedge"}, "oracle_mode"),
-        ({"delta": 5}, "delta"),
-        ({"gamma_explore": 10.0, "delta": 5}, "delta"),
-        ({"gamma_explore": 10.0, "delta": 0.1}, "delta"),
     ]:
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(
@@ -362,21 +358,26 @@ def test_policy_params_unknown_key_rejected():
     [
         ({"n_prices": 1}, "n_prices"),
         ({"n_prices": 0}, "n_prices"),
-        ({"n_prices": 2.5}, "n_prices"),
-        ({"n_prices": -3, "gamma_explore": 10.0}, "n_prices"),
+        # delta is a constant of the default gamma_explore, not a setting:
+        # it is an unknown key, alone or beside gamma_explore
+        ({"delta": 5}, "delta"),
+        ({"gamma_explore": 10.0, "delta": 5}, "delta"),
         ({"eta": 0.0}, "eta"),
         ({"eta": math.inf}, "eta"),
         ({"gamma_explore": math.inf}, "gamma_explore"),
+        ({"gamma_explore": 10.0, "delta": 0.1}, "delta"),
+        ({"n_prices": 2.5}, "n_prices"),
+        ({"n_prices": -3, "gamma_explore": 10.0}, "n_prices"),
         ({"gamma_explore": 0.0}, "gamma_explore"),
     ],
 )
 def test_contextual_params_out_of_range_rejected(params, message):
-    cfg = ExperimentConfig(
-        instance=contextual_spec(), policy="contextual_igw", horizons=(100,),
-        policy_params=params,
-    )
+    # rejected when the config is built or, at the latest, when it runs
     with pytest.raises(ValueError, match=message):
-        run_experiment(cfg)
+        run_experiment(ExperimentConfig(
+            instance=contextual_spec(), policy="contextual_igw", horizons=(100,),
+            policy_params=params,
+        ))
 
 
 def test_demand_grid_params_must_be_positive():
