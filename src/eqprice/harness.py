@@ -110,13 +110,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.instance, dict):
             object.__setattr__(self, "instance", InstanceSpec.from_json_dict(self.instance))
+        if np.ndim(self.horizons) != 1 or len(self.horizons) == 0:
+            raise ValueError(f"horizons must be a non-empty list, got {self.horizons!r}")
         object.__setattr__(self, "horizons", tuple(integral(T, "horizon") for T in self.horizons))
         object.__setattr__(self, "replications", integral(self.replications, "replications"))
         object.__setattr__(self, "seed", integral(self.seed, "seed"))
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
-        if len(self.horizons) == 0:
-            raise ValueError("at least one horizon required")
         if list(self.horizons) != sorted(self.horizons):
             raise ValueError("horizons must be sorted ascending")
         if self.replications < 1:
@@ -298,12 +298,10 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
                 raise ValueError(f"{config.policy} does not run on {inst.mix} suppliers")
             proxy = None
             if config.policy == "constant_price":
-                if "p" not in config.policy_params:
-                    raise ValueError("constant_price requires policy_params['p']")
-                p = float(config.policy_params["p"])
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError("constant price must lie in [0, 1]")
-                prices = np.full(T, p)
+                p = config.policy_params.get("p")
+                if isinstance(p, bool) or not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+                    raise ValueError(f"policy_params['p'] must be a price in [0, 1], got {p!r}")
+                prices = np.full(T, float(p))
             elif config.policy == "fixed_interval":
                 prices = _fixed_prices(inst)
             elif config.policy == "demand_grid":

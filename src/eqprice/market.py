@@ -11,12 +11,10 @@ allocations meeting ``d``, which is what :meth:`MarketInstance.regret_columns`
 measures against. :func:`equilibrium_price` solves it exactly, for one
 demand or an array of demands.
 
-Supply is computed in three forms, each for its own callers: one price at
-a time by :func:`best_response` and :func:`aggregate_production`, the
-independent reference the tests drive the step-level API with; over a
-whole horizon by :class:`MarketInstance`, for the feasibility check and the
-regret pass every policy shares; and on Python floats by
-``eqprice.kernels.supply``, cheap enough for the trackers' galloping search.
+Supply has two forms. :func:`best_response` and :func:`aggregate_production`
+take one price (as the tests drive the step-level API) or an array of prices
+(as :class:`MarketInstance` prices a horizon for its regret pass), and
+``eqprice.kernels.supply`` is their Python-float twin, pinned by a test.
 
 Contextual suppliers and :class:`FunctionClass` members are both
 ``context_quadratic`` :class:`CostSpec` records, and
@@ -196,10 +194,10 @@ class CostSpec:
             )
         return u
 
-    def cost(self, x: float, theta=None) -> float:
-        """Production cost of quantity ``x`` (context required iff contextual)."""
-        if x < 0:
-            raise ValueError("production quantity must be >= 0")
+    def cost(self, x, theta=None):
+        """Production cost of ``x``, a quantity or an array (context required iff contextual)."""
+        if np.any(x < 0):
+            raise ValueError(f"production quantity must be >= 0, got {np.min(x)}")
         if self.family == QUADRATIC:
             return 0.5 * self.mu * x * x + self.a * x
         if self.family == LINEAR:
@@ -260,14 +258,15 @@ def context_coefficients(specs: Sequence[CostSpec], contexts) -> np.ndarray:
     return out
 
 
-def _class_members(entries) -> tuple[CostSpec, ...]:
-    """The entries of a contextual function class as checked
-    ``context_quadratic`` specs, each read as a supplier entry is."""
-    members = tuple(_read(CostSpec, m) for m in entries)
-    for i, m in enumerate(members):
-        if not (isinstance(m, CostSpec) and m.family == CONTEXT_QUADRATIC):
-            raise ValueError(f"class member {i} must be a context_quadratic CostSpec")
-    return members
+def _cost_specs(entries, role="class member", family=CONTEXT_QUADRATIC) -> tuple[CostSpec, ...]:
+    """``entries`` as CostSpecs, a JSON dict read as one; any other entry, or one
+    not of ``family`` when that is set, is rejected, named by role and position."""
+    specs = tuple(_read(CostSpec, e) for e in entries)
+    for i, s in enumerate(specs):
+        if not isinstance(s, CostSpec) or family not in (None, s.family):
+            what = f"a {family} CostSpec" if family else "a CostSpec or its JSON dict"
+            raise ValueError(f"{role} {i} must be {what}, got {s!r}")
+    return specs
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,7 @@ class FunctionClass:
     bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "members", _class_members(self.members))
+        object.__setattr__(self, "members", _cost_specs(self.members))
         if len(self.members) == 0:
             raise ValueError("function class must be non-empty")
         if not (math.isfinite(self.bound) and self.bound > 0):
@@ -300,31 +299,35 @@ class FunctionClass:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Per-supplier production quantities at a posted price."""
+    """Per-supplier production at a posted price and its sum: floats, or arrays at an array."""
 
-    per_supplier: tuple[float, ...]
-    total: float
+    per_supplier: tuple
+    total: float | np.ndarray
 
 
-def best_response(cost: CostSpec, p: float, theta=None) -> float:
-    """Profit-maximizing production at posted price ``p``.
+def best_response(cost: CostSpec, p, theta=None):
+    """Profit-maximizing production at posted price ``p``: a float at one
+    price, an array at an array of prices, each entry the one-price result
+    bit for bit. A price outside [0, 1] or NaN is rejected, naming the first.
 
     quadratic: max(0, (p - a)/mu); linear: 0 below c, cap at or above c;
     context_quadratic: p * <phi, sigma(theta)>.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"price must lie in [0, 1], got {p}")
+    prices = np.asarray(p, dtype=np.float64)
+    outside = prices[~((0.0 <= prices) & (prices <= 1.0))]
+    if outside.size:
+        raise ValueError(f"price must lie in [0, 1], got {outside[0]}")
     if cost.family == QUADRATIC:
-        return max(0.0, (p - cost.a) / cost.mu)
-    if cost.family == LINEAR:
-        return cost.cap if p >= cost.c else 0.0
-    return p * cost.coefficient(theta)
+        x = np.maximum((prices - cost.a) / cost.mu, 0.0)
+    elif cost.family == LINEAR:
+        x = np.where(prices >= cost.c, cost.cap, 0.0)
+    else:
+        x = prices * cost.coefficient(theta)
+    return x if prices.ndim else float(x)
 
 
-def aggregate_production(
-    suppliers: Sequence[CostSpec], p: float, theta=None
-) -> Allocation:
-    """Best responses of every supplier at ``p`` and their sum."""
+def aggregate_production(suppliers: Sequence[CostSpec], p, theta=None) -> Allocation:
+    """Best responses of all suppliers at ``p``, a price or an array, and their sum."""
     per = tuple(best_response(s, p, theta) for s in suppliers)
     total = 0.0
     for x in per:
@@ -462,7 +465,7 @@ class InstanceSpec:
     def __post_init__(self):
         _normalise(
             self,
-            suppliers=tuple(_read(CostSpec, s) for s in self.suppliers),
+            suppliers=_cost_specs(self.suppliers, "supplier", None),
             demands=_sequence(self.demands),
             horizon=integral(self.horizon, "horizon"),
             contexts=_sequence(self.contexts, rows=True),
@@ -470,7 +473,7 @@ class InstanceSpec:
                 None if self.demand_bounds is None else tuple(map(float, self.demand_bounds))
             ),
             function_class=(
-                None if self.function_class is None else _class_members(self.function_class)
+                None if self.function_class is None else _cost_specs(self.function_class)
             ),
             class_bound=None if self.class_bound is None else float(self.class_bound),
         )
@@ -622,7 +625,7 @@ class MarketInstance:
 
     def _production(self, prices):
         """(total production, total cost) of the best responses at posted
-        prices, one price or one per period.
+        prices, one price or one per period, each summed in supplier order.
 
         Each contextual supplier's cost x_i^2 / (2 u_i) equals p x_i / 2, so
         an all-contextual market costs p x / 2 in total.
@@ -630,17 +633,11 @@ class MarketInstance:
         if self.mix == CONTEXT_QUADRATIC:
             tot = prices * self.coefficients
             return tot, 0.5 * prices * tot
-        tot = np.zeros(np.shape(prices))
-        cost = np.zeros(np.shape(prices))
-        for s in self.suppliers:
-            if self.mix == QUADRATIC:
-                x = np.maximum(0.0, (prices - s.a) / s.mu)
-                cost += 0.5 * s.mu * x * x + s.a * x
-            else:
-                x = np.where(prices >= s.c, s.cap, 0.0)
-                cost += s.c * x
-            tot += x
-        return tot, cost
+        alloc = aggregate_production(self.suppliers, prices)
+        cost = 0.0
+        for s, x in zip(self.suppliers, alloc.per_supplier):
+            cost += s.cost(x)
+        return alloc.total, cost
 
     @property
     def _price_only(self) -> bool:
@@ -660,7 +657,7 @@ class MarketInstance:
         if self.mix == LINEAR:
             # p* = c, where the supplier is indifferent and the clearing
             # allocation produces exactly the demand.
-            base = self.suppliers[0].c * demands
+            base = self.suppliers[0].cost(demands)
             return base, base
         if self.mix == QUADRATIC:
             p_stars = equilibrium_price(self.suppliers, demands)

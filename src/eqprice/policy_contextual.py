@@ -57,11 +57,17 @@ def default_grid_size(horizon: int, n_members: int) -> int:
 DELTA = 0.05
 
 
+def _check_grid_size(n_prices) -> None:
+    if not isinstance(n_prices, (int, np.integer)) or n_prices < 2:
+        raise ValueError(f"n_prices must be an integer >= 2, got {n_prices!r}")
+
+
 def default_gamma(horizon: int, n_prices: int, n_members: int) -> float:
     """gamma = sqrt(K*T / (ln|F| + eps^2 T + ln(1/delta))), the rate-optimal
     exploration weight for a finite class whose best member misses the truth
     by eps, taken at eps = 0 (a well-specified class) and delta =
     :data:`DELTA`: sqrt(K*T / (ln|F| + ln(1/delta)))."""
+    _check_grid_size(n_prices)
     return math.sqrt(n_prices * horizon / (math.log(max(n_members, 2)) + math.log(1.0 / DELTA)))
 
 
@@ -118,8 +124,7 @@ def make_contextual_state(
     exploration weight ``gamma_explore`` and uniform oracle weights;
     ``eta`` as in :func:`~eqprice.oracle.make_oracle_state`. Rejects a
     grid of fewer than 2 prices and a non-finite or non-positive gamma."""
-    if not isinstance(n_prices, (int, np.integer)) or n_prices < 2:
-        raise ValueError("n_prices must be an integer >= 2")
+    _check_grid_size(n_prices)
     gamma_explore = float(gamma_explore)
     if not (math.isfinite(gamma_explore) and gamma_explore > 0):
         raise ValueError("gamma_explore must be finite and positive")

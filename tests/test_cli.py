@@ -132,6 +132,22 @@ def test_unknown_key_fails_the_run(tmp_path, capsys, where, key, value):
 
 
 @pytest.mark.parametrize(
+    "key, value, doc",
+    [
+        ("horizons", 100, {"horizons": 100}),
+        ("policy_params['p']", None, {"policy": "constant_price", "policy_params": {"p": None}}),
+    ],
+)
+def test_mistyped_config_value_names_its_key(tmp_path, capsys, key, value, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_config_doc(), **doc}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run.csv")]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("ValueError") and key in error and repr(value) in error
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
     "key, value", [("horizons", [100.5]), ("replications", 1.5), ("seed", 0.5)]
 )
 def test_non_integral_config_counts_rejected(tmp_path, key, value):

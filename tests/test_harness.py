@@ -80,6 +80,23 @@ def test_constant_price_at_equilibrium_zero_regret():
     assert np.all(np.abs(rec.pay_inc) <= 1e-9)
 
 
+@pytest.mark.parametrize(
+    "params", [{}, {"p": None}, {"p": "0.5"}, {"p": True}, {"p": 1.5}, {"p": math.nan}]
+)
+def test_constant_price_p_must_be_a_number_in_unit_interval(params):
+    cfg = ExperimentConfig(
+        instance=QUAD_FIXED, policy="constant_price", horizons=(20,), policy_params=params
+    )
+    with pytest.raises(ValueError, match=r"policy_params\['p'\] must be a price in \[0, 1\]"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("horizons", [100, "100", [[100, 200]], []])
+def test_horizons_must_be_a_list(horizons):
+    with pytest.raises(ValueError, match="horizons must be a non-empty list"):
+        ExperimentConfig(instance=QUAD_FIXED, policy="fixed_interval", horizons=horizons)
+
+
 QUAD_INTERCEPTS = (CostSpec.quadratic(0.3, a=0.05), CostSpec.quadratic(0.8))
 
 
@@ -369,6 +386,9 @@ def test_policy_params_unknown_key_rejected():
         ({"n_prices": 2.5}, "n_prices"),
         ({"n_prices": -3, "gamma_explore": 10.0}, "n_prices"),
         ({"gamma_explore": 0.0}, "gamma_explore"),
+        # the default gamma_explore reads n_prices, so it is checked first
+        ({"n_prices": -3}, "n_prices"),
+        ({"n_prices": "4"}, "n_prices"),
     ],
 )
 def test_contextual_params_out_of_range_rejected(params, message):

@@ -268,6 +268,15 @@ _linear_market = st.builds(
 _markets = st.one_of(_quadratic_market, _linear_market)
 
 
+@settings(max_examples=300, deadline=None)
+@given(suppliers=_markets, p=st.one_of(st.floats(0.0, 1.0), st.just(-0.0)))
+def test_supply_equals_aggregate_production_bit_for_bit(suppliers, p):
+    # the trackers' Python-float supply is market's rule, summed alike
+    fam, p1, p2 = kernels.encode_suppliers(suppliers)
+    x = kernels.supply(fam.tolist(), p1.tolist(), p2.tolist(), p)
+    assert x.hex() == aggregate_production(suppliers, p).total.hex()
+
+
 @settings(max_examples=100, deadline=None)
 @given(suppliers=_markets, d=st.floats(0.01, 3.0), T=st.integers(1, 300))
 def test_fixed_kernel_equals_step_api_property(suppliers, d, T):

@@ -66,6 +66,69 @@ def test_best_response_rejects_price_outside_unit_interval():
         best_response(CostSpec.quadratic(1.0), -0.1)
 
 
+@st.composite
+def _spec_theta_prices(draw):
+    """A supplier of any family, a context it keeps positive, and prices in
+    [0, 1]: -0.0 among them, and a linear supplier's c with its neighbours,
+    so that its step is priced at, just above and just below c."""
+    unit = st.floats(0.0, 1.0)
+    kind = draw(st.sampled_from(["quadratic", "intercept", "linear", "contextual"]))
+    theta = None
+    extra = [-0.0]
+    if kind == "quadratic":
+        spec = CostSpec.quadratic(draw(st.floats(1e-3, 10.0)))
+    elif kind == "intercept":
+        spec = CostSpec.quadratic(draw(st.floats(1e-3, 10.0)), draw(st.floats(0.0, 1.5)))
+    elif kind == "linear":
+        c = draw(st.floats(1e-6, 1.0))
+        spec = CostSpec.linear(c, draw(st.floats(1e-3, 10.0)))
+        extra += [c, np.nextafter(c, 0.0), min(np.nextafter(c, 2.0), 1.0)]
+    else:
+        positive = st.floats(0.05, 3.0)
+        dim = draw(st.integers(1, 4))
+        spec = CostSpec.context_quadratic(draw(st.lists(positive, min_size=dim, max_size=dim)))
+        theta = np.array(draw(st.lists(positive, min_size=dim, max_size=dim)))
+    prices = draw(st.lists(unit, max_size=20)) + extra
+    return spec, theta, np.array(draw(st.permutations(prices)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spec_theta_prices())
+def test_array_supply_and_cost_equal_scalar_calls_bit_for_bit(case):
+    spec, theta, prices = case
+    x = best_response(spec, prices, theta)
+    assert isinstance(x, np.ndarray) and x.shape == prices.shape
+    one = [best_response(spec, float(p), theta) for p in prices]
+    assert all(type(v) is float for v in one)
+    assert np.array_equal(x.view(np.int64), np.array(one).view(np.int64))
+    cost = spec.cost(x, theta)
+    assert np.array_equal(
+        cost.view(np.int64), np.array([spec.cost(v, theta) for v in one]).view(np.int64)
+    )
+    # and a market of the supplier twice sums them in supplier order from 0.0
+    total = aggregate_production((spec, spec), prices, theta).total
+    one_total = [aggregate_production((spec, spec), float(p), theta).total for p in prices]
+    assert np.array_equal(total.view(np.int64), np.array(one_total).view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+def test_best_response_array_names_the_price_outside_unit_interval(bad):
+    prices = np.linspace(0.0, 1.0, 1001)
+    prices[417] = bad
+    with pytest.raises(ValueError, match=r"^price must lie in \[0, 1\], got (\S+)$") as err:
+        best_response(CostSpec.quadratic(1.0), prices)
+    assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(bad, nan_ok=True)
+    with pytest.raises(ValueError, match="price must lie in"):
+        aggregate_production([CostSpec.linear(0.5, 1.0)], prices.tolist())
+
+
+def test_cost_array_names_the_negative_quantity():
+    x = np.linspace(0.0, 2.0, 1001)
+    x[3] = -0.5
+    with pytest.raises(ValueError, match=r"^production quantity must be >= 0, got -0.5$"):
+        CostSpec.quadratic(1.0).cost(x)
+
+
 # --- aggregation ----------------------------------------------------------
 
 def test_aggregate_production_closed_form():
@@ -764,6 +827,14 @@ def test_capacity_rule_is_shared_by_instance_and_solver():
     )
     inst = at_capacity.materialize(rng)
     assert np.all(equilibrium_price(inst.suppliers, inst.demands) == 1.0)
+
+
+@pytest.mark.parametrize("entry", ["quadratic", 0.5, None])
+def test_instance_rejects_supplier_entry_that_is_no_spec(entry):
+    # a family name alone is no spec; a run would fail on its missing .family
+    good = CostSpec.quadratic(0.5)
+    with pytest.raises(ValueError, match=r"supplier 1 must be a CostSpec or its JSON dict"):
+        InstanceSpec(suppliers=[good, entry], demands=[0.5], horizon=1)
 
 
 def test_instance_rejects_mismatched_lengths():
