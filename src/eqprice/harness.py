@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,27 +54,20 @@ from .market import (
     FunctionClass,
     InstanceSpec,
     MarketInstance,
-    integral,
+    _normalise,
     read_json_dict,
 )
 from .policy_contextual import default_gamma, default_grid_size, make_contextual_state
 from .policy_demand import DemandGrid, make_demand_state
 from .policy_demand import default_gamma as demand_default_gamma
 
-POLICIES = ("fixed_interval", "demand_grid", "contextual_igw", "constant_price")
-#: The ``policy_params`` keys each policy reads; any other key is rejected.
-POLICY_PARAMS = {
-    "fixed_interval": (),
-    "demand_grid": ("gamma_demand", "freeze_width"),
-    "contextual_igw": ("n_prices", "gamma_explore", "eta"),
-    "constant_price": ("p",),
-}
-#: The supplier mixes (:attr:`MarketInstance.mix`) each policy runs on.
-POLICY_MIXES = {
-    "fixed_interval": (QUADRATIC, LINEAR),
-    "demand_grid": (QUADRATIC,),
-    "contextual_igw": (CONTEXT_QUADRATIC,),
-    "constant_price": (QUADRATIC, LINEAR, CONTEXT_QUADRATIC),
+#: Per policy: the ``policy_params`` keys it reads (any other is rejected)
+#: and the supplier mixes (:attr:`MarketInstance.mix`) it runs on.
+POLICIES = {
+    "fixed_interval": ((), (QUADRATIC, LINEAR)),
+    "demand_grid": (("gamma_demand", "freeze_width"), (QUADRATIC,)),
+    "contextual_igw": (("n_prices", "gamma_explore", "eta"), (CONTEXT_QUADRATIC,)),
+    "constant_price": (("p",), (QUADRATIC, LINEAR, CONTEXT_QUADRATIC)),
 }
 
 PER_PERIOD_HEADER = "t,demand,price,production,unmet_inc,cost_inc,pay_inc"
@@ -92,7 +86,7 @@ def _fmt(x: float) -> str:
 class ExperimentConfig:
     """One experiment: an instance, one policy, horizons x replications.
 
-    ``policy_params`` may carry the keys listed in :data:`POLICY_PARAMS`:
+    ``policy_params`` may carry the keys listed in :data:`POLICIES`:
     p (constant_price), gamma_demand and freeze_width (demand_grid),
     n_prices / gamma_explore / eta (contextual_igw). Missing entries fall
     back to the theory-default tunings; unknown keys and out-of-range
@@ -105,27 +99,23 @@ class ExperimentConfig:
     replications: int = 1
     seed: int = 0
     policy_params: dict = field(default_factory=dict)
-    out: str | None = None
+    out: str | os.PathLike | None = None
 
     def __post_init__(self):
-        if isinstance(self.instance, dict):
-            object.__setattr__(self, "instance", InstanceSpec.from_json_dict(self.instance))
         if np.ndim(self.horizons) != 1 or len(self.horizons) == 0:
             raise ValueError(f"horizons must be a non-empty list, got {self.horizons!r}")
-        object.__setattr__(self, "horizons", tuple(integral(T, "horizon") for T in self.horizons))
-        object.__setattr__(self, "replications", integral(self.replications, "replications"))
-        object.__setattr__(self, "seed", integral(self.seed, "seed"))
+        _normalise(self)
         if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
+            raise ValueError(f"unknown policy {self.policy!r}; choose from {list(POLICIES)}")
         if list(self.horizons) != sorted(self.horizons):
             raise ValueError("horizons must be sorted ascending")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        unknown = sorted(set(self.policy_params) - set(POLICY_PARAMS[self.policy]))
+        accepted = POLICIES[self.policy][0]
+        unknown = sorted(set(self.policy_params) - set(accepted))
         if unknown:
             raise ValueError(
-                f"unknown policy_params {unknown} for {self.policy}; "
-                f"accepted: {list(POLICY_PARAMS[self.policy])}"
+                f"unknown policy_params {unknown} for {self.policy}; accepted: {list(accepted)}"
             )
 
     @classmethod
@@ -229,11 +219,10 @@ def _fixed_prices(inst: MarketInstance) -> np.ndarray:
 
 def _demand_prices(inst: MarketInstance, params: dict) -> np.ndarray:
     T = inst.horizon
-    gamma = float(params.get("gamma_demand", demand_default_gamma(T)))
-    freeze = params.get("freeze_width")  # None: make_demand_state's default
+    gamma = params.get("gamma_demand", demand_default_gamma(T))
+    # a missing freeze_width is None, make_demand_state's default
     state = make_demand_state(
-        DemandGrid.from_width(*inst.demand_bounds, gamma), T,
-        None if freeze is None else float(freeze),
+        DemandGrid.from_width(*inst.demand_bounds, gamma), T, params.get("freeze_width")
     )
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
     return kernels.demand_trajectory(
@@ -294,7 +283,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
             key = config.seed + rep
             rng = replication_stream(config.seed, rep)
             inst = spec_T.materialize(rng)
-            if inst.mix not in POLICY_MIXES[config.policy]:
+            if inst.mix not in POLICIES[config.policy][1]:
                 raise ValueError(f"{config.policy} does not run on {inst.mix} suppliers")
             proxy = None
             if config.policy == "constant_price":

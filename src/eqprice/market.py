@@ -27,16 +27,20 @@ clearing price would fall outside that range.
 
 A spec's JSON keys are its fields, or per cost family :data:`COST_FIELDS`
 and per generator kind :data:`GENERATOR_FIELDS`; ``to_json_dict`` writes
-them and :func:`read_json_dict` rejects any other. Each constructor
-normalises its fields and rejects a parameter its family or kind ignores.
+them and :func:`read_json_dict` names a missing or any other key. Each
+constructor reads its fields by their annotations (:func:`_read`, naming a
+field it rejects) and rejects a parameter its family or kind ignores.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+import reprlib
+import types
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -67,19 +71,17 @@ GENERATOR_FIELDS = {
 def read_json_dict(cls, doc: dict, table: dict | None = None):
     """``cls`` built from the JSON document ``doc``, whose keys must be the
     ``table`` row of the spec's first field (its family or kind), or else
-    fields of ``cls``; any other key is rejected, naming it."""
+    fields of ``cls``; a missing required field or any other key is named."""
     names = [f.name for f in fields(cls)]
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{cls.__name__} document lacks the required key {f.name!r}")
     spec = cls(**{k: v for k, v in doc.items() if k in names})
     known = table[getattr(spec, names[0])] if table else names
     for key in doc:
         if key not in known:
             raise ValueError(f"unknown key {key!r} for {cls.__name__}; accepted: {list(known)}")
     return spec
-
-
-def _read(cls, value):
-    """``value``, or the ``cls`` record it describes when a JSON dict."""
-    return cls.from_json_dict(value) if isinstance(value, dict) else value
 
 
 def _json(value):
@@ -89,23 +91,93 @@ def _json(value):
     return value.to_json_dict() if hasattr(value, "to_json_dict") else value
 
 
+_REAL = (int, float, np.integer, np.floating)
+#: Every field's annotation, resolved once per class.
+_annotations = functools.cache(get_type_hints)
+
+
+def number(value, name: str) -> float:
+    """``value`` as a float: a finite real number, not a bool, a string or None."""
+    if isinstance(value, bool) or not isinstance(value, _REAL):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def positive(value, name: str) -> float:
+    """``value`` as a float, which must be a finite number above 0."""
+    if not number(value, name) > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return float(value)
+
+
 def integral(value, name: str) -> int:
-    """``value`` as an int; a value that is not integral (1000.7, nan, "5")
-    is rejected, not truncated."""
-    if not (isinstance(value, (int, float, np.integer)) and float(value).is_integer()):
+    """``value`` as an int; a value that is not integral (1000.7, nan, "5",
+    True) is rejected, not truncated."""
+    if isinstance(value, bool) or not (isinstance(value, _REAL) and float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
-def _normalise(spec, keys=None, **values) -> None:
-    """Set fields of a frozen spec to their normalised ``values``; then reject
-    any field outside its table row ``keys`` set away from its default."""
-    for name, v in values.items():
-        object.__setattr__(spec, name, v)
-    for f in fields(spec) if keys else ():
-        if f.name not in keys and (v := getattr(spec, f.name)) != f.default:
-            tag = getattr(spec, keys[0])
-            raise ValueError(f"the {tag} {keys[0]} does not read {f.name!r}, got {v!r}")
+def _read(value, kind, name: str):
+    """``value`` read as the field ``name`` of annotation ``kind``: a float by
+    :func:`number`, an int by :func:`integral`, a spec from itself or its JSON
+    dict, another class as itself, a tuple from a list, a tuple or an array (of
+    numbers in one numpy pass), a union as the member class the value is (a
+    spec if a dict), else as its first. A rejection names the field and entry."""
+    args = get_args(kind)
+    if isinstance(kind, types.UnionType):
+        fits = [k for k in args if get_origin(k) is None and (
+            isinstance(value, k) or isinstance(value, dict) and hasattr(k, "from_json_dict"))]
+        return _read(value, (fits + list(args))[0], name)
+    if get_origin(kind) is tuple and (args[0] is float or get_origin(args[0])):
+        ndim = 1 if args[0] is float else 2
+        try:
+            a = np.asarray(value)
+            ok = a.dtype.kind in "iuf" and a.ndim == ndim and 0 not in a.shape[1:]
+        except ValueError:  # ragged rows
+            ok = False
+        if not ok or not np.isfinite(a).all() or args[-1] is not ... and len(a) != len(args):
+            what = "finite numbers" if ndim == 1 else "equal-length rows of finite numbers"
+            raise ValueError(f"{name} must be a list of {what}, got {reprlib.repr(value)}")
+        a = np.ascontiguousarray(a, dtype=float)
+        if ndim == 1:
+            return tuple(memoryview(a))  # Python floats, faster than tolist()
+        # one record per row, so that tolist() builds the row tuples
+        return tuple(a.view([("", float)] * a.shape[1])[:, 0].tolist())
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return tuple(_read(v, args[0], f"{name}[{i}]") for i, v in enumerate(value))
+    if kind is float:
+        return number(value, name)
+    if kind is int:
+        return integral(value, name)
+    spec = hasattr(kind, "from_json_dict")
+    if spec and isinstance(value, dict):
+        try:
+            return kind.from_json_dict(value)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+    if not isinstance(value, kind):
+        what = " or its JSON dict" * spec
+        raise ValueError(f"{name} must be of type {kind.__name__}{what}, got {value!r}")
+    return value
+
+
+def _normalise(spec, table: dict | None = None, what: str = "") -> None:
+    """Read every field of a frozen spec as its annotation declares. With a
+    ``table`` keyed by its first field (a family or kind, called ``what``),
+    reject an unknown tag and any field outside its row set away from its default."""
+    for name, kind in _annotations(type(spec)).items():
+        object.__setattr__(spec, name, _read(getattr(spec, name), kind, name))
+    tag = getattr(spec, fields(spec)[0].name)
+    if table and tag not in table:
+        raise ValueError(f"unknown {what} {tag!r}")
+    for f in fields(spec) if table else ():
+        if f.name not in table[tag] and (v := getattr(spec, f.name)) != f.default:
+            raise ValueError(f"the {tag} {table[tag][0]} does not read {f.name!r}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -137,16 +209,7 @@ class CostSpec:
     feature_map_id: str = "identity"
 
     def __post_init__(self):
-        if self.family not in COST_FIELDS:
-            raise ValueError(f"unknown cost family {self.family!r}")
-        _normalise(
-            self, COST_FIELDS[self.family], mu=float(self.mu), a=float(self.a),
-            c=float(self.c), cap=float(self.cap), phi=tuple(map(float, self.phi)),
-        )
-        for name in ("mu", "a", "c", "cap", "phi"):
-            value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"cost parameter {name} must be finite, got {value}")
+        _normalise(self, COST_FIELDS, "cost family")
         if self.feature_map_id not in FEATURE_MAP_IDS:
             raise ValueError(
                 f"feature_map_id must be one of {FEATURE_MAP_IDS}, got {self.feature_map_id!r}"
@@ -162,7 +225,7 @@ class CostSpec:
             if not self.cap > 0:
                 raise ValueError("linear family requires a production cap > 0")
         elif len(self.phi) == 0:
-            raise ValueError("context_quadratic family requires a parameter vector")
+            raise ValueError("context_quadratic family requires a parameter vector phi")
 
     @classmethod
     def quadratic(cls, mu: float, a: float = 0.0) -> "CostSpec":
@@ -258,15 +321,11 @@ def context_coefficients(specs: Sequence[CostSpec], contexts) -> np.ndarray:
     return out
 
 
-def _cost_specs(entries, role="class member", family=CONTEXT_QUADRATIC) -> tuple[CostSpec, ...]:
-    """``entries`` as CostSpecs, a JSON dict read as one; any other entry, or one
-    not of ``family`` when that is set, is rejected, named by role and position."""
-    specs = tuple(_read(CostSpec, e) for e in entries)
-    for i, s in enumerate(specs):
-        if not isinstance(s, CostSpec) or family not in (None, s.family):
-            what = f"a {family} CostSpec" if family else "a CostSpec or its JSON dict"
-            raise ValueError(f"{role} {i} must be {what}, got {s!r}")
-    return specs
+def _class_members(members: tuple[CostSpec, ...], name: str) -> None:
+    """Reject a class member that is not ``context_quadratic``, naming ``name[i]``."""
+    for i, s in enumerate(members):
+        if s.family != CONTEXT_QUADRATIC:
+            raise ValueError(f"{name}[{i}] must be a {CONTEXT_QUADRATIC} CostSpec, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -282,10 +341,11 @@ class FunctionClass:
     bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "members", _cost_specs(self.members))
+        _normalise(self)
+        _class_members(self.members, "members")
         if len(self.members) == 0:
             raise ValueError("function class must be non-empty")
-        if not (math.isfinite(self.bound) and self.bound > 0):
+        if not self.bound > 0:
             raise ValueError(f"output bound B must be finite and positive, got {self.bound}")
 
     def __len__(self) -> int:
@@ -402,15 +462,7 @@ class GeneratorSpec:
     dim: int = 0
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_FIELDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        _normalise(
-            self, GENERATOR_FIELDS[self.kind], value=float(self.value), lo=float(self.lo),
-            hi=float(self.hi), dim=integral(self.dim, "generator dim"),
-        )
-        for name in ("value", "lo", "hi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"generator {name} must be finite, got {getattr(self, name)}")
+        _normalise(self, GENERATOR_FIELDS, "generator kind")
         if self.hi < self.lo:
             raise ValueError(f"generator needs lo <= hi, got lo={self.lo}, hi={self.hi}")
         if self.kind == "uniform_cube" and self.dim < 1:
@@ -429,16 +481,6 @@ class GeneratorSpec:
         return (self.lo, self.hi)
 
 
-def _sequence(values, rows: bool = False):
-    """An instance's ``demands`` or ``contexts`` (``rows``): a generator (a
-    JSON dict read as one) or ``None`` as it is, explicit values as tuples
-    of floats."""
-    values = _read(GeneratorSpec, values)
-    if values is None or isinstance(values, GeneratorSpec):
-        return values
-    return tuple(tuple(map(float, v)) if rows else float(v) for v in values)
-
-
 @dataclass(frozen=True)
 class InstanceSpec:
     """Serializable description of a market instance.
@@ -450,8 +492,8 @@ class InstanceSpec:
     ``class_bound`` is their shared output bound B, checked by the
     :class:`FunctionClass` the contextual policy builds from them.
 
-    The constructor makes sequences tuples of floats and dicts specs, and
-    ``horizon`` an integer, so a spec hashes and equals its round trip.
+    Every field is read as its annotation declares (:func:`_read`), so a
+    spec built from lists or dicts hashes and equals its round trip.
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -463,20 +505,8 @@ class InstanceSpec:
     class_bound: float | None = None
 
     def __post_init__(self):
-        _normalise(
-            self,
-            suppliers=_cost_specs(self.suppliers, "supplier", None),
-            demands=_sequence(self.demands),
-            horizon=integral(self.horizon, "horizon"),
-            contexts=_sequence(self.contexts, rows=True),
-            demand_bounds=(
-                None if self.demand_bounds is None else tuple(map(float, self.demand_bounds))
-            ),
-            function_class=(
-                None if self.function_class is None else _cost_specs(self.function_class)
-            ),
-            class_bound=None if self.class_bound is None else float(self.class_bound),
-        )
+        _normalise(self)
+        _class_members(self.function_class or (), "function_class")
 
     def to_json_dict(self) -> dict:
         return {f.name: _json(v) for f in fields(self) if (v := getattr(self, f.name)) is not None}
@@ -595,7 +625,7 @@ class MarketInstance:
         self.coefficients = None
         if self.mix == CONTEXT_QUADRATIC:
             if self.contexts is None:
-                raise ValueError("contextual suppliers require a context sequence")
+                raise ValueError("contextual suppliers require contexts")
             feats = _features(self.suppliers, self.contexts, "supplier")
             total = np.zeros(self.horizon)
             for s in self.suppliers:

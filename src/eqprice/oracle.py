@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .market import FunctionClass
+from .market import FunctionClass, positive
 
 
 def default_eta(bound: float) -> float:
@@ -60,9 +60,7 @@ class OracleState:
 
 def make_oracle_state(cls: FunctionClass, eta: float | None = None) -> OracleState:
     """Uniform-weight state; eta defaults to :func:`default_eta` of the bound."""
-    eta = default_eta(cls.bound) if eta is None else float(eta)
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be finite and positive, got {eta}")
+    eta = positive(default_eta(cls.bound) if eta is None else eta, "eta")
     n = len(cls)
     return OracleState(
         log_weights=np.full(n, -math.log(n)),

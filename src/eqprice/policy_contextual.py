@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .market import FunctionClass
+from .market import FunctionClass, positive
 from .oracle import (
     OracleState,
     make_oracle_state,
@@ -86,9 +86,7 @@ def igw_distribution(gaps: np.ndarray, gamma_explore: float) -> IgwDistribution:
         raise ValueError("gaps must be nonnegative")
     if gaps.min() > 0:
         raise ValueError("the greedy gap must be zero")
-    if not (math.isfinite(gamma_explore) and gamma_explore > 0):
-        raise ValueError("gamma_explore must be finite and positive")
-    probs, lam = kernels.igw_probs(gaps.tolist(), float(gamma_explore))
+    probs, lam = kernels.igw_probs(gaps.tolist(), positive(gamma_explore, "gamma_explore"))
     return IgwDistribution(probs=np.array(probs), lam=lam)
 
 
@@ -125,13 +123,10 @@ def make_contextual_state(
     ``eta`` as in :func:`~eqprice.oracle.make_oracle_state`. Rejects a
     grid of fewer than 2 prices and a non-finite or non-positive gamma."""
     _check_grid_size(n_prices)
-    gamma_explore = float(gamma_explore)
-    if not (math.isfinite(gamma_explore) and gamma_explore > 0):
-        raise ValueError("gamma_explore must be finite and positive")
     return ContextualPolicyState(
         cls=cls,
         prices=np.linspace(0.0, 1.0, n_prices),
-        gamma_explore=gamma_explore,
+        gamma_explore=positive(gamma_explore, "gamma_explore"),
         oracle=make_oracle_state(cls, eta),
     )
 

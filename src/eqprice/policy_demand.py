@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
+from .market import positive
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,8 @@ class DemandGrid:
     def from_width(cls, d_lo: float, d_hi: float, gamma: float) -> "DemandGrid":
         if not (0.0 < d_lo <= d_hi):
             raise ValueError("need 0 < d_lo <= d_hi")
-        if not (math.isfinite(gamma) and gamma > 0):
-            # gamma is the harness's gamma_demand policy parameter
-            raise ValueError(f"gamma_demand must be finite and positive, got {gamma}")
+        # gamma is the harness's gamma_demand policy parameter
+        gamma = positive(gamma, "gamma_demand")
         n = max(1, math.ceil((d_hi - d_lo) / gamma))
         return cls(d_lo=d_lo, d_hi=d_hi, gamma=gamma, n_cells=n)
 
@@ -98,11 +98,10 @@ class DemandPolicyState:
 
 def make_demand_state(grid: DemandGrid, horizon: int, freeze_width: float | None = None) -> DemandPolicyState:
     """Fresh state over ``grid``: every cell at S=(0,1], price 0, eps 1/2. The freeze
-    width defaults to 1/sqrt(horizon) and must be finite and positive."""
-    if freeze_width is None:
-        freeze_width = 1.0 / math.sqrt(horizon)
-    if not (math.isfinite(freeze_width) and freeze_width > 0):
-        raise ValueError(f"freeze_width must be finite and positive, got {freeze_width}")
+    width defaults to :func:`default_gamma` and must be finite and positive."""
+    freeze_width = positive(
+        default_gamma(horizon) if freeze_width is None else freeze_width, "freeze_width"
+    )
     n = grid.n_cells
     return DemandPolicyState(
         grid=grid,

@@ -157,6 +157,17 @@ def test_non_integral_config_counts_rejected(tmp_path, key, value):
         load_config(path)
 
 
+def test_config_lacking_policy_fails_the_run(tmp_path, capsys):
+    doc = _config_doc()
+    del doc["policy"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run.csv")]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "ValueError: ExperimentConfig document lacks the required key 'policy'"
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_fit_rejects_nan_metric(tmp_path, config_path, capsys):
     # proxy_reg is nan for every non-sampling policy, so a fit over it has no
     # meaning and must fail with the one-line error, not print a nan slope

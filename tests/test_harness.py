@@ -389,6 +389,9 @@ def test_policy_params_unknown_key_rejected():
         # the default gamma_explore reads n_prices, so it is checked first
         ({"n_prices": -3}, "n_prices"),
         ({"n_prices": "4"}, "n_prices"),
+        # numeric strings were converted with float() and ran
+        ({"gamma_explore": "10"}, "gamma_explore"),
+        ({"eta": "0.5"}, "eta"),
     ],
 )
 def test_contextual_params_out_of_range_rejected(params, message):
@@ -428,6 +431,21 @@ def test_demand_grid_params_must_be_finite(key):
         policy_params={key: math.inf},
     )
     with pytest.raises(ValueError, match=key):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("key, value", [("gamma_demand", "0.1"), ("freeze_width", "0.05")])
+def test_demand_grid_params_must_be_numbers(key, value):
+    # a numeric string was converted with float() and the sweep ran
+    inst = InstanceSpec(
+        suppliers=(CostSpec.quadratic(0.5),),
+        demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
+        horizon=100,
+    )
+    cfg = ExperimentConfig(
+        instance=inst, policy="demand_grid", horizons=(100,), policy_params={key: value}
+    )
+    with pytest.raises(ValueError, match=f"{key} must be a number, got '{value}'"):
         run_experiment(cfg)
 
 
@@ -742,7 +760,13 @@ def test_contextual_rejects_bad_class_member(member, message):
 
 @pytest.mark.parametrize("bound", [math.inf, math.nan, 0.0])
 def test_contextual_rejects_bad_class_bound(bound):
-    # class_bound = inf used to surface as "eta must be finite", from 2/B^2
+    # class_bound = inf used to surface as "eta must be finite", from 2/B^2;
+    # a non-finite bound is now refused when the instance is built, and a
+    # zero one when the run builds the function class
+    if not math.isfinite(bound):
+        with pytest.raises(ValueError, match="class_bound must be finite"):
+            contextual_spec(bound=bound)
+        return
     cfg = ExperimentConfig(
         instance=contextual_spec(bound=bound), policy="contextual_igw", horizons=(100,)
     )

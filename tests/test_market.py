@@ -833,7 +833,8 @@ def test_capacity_rule_is_shared_by_instance_and_solver():
 def test_instance_rejects_supplier_entry_that_is_no_spec(entry):
     # a family name alone is no spec; a run would fail on its missing .family
     good = CostSpec.quadratic(0.5)
-    with pytest.raises(ValueError, match=r"supplier 1 must be a CostSpec or its JSON dict"):
+    message = r"suppliers\[1\] must be of type CostSpec or its JSON dict"
+    with pytest.raises(ValueError, match=message):
         InstanceSpec(suppliers=[good, entry], demands=[0.5], horizon=1)
 
 

@@ -165,6 +165,8 @@ def test_default_eta_is_two_over_bound_squared():
         make_oracle_state(cls, eta=0.0)
     with pytest.raises(ValueError, match="eta"):
         make_oracle_state(cls, eta=math.inf)
+    with pytest.raises(ValueError, match="eta must be a number"):
+        make_oracle_state(cls, eta="0.5")
 
 
 def test_oracle_predicts_at_a_price_array():

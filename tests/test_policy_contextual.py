@@ -141,9 +141,14 @@ def test_params_validation():
     for n_prices in (1, 0, -3, 2.5, 4.0, "4", None):
         with pytest.raises(ValueError, match="n_prices"):
             make_contextual_state(ONE_MEMBER, n_prices, 1.0)
-    for gamma in (0.0, -1.0, math.inf, math.nan):
+    for gamma in (0.0, -1.0, math.inf, math.nan, "10", True, None):
         with pytest.raises(ValueError, match="gamma_explore"):
             make_contextual_state(ONE_MEMBER, 4, gamma)
+        with pytest.raises(ValueError, match="gamma_explore"):
+            igw_distribution(np.zeros(3), gamma)
+    # a numeric string was converted with float(): gamma 10.0 and eta 0.5
+    with pytest.raises(ValueError, match="eta must be a number, got '0.5'"):
+        make_contextual_state(ONE_MEMBER, 4, 10.0, "0.5")
 
 
 def test_state_carries_its_configuration():

@@ -43,12 +43,19 @@ def test_initialization():
     assert s.freeze_width == pytest.approx(0.1)
 
 
-@pytest.mark.parametrize("width", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("width", [math.inf, math.nan, 0.0, -1.0, "0.05"])
 def test_freeze_width_must_be_finite_and_positive(width):
     # freeze_width = inf froze every cell, which then posted price 0 forever
     grid = DemandGrid.from_width(0.5, 1.5, 0.25)
     with pytest.raises(ValueError, match="freeze_width"):
         make_demand_state(grid, horizon=100, freeze_width=width)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, 0.0, "0.1", True])
+def test_grid_width_must_be_a_positive_number(gamma):
+    # a numeric string was used as the width 0.1
+    with pytest.raises(ValueError, match="gamma_demand"):
+        DemandGrid.from_width(0.5, 1.5, gamma)
 
 
 def test_state_carries_its_grid():
