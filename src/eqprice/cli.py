@@ -3,7 +3,9 @@
 Subcommands:
 
 - ``run``: execute the first (horizon, replication) of a config and write
-  its per-period CSV.
+  its per-period CSV: to ``--out``, or into it as ``run_T{T}_rep{r}.csv``
+  when it names a directory or ends in a path separator; without ``--out``,
+  into the config's ``out`` directory, else to ``run.csv``.
 - ``sweep``: execute all horizons x replications and write the summary CSV
   (plus per-run CSVs when an output directory is given).
 - ``hardness``: emit the i.i.d.-cost lower-bound report as CSV rows, or the
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -54,9 +57,12 @@ def _cmd_run(args) -> int:
     )
     records = run_experiment(single)
     rec = records[0]
-    out = Path(config.out or "run.csv")
-    if out.is_dir():
-        out = out / f"run_T{rec.horizon}_rep{rec.replication}.csv"
+    out = str(config.out or "run.csv")
+    # the config's own out is the directory a sweep writes into
+    into_dir = args.out is None and config.out is not None
+    if into_dir or out.endswith(tuple(filter(None, (os.sep, os.altsep)))) or Path(out).is_dir():
+        Path(out).mkdir(parents=True, exist_ok=True)
+        out = Path(out) / f"run_T{rec.horizon}_rep{rec.replication}.csv"
     write_run_csv(rec, out)
     print(
         f"policy={rec.policy} T={rec.horizon} seed={rec.seed} "

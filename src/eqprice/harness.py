@@ -55,19 +55,37 @@ from .market import (
     InstanceSpec,
     MarketInstance,
     _normalise,
+    number,
+    positive,
     read_json_dict,
 )
-from .policy_contextual import default_gamma, default_grid_size, make_contextual_state
+from .policy_contextual import default_gamma, default_grid_size, grid_size, make_contextual_state
 from .policy_demand import DemandGrid, make_demand_state
 from .policy_demand import default_gamma as demand_default_gamma
 
-#: Per policy: the ``policy_params`` keys it reads (any other is rejected)
-#: and the supplier mixes (:attr:`MarketInstance.mix`) it runs on.
+
+def _price(value, name: str) -> float:
+    """A posted price: a :func:`~eqprice.market.number` in [0, 1]."""
+    try:
+        p = number(value, name)
+    except ValueError:
+        p = math.nan
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"policy_params[{name!r}] must be a price in [0, 1], got {value!r}")
+    return p
+
+
+#: Per policy: the reader of each ``policy_params`` key it reads (any other
+#: key is rejected), called as ``reader(value, key)`` when the config is
+#: built, and the supplier mixes (:attr:`MarketInstance.mix`) it runs on.
 POLICIES = {
-    "fixed_interval": ((), (QUADRATIC, LINEAR)),
-    "demand_grid": (("gamma_demand", "freeze_width"), (QUADRATIC,)),
-    "contextual_igw": (("n_prices", "gamma_explore", "eta"), (CONTEXT_QUADRATIC,)),
-    "constant_price": (("p",), (QUADRATIC, LINEAR, CONTEXT_QUADRATIC)),
+    "fixed_interval": ({}, (QUADRATIC, LINEAR)),
+    "demand_grid": ({"gamma_demand": positive, "freeze_width": positive}, (QUADRATIC,)),
+    "contextual_igw": (
+        {"n_prices": grid_size, "gamma_explore": positive, "eta": positive},
+        (CONTEXT_QUADRATIC,),
+    ),
+    "constant_price": ({"p": _price}, (QUADRATIC, LINEAR, CONTEXT_QUADRATIC)),
 }
 
 PER_PERIOD_HEADER = "t,demand,price,production,unmet_inc,cost_inc,pay_inc"
@@ -82,15 +100,66 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_TOP = 2**53
+#: Below it every double is a multiple of 2**-1074 and every sum is exact.
+_TINY = 2.0**-1021
+
+
+def repeated_sum(s: float, x: float, n: int) -> float:
+    """``for _ in range(n): s = s + x``, bit for bit, in time that grows
+    with the number of binades the sum crosses, not with ``n``.
+
+    In the binade of s, s = m * 2**q with 2**52 <= |m| < 2**53, and while
+    the exact sum stays in that binade and sign, each round-half-even
+    addition moves m by an integer. That integer can depend on the parity
+    of m only when x / 2**q is a half-integer, and then every addition
+    leaves m even. So once two additions have stayed in the binade, the
+    second one's step c is the step of every later one, and j more
+    additions give m + j*c as long as |m + j*c| stays in
+    [2**52 + 1, 2**53 - 1], where no exact sum reaches the binade's edge.
+    Below :data:`_TINY` every sum is exact, so the additions jump to the
+    edge of that range at once. Crossings are stepped one addition at a
+    time. A step that leaves s unchanged or gives inf or nan ends the loop:
+    no later addition changes it.
+    """
+    s, x = float(s), float(x)
+    steady = False  # whether s came from an addition that stayed in its binade
+    while n > 0:
+        t = s + x
+        n -= 1
+        if not math.isfinite(t) or (t == s and math.copysign(1.0, t) == math.copysign(1.0, s)):
+            return t
+        if abs(t) < _TINY and 0 < abs(x) < _TINY:
+            m, c = int(math.ldexp(t, 1074)), int(math.ldexp(x, 1074))
+            j = min(n, (_TOP - 1 - m) // c if c > 0 else (_TOP - 1 + m) // -c)
+            t = math.ldexp(m + j * c, -1074)
+            n -= j
+        else:
+            (fs, es), (ft, et) = math.frexp(s), math.frexp(t)
+            same = es == et >= -1021 and fs * ft > 0  # one normal binade, one sign
+            if same and steady:
+                m = abs(int(math.ldexp(ft, 53)))
+                c = m - abs(int(math.ldexp(fs, 53)))  # the step of |m|
+                j = (_TOP - 1 - m) // c if c > 0 else (m - _TOP // 2 - 1) // -c
+                j = min(n, max(j, 0))
+                t = math.copysign(math.ldexp(m + j * c, et - 53), t)
+                n -= j
+            steady = same
+        s = t
+    return s
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: an instance, one policy, horizons x replications.
 
     ``policy_params`` may carry the keys listed in :data:`POLICIES`:
-    p (constant_price), gamma_demand and freeze_width (demand_grid),
-    n_prices / gamma_explore / eta (contextual_igw). Missing entries fall
-    back to the theory-default tunings; unknown keys and out-of-range
-    values are rejected. Horizons, replications and seed must be integral.
+    p (constant_price, which needs it), gamma_demand and freeze_width
+    (demand_grid), n_prices / gamma_explore / eta (contextual_igw). Missing
+    entries fall back to the theory-default tunings. Each value is read by
+    its key's reader when the config is built, and an unknown key or a value
+    out of range is rejected there. Horizons, replications and seed must be
+    integral.
     """
 
     instance: InstanceSpec
@@ -111,12 +180,18 @@ class ExperimentConfig:
             raise ValueError("horizons must be sorted ascending")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        accepted = POLICIES[self.policy][0]
-        unknown = sorted(set(self.policy_params) - set(accepted))
+        readers = POLICIES[self.policy][0]
+        unknown = sorted(set(self.policy_params) - set(readers))
         if unknown:
             raise ValueError(
-                f"unknown policy_params {unknown} for {self.policy}; accepted: {list(accepted)}"
+                f"unknown policy_params {unknown} for {self.policy}; accepted: {list(readers)}"
             )
+        params = dict(self.policy_params)
+        if self.policy == "constant_price":
+            params.setdefault("p", None)  # no default price: a missing p is rejected
+        object.__setattr__(
+            self, "policy_params", {k: readers[k](v, k) for k, v in params.items()}
+        )
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
@@ -126,12 +201,28 @@ class ExperimentConfig:
         return read_json_dict(cls, doc)
 
 
+def _head_length(col) -> int:
+    """The periods of ``col`` before its final run of bit-equal values
+    (0.0 and -0.0 differ), and at least 1, since np.cumsum starts from the
+    first value instead of adding it to 0.0. A column that is not a float64
+    array is all head."""
+    if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+        return len(col)
+    bits = col.view(np.int64)
+    moved = bits[::-1] != bits[-1]
+    i = int(np.argmax(moved))
+    return len(col) - i if moved[i] else 1
+
+
 @dataclass
 class RunRecord:
     """Seeded trajectory of one (horizon, replication) execution.
 
-    Cumulative fields are the running sums of the per-period columns; they
-    are derived in the constructor and cannot be passed to it.
+    Cumulative fields are the left-to-right sums of the per-period columns,
+    bit for bit; they are derived in the constructor and cannot be passed
+    to it. Each column's final run of bit-equal values (a frozen price's
+    tail) is added in closed form by :func:`repeated_sum`, so a run that
+    freezes costs its head, not its horizon.
     ``cost_pos`` / ``pay_pos`` accumulate only positive increments (the
     overshoot periods) and are what the rate fits consume. ``proxy_inc``
     holds the exact expected absolute production-demand mismatch under the
@@ -171,21 +262,35 @@ class RunRecord:
                 raise ValueError(
                     f"column {name} has shape {np.shape(col)}, expected ({self.horizon},)"
                 )
-        # Every total is taken left to right in one reused buffer. A column
-        # holding both infinities totals NaN, and one whose sum leaves the
-        # float range totals inf: both without a warning.
-        buf = np.empty(self.horizon)
+        # Each total is the left-to-right sum of its column, bit for bit:
+        # np.cumsum over the head, then repeated_sum over the final run of
+        # bit-equal values, so a run whose price freezes sums its head and
+        # not the horizon. The positive parts reuse their column's split. A
+        # column holding both infinities totals NaN, and one whose sum leaves
+        # the float range totals inf: both without a warning.
+        heads = {
+            name: _head_length(getattr(self, name))
+            for name in ("unmet_inc", "cost_inc", "pay_inc", "proxy_inc")
+            if getattr(self, name) is not None
+        }
+        buf = np.empty(max(heads.values()))
 
-        def total(col):
-            return float(np.cumsum(col, out=buf)[-1])
+        def total(name, positive=False):
+            col, k = getattr(self, name), heads[name]
+            head = np.maximum(col[:k], 0.0, out=buf[:k]) if positive else col[:k]
+            s = np.cumsum(head, out=buf[:k])[-1]
+            if k < self.horizon:
+                tail = np.maximum(col[-1], 0.0) if positive else col[-1]
+                s = repeated_sum(s, tail, self.horizon - k)
+            return float(s)
 
         with np.errstate(invalid="ignore", over="ignore"):
-            self.unmet = total(self.unmet_inc)
-            self.cost_regret = total(self.cost_inc)
-            self.payment_regret = total(self.pay_inc)
-            self.cost_pos = total(np.maximum(self.cost_inc, 0.0, out=buf))
-            self.pay_pos = total(np.maximum(self.pay_inc, 0.0, out=buf))
-            self.proxy_reg = math.nan if self.proxy_inc is None else total(self.proxy_inc)
+            self.unmet = total("unmet_inc")
+            self.cost_regret = total("cost_inc")
+            self.payment_regret = total("pay_inc")
+            self.cost_pos = total("cost_inc", positive=True)
+            self.pay_pos = total("pay_inc", positive=True)
+            self.proxy_reg = math.nan if self.proxy_inc is None else total("proxy_inc")
 
     def metric(self, name: str) -> float:
         """Metric lookup for fits: U_T, C_T, P_T, C_T_pos, P_T_pos, proxy_reg."""
@@ -214,7 +319,7 @@ def _fixed_prices(inst: MarketInstance) -> np.ndarray:
     if not inst.constant_demand:
         raise ValueError("fixed_interval expects a constant demand sequence")
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
-    return kernels.fixed_trajectory(fam, p1, p2, float(inst.demands[0]), inst.horizon)[0]
+    return kernels.fixed_trajectory(fam, p1, p2, float(inst.demands[0]), inst.horizon).price
 
 
 def _demand_prices(inst: MarketInstance, params: dict) -> np.ndarray:
@@ -228,7 +333,7 @@ def _demand_prices(inst: MarketInstance, params: dict) -> np.ndarray:
     return kernels.demand_trajectory(
         fam, p1, p2, inst.demands, state.s_lo, state.s_hi, state.eps,
         state.grid.d_lo, state.grid.gamma, state.grid.n_cells, state.freeze_width,
-    )[0]
+    ).price
 
 
 def _contextual_class(inst_spec: InstanceSpec) -> FunctionClass:
@@ -262,11 +367,11 @@ def _contextual_prices(
     member_u = cls.member_coefficients(inst.contexts)
     uniforms = rng.uniform(0.0, 1.0, T)
 
-    _, price, proxy, *_ = kernels.contextual_trajectory(
+    out = kernels.contextual_trajectory(
         member_u, state.oracle.log_weights, state.oracle.eta, u_true, inst.demands,
         uniforms, state.prices, state.gamma_explore,
     )
-    return price, proxy
+    return out.price, out.proxy
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
@@ -287,10 +392,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
                 raise ValueError(f"{config.policy} does not run on {inst.mix} suppliers")
             proxy = None
             if config.policy == "constant_price":
-                p = config.policy_params.get("p")
-                if isinstance(p, bool) or not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-                    raise ValueError(f"policy_params['p'] must be a price in [0, 1], got {p!r}")
-                prices = np.full(T, float(p))
+                prices = np.full(T, config.policy_params["p"])
             elif config.policy == "fixed_interval":
                 prices = _fixed_prices(inst)
             elif config.policy == "demand_grid":

@@ -36,8 +36,9 @@ IEEE-754 operation on Python floats. Every sum runs left to right with
 the transcendental calls are ``np.exp``/``np.log`` converted to Python
 floats, not ``math``'s, which can round differently in the last bit.
 
-A loop returns the posted price path, the final policy state and its
-counters (the contextual loop also the arms, the expected mismatch
+A loop returns a named tuple (:class:`FixedResult`, :class:`DemandResult`,
+:class:`ContextualResult`) of the posted price path, the final policy state
+and its counters (the contextual loop also the arms, the expected mismatch
 ``proxy`` and the oracle's losses) as numpy arrays and numbers;
 :mod:`eqprice.market` computes production and regret from the price path.
 Argument and result positions are a fixed interface: ``perfbench/tracer.py``
@@ -53,10 +54,47 @@ reproducible.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 FAMILY_QUADRATIC = 0
 FAMILY_LINEAR = 1
+
+
+class FixedResult(NamedTuple):
+    """:func:`fixed_trajectory`'s price path and final tracker state."""
+
+    price: np.ndarray
+    a: float
+    b: float
+    eps: float
+    frozen: bool
+    shrinks: int
+    resets: int
+
+
+class DemandResult(NamedTuple):
+    """:func:`demand_trajectory`'s price path and final per-cell state."""
+
+    price: np.ndarray
+    s_lo: np.ndarray
+    s_hi: np.ndarray
+    cell_price: np.ndarray
+    eps: np.ndarray
+    shrinks: int
+
+
+class ContextualResult(NamedTuple):
+    """:func:`contextual_trajectory`'s per-period arms, prices, expected
+    mismatch and forecast loss, and the oracle's final state."""
+
+    arm: np.ndarray
+    price: np.ndarray
+    proxy: np.ndarray
+    forecast_loss: np.ndarray
+    log_weights: np.ndarray
+    cum_member_loss: np.ndarray
 
 
 def supply(fam, param1, param2, p):
@@ -281,8 +319,8 @@ def _first_event(event, lo, hi):
 
 
 def fixed_trajectory(fam, param1, param2, d, T):
-    """Interval tracking at constant demand ``d``: returns
-    (price, a, b, eps, frozen, shrinks, resets). A demand that production
+    """Interval tracking at constant demand ``d``: returns a
+    :class:`FixedResult`. A demand that production
     at p = 1 does not cover raises ``ValueError``, so nothing resets: b is 1
     or an offer whose production covered d, and the offer at b shrinks.
 
@@ -316,7 +354,7 @@ def fixed_trajectory(fam, param1, param2, d, T):
             a, b, eps, c, shrinks, resets, p, supply(fam, param1, param2, p), d, T
         )
     price[t:] = fixed_offer(a, b, eps, cursor, frozen)
-    return price, a, b, eps, frozen, shrinks, resets
+    return FixedResult(price, a, b, eps, frozen, shrinks, resets)
 
 
 def demand_trajectory(
@@ -325,8 +363,7 @@ def demand_trajectory(
     """One interval search per demand cell from the sets (s_lo, s_hi] and
     precisions ``eps`` of a :class:`~eqprice.policy_demand.DemandPolicyState`
     (left unmodified), each cell priced at s_lo as in a fresh state: returns
-    (price, s_lo, s_hi, cell_price, eps, shrinks). A non-finite demand
-    raises ``ValueError``.
+    a :class:`DemandResult`. A non-finite demand raises ``ValueError``.
 
     Cells never interact and a cell's update never reads the demand, so
     each cell runs on its own visits in time order. Within a sub-phase the
@@ -377,7 +414,7 @@ def demand_trajectory(
                 )
                 v += j + 1
         price[visits[v:]] = cell_price[k]
-    return (
+    return DemandResult(
         price, np.array(s_lo), np.array(s_hi), np.array(cell_price), np.array(cell_eps),
         shrinks,
     )
@@ -385,8 +422,8 @@ def demand_trajectory(
 
 def contextual_trajectory(member_u, log_w0, eta, u_true, demands, uniforms, grid, gamma):
     """Inverse-gap-weighted sampling driven by the exponential-weights
-    oracle, which observes production p_t * u_true[t]: returns (arm, price,
-    proxy, forecast_loss, final log-weights, cumulative member losses)."""
+    oracle, which observes production p_t * u_true[t]: returns a
+    :class:`ContextualResult`."""
     T = u_true.shape[0]
     arm_idx = np.empty(T, dtype=np.int64)
     price = np.empty(T)
@@ -414,7 +451,9 @@ def contextual_trajectory(member_u, log_w0, eta, u_true, demands, uniforms, grid
         forecast_loss[t] = exp_weights_update(
             lw, cum_member_loss, u, c_hat, p_t, p_t * ut, eta
         )
-    return arm_idx, price, proxy, forecast_loss, np.array(lw), np.array(cum_member_loss)
+    return ContextualResult(
+        arm_idx, price, proxy, forecast_loss, np.array(lw), np.array(cum_member_loss)
+    )
 
 
 def encode_suppliers(suppliers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

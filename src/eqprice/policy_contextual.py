@@ -57,9 +57,11 @@ def default_grid_size(horizon: int, n_members: int) -> int:
 DELTA = 0.05
 
 
-def _check_grid_size(n_prices) -> None:
+def grid_size(n_prices, name: str = "n_prices") -> int:
+    """``n_prices`` as an int: an integer (not a float) of at least 2."""
     if not isinstance(n_prices, (int, np.integer)) or n_prices < 2:
-        raise ValueError(f"n_prices must be an integer >= 2, got {n_prices!r}")
+        raise ValueError(f"{name} must be an integer >= 2, got {n_prices!r}")
+    return int(n_prices)
 
 
 def default_gamma(horizon: int, n_prices: int, n_members: int) -> float:
@@ -67,7 +69,7 @@ def default_gamma(horizon: int, n_prices: int, n_members: int) -> float:
     exploration weight for a finite class whose best member misses the truth
     by eps, taken at eps = 0 (a well-specified class) and delta =
     :data:`DELTA`: sqrt(K*T / (ln|F| + ln(1/delta)))."""
-    _check_grid_size(n_prices)
+    grid_size(n_prices)
     return math.sqrt(n_prices * horizon / (math.log(max(n_members, 2)) + math.log(1.0 / DELTA)))
 
 
@@ -122,7 +124,7 @@ def make_contextual_state(
     exploration weight ``gamma_explore`` and uniform oracle weights;
     ``eta`` as in :func:`~eqprice.oracle.make_oracle_state`. Rejects a
     grid of fewer than 2 prices and a non-finite or non-positive gamma."""
-    _check_grid_size(n_prices)
+    grid_size(n_prices)
     return ContextualPolicyState(
         cls=cls,
         prices=np.linspace(0.0, 1.0, n_prices),

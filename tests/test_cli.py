@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -34,6 +35,36 @@ def test_run_writes_per_period_csv(tmp_path, config_path, capsys):
     assert lines[0] == "t,demand,price,production,unmet_inc,cost_inc,pay_inc"
     assert len(lines) == 101
     assert "policy=demand_grid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["new", "nested-new", "existing"])
+def test_run_out_directory_receives_the_run_csv(tmp_path, config_path, where):
+    # "newdir/" was written as a file named newdir, and a sweep into it failed
+    out_dir = tmp_path / ("a/b" if where == "nested-new" else "newdir")
+    if where == "existing":
+        out_dir.mkdir()
+        arg = str(out_dir)
+    else:
+        arg = str(out_dir) + os.sep
+    assert main(["run", "--config", str(config_path), "--out", arg]) == 0
+    lines = (out_dir / "run_T100_rep0.csv").read_text().splitlines()
+    assert lines[0] == "t,demand,price,production,unmet_inc,cost_inc,pay_inc"
+    assert len(lines) == 101
+    assert main(["sweep", "--config", str(config_path), "--out", arg]) == 0
+    assert (out_dir / "summary.csv").is_file()
+    assert (out_dir / "run_T100_rep0.csv").read_text().splitlines() == lines
+
+
+def test_run_without_out_writes_into_the_config_out_directory(tmp_path, config_path):
+    # the README config's "out": "results" was written as a file named
+    # results, and a sweep of the same config then failed
+    doc = json.loads(config_path.read_text())
+    out_dir = tmp_path / "results"
+    config_path.write_text(json.dumps({**doc, "out": str(out_dir)}))
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert (out_dir / "run_T100_rep0.csv").is_file()
+    assert main(["sweep", "--config", str(config_path)]) == 0
+    assert (out_dir / "summary.csv").is_file()
 
 
 def test_sweep_and_fit(tmp_path, config_path, capsys):

@@ -84,11 +84,11 @@ def test_constant_price_at_equilibrium_zero_regret():
     "params", [{}, {"p": None}, {"p": "0.5"}, {"p": True}, {"p": 1.5}, {"p": math.nan}]
 )
 def test_constant_price_p_must_be_a_number_in_unit_interval(params):
-    cfg = ExperimentConfig(
-        instance=QUAD_FIXED, policy="constant_price", horizons=(20,), policy_params=params
-    )
+    # rejected when the config is built
     with pytest.raises(ValueError, match=r"policy_params\['p'\] must be a price in \[0, 1\]"):
-        run_experiment(cfg)
+        ExperimentConfig(
+            instance=QUAD_FIXED, policy="constant_price", horizons=(20,), policy_params=params
+        )
 
 
 @pytest.mark.parametrize("horizons", [100, "100", [[100, 200]], []])
@@ -395,12 +395,12 @@ def test_policy_params_unknown_key_rejected():
     ],
 )
 def test_contextual_params_out_of_range_rejected(params, message):
-    # rejected when the config is built or, at the latest, when it runs
+    # rejected when the config is built
     with pytest.raises(ValueError, match=message):
-        run_experiment(ExperimentConfig(
+        ExperimentConfig(
             instance=contextual_spec(), policy="contextual_igw", horizons=(100,),
             policy_params=params,
-        ))
+        )
 
 
 def test_demand_grid_params_must_be_positive():
@@ -409,12 +409,11 @@ def test_demand_grid_params_must_be_positive():
         demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
         horizon=100,
     )
-    cfg = ExperimentConfig(
-        instance=inst, policy="demand_grid", horizons=(100,),
-        policy_params={"gamma_demand": 0.0},
-    )
     with pytest.raises(ValueError, match="gamma_demand"):
-        run_experiment(cfg)
+        ExperimentConfig(
+            instance=inst, policy="demand_grid", horizons=(100,),
+            policy_params={"gamma_demand": 0.0},
+        )
 
 
 @pytest.mark.parametrize("key", ["gamma_demand", "freeze_width"])
@@ -426,12 +425,11 @@ def test_demand_grid_params_must_be_finite(key):
         demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
         horizon=100,
     )
-    cfg = ExperimentConfig(
-        instance=inst, policy="demand_grid", horizons=(100,),
-        policy_params={key: math.inf},
-    )
     with pytest.raises(ValueError, match=key):
-        run_experiment(cfg)
+        ExperimentConfig(
+            instance=inst, policy="demand_grid", horizons=(100,),
+            policy_params={key: math.inf},
+        )
 
 
 @pytest.mark.parametrize("key, value", [("gamma_demand", "0.1"), ("freeze_width", "0.05")])
@@ -442,11 +440,71 @@ def test_demand_grid_params_must_be_numbers(key, value):
         demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
         horizon=100,
     )
-    cfg = ExperimentConfig(
-        instance=inst, policy="demand_grid", horizons=(100,), policy_params={key: value}
-    )
     with pytest.raises(ValueError, match=f"{key} must be a number, got '{value}'"):
-        run_experiment(cfg)
+        ExperimentConfig(
+            instance=inst, policy="demand_grid", horizons=(100,), policy_params={key: value}
+        )
+
+
+DEMAND_SPEC = InstanceSpec(
+    suppliers=(CostSpec.quadratic(0.5),),
+    demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
+    horizon=100,
+)
+
+
+@pytest.mark.parametrize(
+    "policy, params, key",
+    [
+        ("contextual_igw", {"eta": -1.0}, "eta"),
+        ("contextual_igw", {"n_prices": 1}, "n_prices"),
+        ("contextual_igw", {"n_prices": 1.5}, "n_prices"),
+        ("contextual_igw", {"n_prices": 5.0}, "n_prices"),
+        ("contextual_igw", {"gamma_explore": 0.0}, "gamma_explore"),
+        ("contextual_igw", {"eta": None}, "eta"),
+        ("constant_price", {"p": 2.0}, "p"),
+        ("constant_price", {"p": np.float64(-0.5)}, "p"),
+        ("demand_grid", {"gamma_demand": -0.1}, "gamma_demand"),
+        ("demand_grid", {"freeze_width": "0.1"}, "freeze_width"),
+        ("demand_grid", {"freeze_width": None}, "freeze_width"),
+    ],
+)
+def test_policy_params_are_read_when_the_config_is_built(policy, params, key):
+    instance = {"contextual_igw": contextual_spec(), "demand_grid": DEMAND_SPEC}.get(
+        policy, QUAD_FIXED
+    )
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(instance=instance, policy=policy, horizons=(100,), policy_params=params)
+
+
+@pytest.mark.parametrize("p", [np.float32(0.5), np.int64(1), np.float64(0.25), 0])
+def test_constant_price_accepts_numpy_scalar_prices(p):
+    cfg = ExperimentConfig(
+        instance=QUAD_FIXED, policy="constant_price", horizons=(50,), policy_params={"p": p}
+    )
+    assert type(cfg.policy_params["p"]) is float
+    rec = run_experiment(cfg)[0]
+    assert np.all(rec.price == float(p))
+
+
+@pytest.mark.parametrize(
+    "policy, params",
+    [
+        ("contextual_igw", {"n_prices": np.int64(5), "gamma_explore": np.float32(10.0)}),
+        ("contextual_igw", {"eta": np.float64(0.5)}),
+        ("demand_grid", {"gamma_demand": np.float32(0.25), "freeze_width": np.int64(1)}),
+    ],
+)
+def test_numpy_scalar_policy_params_run_as_their_python_values(policy, params):
+    instance = contextual_spec() if policy == "contextual_igw" else DEMAND_SPEC
+    as_python = {k: v.item() for k, v in params.items()}
+    runs = [
+        run_experiment(ExperimentConfig(
+            instance=instance, policy=policy, horizons=(100,), policy_params=p
+        ))[0]
+        for p in (params, as_python)
+    ]
+    assert np.array_equal(runs[0].price, runs[1].price)
 
 
 def test_contextual_rejects_production_above_class_bound():

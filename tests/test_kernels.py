@@ -57,6 +57,36 @@ def test_fixed_kernel_matches_reference():
     assert frozen == ref_state.frozen
 
 
+def test_kernel_results_are_named_in_their_positions():
+    # perfbench/tracer.py reads fixed[0], fixed[5], fixed[6], demand[0],
+    # demand[5] and contextual[1] by position
+    fam, p1, p2 = kernels.encode_suppliers((CostSpec.quadratic(0.3), CostSpec.quadratic(0.8)))
+    fixed = kernels.fixed_trajectory(fam, p1, p2, 1.0, 200)
+    assert isinstance(fixed, kernels.FixedResult)
+    assert kernels.FixedResult._fields == (
+        "price", "a", "b", "eps", "frozen", "shrinks", "resets"
+    )
+    assert fixed[0] is fixed.price and (fixed[5], fixed[6]) == (fixed.shrinks, 0)
+    demand = kernels.demand_trajectory(
+        fam, p1, p2, np.full(50, 1.0), np.zeros(2), np.ones(2), np.full(2, 0.5),
+        0.5, 0.5, 2, 1e-3,
+    )
+    assert isinstance(demand, kernels.DemandResult)
+    assert kernels.DemandResult._fields == (
+        "price", "s_lo", "s_hi", "cell_price", "eps", "shrinks"
+    )
+    assert demand[0] is demand.price and demand[5] == demand.shrinks
+    contextual = kernels.contextual_trajectory(
+        np.ones((2, 5)), np.full(2, -math.log(2)), 0.5, np.ones(5), np.full(5, 0.5),
+        np.linspace(0.1, 0.9, 5), np.linspace(0.0, 1.0, 3), 10.0,
+    )
+    assert isinstance(contextual, kernels.ContextualResult)
+    assert kernels.ContextualResult._fields == (
+        "arm", "price", "proxy", "forecast_loss", "log_weights", "cum_member_loss"
+    )
+    assert contextual[1] is contextual.price
+
+
 def test_fixed_kernel_linear_instance():
     supplier = CostSpec.linear(c=0.4, cap=2.0)
     d, T = 1.0, 3000
