@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harness import ExperimentConfig, _fit_line, run_experiment
-from .market import CostSpec, GeneratorSpec, InstanceSpec, MarketInstance
+from .market import CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, integral, number
 
 
 # The i.i.d. instance: the stiffer cost x^2/8 with probability 1/2, else
@@ -109,7 +109,16 @@ def verify_lower_bound(
     per-draw regret evaluated by the market model. The mixture is fixed
     because :func:`expected_total_regret`, the analytic column, is the
     closed form for that mixture only.
+
+    ``grid_step`` must be a finite number in (0, 1] and ``n_periods`` an
+    integer of at least 1; any other value raises ``ValueError`` naming it.
     """
+    grid_step = number(grid_step, "grid_step")
+    if not 0.0 < grid_step <= 1.0:
+        raise ValueError(f"grid_step must lie in (0, 1], got {grid_step!r}")
+    n_periods = integral(n_periods, "n_periods")
+    if n_periods < 1:
+        raise ValueError(f"n_periods must be at least 1, got {n_periods!r}")
     n_grid = int(round(1.0 / grid_step))
     grid = np.arange(n_grid + 1) / n_grid
     values = np.array([expected_total_regret(p) for p in grid])

@@ -58,6 +58,7 @@ from .market import (
     number,
     positive,
     read_json_dict,
+    tail_start,
 )
 from .policy_contextual import default_gamma, default_grid_size, grid_size, make_contextual_state
 from .policy_demand import DemandGrid, make_demand_state
@@ -203,15 +204,12 @@ class ExperimentConfig:
 
 def _head_length(col) -> int:
     """The periods of ``col`` before its final run of bit-equal values
-    (0.0 and -0.0 differ), and at least 1, since np.cumsum starts from the
-    first value instead of adding it to 0.0. A column that is not a float64
-    array is all head."""
+    (:func:`~eqprice.market.tail_start`), and at least 1, since np.cumsum
+    starts from the first value instead of adding it to 0.0. A column that
+    is not a float64 array is all head."""
     if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
         return len(col)
-    bits = col.view(np.int64)
-    moved = bits[::-1] != bits[-1]
-    i = int(np.argmax(moved))
-    return len(col) - i if moved[i] else 1
+    return max(tail_start(col), 1)
 
 
 @dataclass
@@ -222,7 +220,9 @@ class RunRecord:
     bit for bit; they are derived in the constructor and cannot be passed
     to it. Each column's final run of bit-equal values (a frozen price's
     tail) is added in closed form by :func:`repeated_sum`, so a run that
-    freezes costs its head, not its horizon.
+    freezes costs its head, not its horizon. ``demand`` is the instance's
+    demand path, a read-only array of stride 0 when the demand is a
+    ``constant`` generator's one value.
     ``cost_pos`` / ``pay_pos`` accumulate only positive increments (the
     overshoot periods) and are what the rate fits consume. ``proxy_inc``
     holds the exact expected absolute production-demand mismatch under the

@@ -535,7 +535,8 @@ class InstanceSpec:
         if isinstance(self.demands, GeneratorSpec):
             g = self.demands
             if g.kind == "constant":
-                demands = np.full(T, g.value)
+                # one value, read-only: a view of stride 0, not T copies
+                demands = np.broadcast_to(np.float64(g.value), (T,))
             elif g.kind == "uniform":
                 demands = rng.uniform(g.lo, g.hi, T)
             else:
@@ -562,9 +563,39 @@ class InstanceSpec:
         )
 
 
+#: Values compared per pass of :func:`tail_start`: its mask (64 KiB) is
+#: reused from the heap, not a fresh T-sized allocation.
+TAIL_CHUNK = 2**16
+
+
+def tail_start(col: np.ndarray) -> int:
+    """The index where the final run of bit-equal values of a float64
+    column starts: 0 for a constant column. Values are compared as int64
+    bits, so 0.0 and -0.0 differ and NaNs are equal only with one payload.
+
+    The column is scanned back from its end :data:`TAIL_CHUNK` values at a
+    time, each chunk by one contiguous compare and an ``argmax`` on the
+    reversed mask, so a long tail allocates no T-sized temporary."""
+    bits = col.view(np.int64)
+    last = bits[-1]
+    stop = len(bits)
+    while stop > 0:
+        start = max(stop - TAIL_CHUNK, 0)
+        moved = bits[start:stop] != last
+        i = int(np.argmax(moved[::-1]))  # the chunk's trailing values equal to the last
+        if moved[-1 - i]:
+            return stop - i
+        stop = start
+    return 0
+
+
 @dataclass
 class MarketInstance:
     """Concrete instance: suppliers, a demand path, optional contexts, horizon.
+
+    ``demands`` may be a read-only array of stride 0, one value seen over
+    the horizon: :meth:`InstanceSpec.materialize` stores a ``constant``
+    generator that way, and the constructor checks its one value.
 
     The constructor checks sequence lengths, that demands and contexts are
     finite, the demand bounds, and that the clearing price lies in [0, 1]
@@ -595,8 +626,10 @@ class MarketInstance:
             raise ValueError("horizon must be >= 1")
         if self.demands.shape != (self.horizon,):
             raise ValueError("demand sequence length must equal the horizon")
-        # min and max are NaN when any demand is, so this also rejects NaN
-        d_min, d_max = float(self.demands.min()), float(self.demands.max())
+        # min and max are NaN when any demand is, so this also rejects NaN; a
+        # view of stride 0 holds one value, which is checked alone
+        one = self.demands[:1] if self.demands.strides == (0,) else self.demands
+        d_min, d_max = float(one.min()), float(one.max())
         if not (math.isfinite(d_min) and math.isfinite(d_max)):
             raise ValueError("demands must be finite")
         self.constant_demand = d_min == d_max
@@ -704,26 +737,31 @@ class MarketInstance:
         the total cost and payment at the posted price minus those of the
         clearing allocation (signed). Keys are the
         :class:`~eqprice.harness.RunRecord` column names ``price``,
-        ``production``, ``unmet_inc``, ``cost_inc`` and ``pay_inc``.
+        ``production``, ``unmet_inc``, ``cost_inc`` and ``pay_inc``; the
+        instance's ``demands`` may be a read-only view of stride 0.
 
         When every period clears alike (a quadratic or linear market with a
         constant demand), the columns are computed once per run of
-        bit-equal prices and repeated over it, so the work scales with the
-        number of price changes; the values are those of the per-period
-        pass, since each is the same arithmetic on the same operands.
+        bit-equal prices: the runs are found in the head before the final
+        run (:func:`tail_start`), the head is filled by ``np.repeat`` and
+        the tail by one slice fill, so the work and every temporary scale
+        with the head, not the horizon. The values are those of the
+        per-period pass, since each is the same arithmetic on the same
+        operands, and the range check on the run values sees every price.
         """
         prices = np.asarray(prices, dtype=np.float64)
         if prices.shape != (self.horizon,):
             raise ValueError("price path length must equal the horizon")
-        if not (0.0 <= prices.min() and prices.max() <= 1.0):
-            raise ValueError("prices must lie in [0, 1]")
-        cost_eq, pay_eq = self._clearing_cost_and_payment()
         posted, demands = prices, self.demands
         if self._price_only:
+            k = tail_start(prices)
             # bit patterns, so that 0.0 and -0.0 stay apart
-            bits = prices.view(np.int64)
+            bits = prices[: k + 1].view(np.int64)
             starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
             posted, demands = prices[starts], demands[:1]
+        if not (0.0 <= posted.min() and posted.max() <= 1.0):
+            raise ValueError("prices must lie in [0, 1]")
+        cost_eq, pay_eq = self._clearing_cost_and_payment()
         prod, cost = self._production(posted)
         cols = dict(
             production=prod,
@@ -732,6 +770,9 @@ class MarketInstance:
             pay_inc=posted * prod - pay_eq,
         )
         if self._price_only:
-            lengths = np.diff(np.append(starts, self.horizon))
-            cols = {k: np.repeat(v, lengths) for k, v in cols.items()}
+            lengths = np.diff(starts)  # of the head's runs; the last starts at k
+            for name, v in cols.items():
+                cols[name] = np.empty(self.horizon)
+                cols[name][:k] = np.repeat(v[:-1], lengths)
+                cols[name][k:] = v[-1]
         return dict(price=prices, **cols)

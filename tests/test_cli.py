@@ -108,6 +108,26 @@ def test_hardness_iid_csv(tmp_path, capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--periods", "0", "n_periods"),
+        ("--periods", "-5", "n_periods"),
+        ("--grid-step", "0", "grid_step"),
+        ("--grid-step", "-0.1", "grid_step"),
+        ("--grid-step", "nan", "grid_step"),
+        ("--grid-step", "inf", "grid_step"),
+        ("--grid-step", "3", "grid_step"),
+    ],
+)
+def test_hardness_iid_rejects_invalid_parameters(flag, value, key, capsys):
+    assert main(["hardness", "--kind", "iid", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err.strip())
+    assert doc["error"].startswith("ValueError: ") and key in doc["error"], doc
+
+
 def test_hardness_linear_json(capsys):
     assert main(["hardness", "--kind", "linear", "--periods", "3000"]) == 0
     doc = json.loads(capsys.readouterr().out.strip())

@@ -52,6 +52,29 @@ def test_verify_lower_bound_grid():
     assert abs(report.grid_min - 7.0 / 64.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"grid_step": 0.0}, "grid_step"),
+        ({"grid_step": 1.5}, "grid_step"),
+        ({"grid_step": math.nan}, "grid_step"),
+        ({"grid_step": "0.1"}, "grid_step"),
+        ({"n_periods": 0}, "n_periods"),
+        ({"n_periods": 2.5}, "n_periods"),
+        ({"n_periods": True}, "n_periods"),
+    ],
+)
+def test_verify_lower_bound_rejects_invalid_parameters(kwargs, key):
+    with pytest.raises(ValueError, match=key):
+        verify_lower_bound(**kwargs)
+
+
+def test_verify_lower_bound_accepts_the_edges():
+    report = verify_lower_bound(grid_step=1.0, n_periods=1)
+    assert report.grid_argmin == 0.0  # 23/32 at p = 0 against 279/32 at p = 1
+    assert all(r.n_periods == 1 for r in report.rows)
+
+
 def test_verify_lower_bound_empirical():
     report = verify_lower_bound(n_periods=100_000, seed=7)
     for row in report.rows:

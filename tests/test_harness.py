@@ -904,3 +904,30 @@ def test_record_totals_past_the_float_range_are_inf():
     col = np.array([1.7e308, 1.7e308, -1.0])
     rec = RunRecord("constant_price", 3, 0, 0, *[col] * 6)
     assert rec.metric("C_T") == math.inf
+
+
+@pytest.mark.parametrize(
+    "policy, params",
+    [("fixed_interval", {}), ("demand_grid", {}), ("constant_price", {"p": 0.4})],
+)
+def test_constant_demand_view_runs_as_its_explicit_list(policy, params):
+    # a constant generator's demand is one read-only value of stride 0; a run
+    # on it must give the bytes of the same demands listed period by period
+    T = 5000
+    suppliers = (CostSpec.quadratic(0.2), CostSpec.quadratic(0.45, a=0.05))
+    view, listed = (
+        ExperimentConfig(
+            instance=InstanceSpec(suppliers=suppliers, demands=demands, horizon=T),
+            policy=policy, horizons=(T,), replications=2, seed=4, policy_params=params,
+        )
+        for demands in (GeneratorSpec(kind="constant", value=1.3), [1.3] * T)
+    )
+    for a, b in zip(run_experiment(view), run_experiment(listed), strict=True):
+        assert a.demand.strides == (0,) and not a.demand.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.demand[0] = 2.0
+        for name in RunRecord._COLUMNS[:-1]:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        for name in harness.SUMMARY_METRICS:
+            assert a.metric(name).hex() == b.metric(name).hex(), name
+

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqprice.market import (
+    TAIL_CHUNK,
     CostSpec,
     FunctionClass,
     GeneratorSpec,
@@ -17,6 +18,7 @@ from eqprice.market import (
     best_response,
     context_coefficients,
     equilibrium_price,
+    tail_start,
 )
 from eqprice.features import apply_feature_map
 
@@ -371,6 +373,10 @@ _RUN_PATHS = {
     "no-repeats": np.random.Generator(np.random.Philox(key=31)).uniform(0.0, 1.0, 50),
     "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0, 0.4, 0.0, -0.0]),
     "one-period": np.array([0.8]),
+    # the final run spans several tail_start chunks
+    "multi-chunk-tail": np.repeat([0.2, 0.45, 0.3], [5, 7, 3 * TAIL_CHUNK + 11]),
+    # the head ends exactly where the last chunk begins
+    "head-at-chunk-edge": np.repeat([0.1, 0.7, 0.35], [4, 9, TAIL_CHUNK]),
 }
 
 
@@ -388,10 +394,14 @@ def test_regret_columns_per_run_match_per_period(suppliers, d, path):
     # column must be bit for bit the one-period market's, period by period
     prices = _RUN_PATHS[path]
     cols = _constant_demand_market(suppliers, d, prices.size).regret_columns(prices)
-    for t, p in enumerate(prices):
-        want = _constant_demand_market(suppliers, d, 1).regret_columns(prices[t : t + 1])
-        for name, col in want.items():
-            assert cols[name][t : t + 1].tobytes() == col.tobytes(), (name, t, p)
+    # the one-period market's columns at each distinct price (by bits),
+    # placed at every period that posts it
+    _, first, where = np.unique(prices.view(np.int64), return_index=True, return_inverse=True)
+    one = [_constant_demand_market(suppliers, d, 1).regret_columns(prices[t : t + 1]) for t in first]
+    for name in cols:
+        want = np.concatenate([c[name] for c in one])[where]
+        bad = np.flatnonzero(cols[name].view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, (name, bad[:1], prices[bad[:1]])
     assert set(cols) == {"price", "production", "unmet_inc", "cost_inc", "pay_inc"}
     assert all(c.shape == prices.shape for c in cols.values())
 
@@ -401,9 +411,69 @@ def test_regret_columns_reject_bad_price_paths():
         suppliers=(CostSpec.quadratic(0.5),), demands=np.ones(3), contexts=None,
         horizon=3, demand_bounds=(1.0, 1.0),
     )
-    for prices in ([0.5, 0.5], [0.5, 1.5, 0.5], [0.5, -0.1, 0.5], [0.5, math.nan, 0.5]):
-        with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length"):
+        inst.regret_columns(np.array([0.5, 0.5]))
+    # the price-only path checks its run values: a bad value only in the
+    # final run is one of them
+    for prices in (
+        [0.5, 1.5, 0.5], [0.5, -0.1, 0.5], [0.5, math.nan, 0.5],
+        [0.5, 1.5, 1.5], [0.5, math.nan, math.nan], [math.nan] * 3,
+    ):
+        with pytest.raises(ValueError, match=r"prices must lie in \[0, 1\]"):
             inst.regret_columns(np.array(prices))
+
+
+def _tail_start_reference(col):
+    """The final run's start by one reversed compare over the whole column."""
+    bits = col.view(np.int64)
+    moved = bits[::-1] != bits[-1]
+    i = int(np.argmax(moved))
+    return len(col) - i if moved[i] else 0
+
+
+def _bits(b):
+    return np.array([b], dtype=np.uint64).view(np.float64)[0]
+
+
+#: Tail values: signed zeros, NaNs with different payloads and signs, and
+#: ordinary values.
+_TAIL_VALUES = (
+    0.0, -0.0, 1.0, 0.3, math.inf,
+    _bits(0x7FF8000000000000), _bits(0x7FF8000000000001), _bits(0xFFF8000000000000),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    head=st.lists(st.sampled_from(_TAIL_VALUES), max_size=40),
+    tail=st.sampled_from(_TAIL_VALUES),
+    n=st.one_of(
+        st.sampled_from([1, 2, TAIL_CHUNK - 1, TAIL_CHUNK, TAIL_CHUNK + 1, 2 * TAIL_CHUNK]),
+        st.integers(1, 3 * TAIL_CHUNK),
+    ),
+)
+@example(head=[], tail=0.0, n=1)  # T = 1
+@example(head=[], tail=0.3, n=2 * TAIL_CHUNK + 5)  # all constant
+@example(head=[0.0], tail=-0.0, n=TAIL_CHUNK)
+@example(head=[_TAIL_VALUES[6]], tail=_TAIL_VALUES[5], n=TAIL_CHUNK + 1)
+def test_tail_start_matches_the_reversed_compare(head, tail, n):
+    col = np.concatenate([np.array(head, dtype=np.float64), np.full(n, tail)])
+    assert tail_start(col) == _tail_start_reference(col)
+
+
+@pytest.mark.parametrize(
+    "col",
+    [
+        np.broadcast_to(np.float64(0.4), (3 * TAIL_CHUNK,)),
+        np.broadcast_to(np.float64(-0.0), (1,)),
+        np.repeat([0.1, -0.0, 0.0], [3, 5, 2 * TAIL_CHUNK + 3])[::2],
+        np.repeat([0.1, 0.2], [TAIL_CHUNK, 2 * TAIL_CHUNK])[::-1],
+        np.repeat([0.6, 0.2, 0.6], [10, 2 * TAIL_CHUNK, 3])[::3],
+    ],
+    ids=["stride-0", "stride-0-T=1", "strided", "reversed", "strided-short-tail"],
+)
+def test_tail_start_of_views_matches_the_reversed_compare(col):
+    assert tail_start(col) == _tail_start_reference(col)
 
 
 def test_capacity_at_one_matches_scalar_reference():

@@ -5,7 +5,9 @@ for bit, while a column that ends in a long run of equal values is summed
 over its head only.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,3 +208,33 @@ def test_frozen_record_sums_only_its_head(monkeypatch):
     RunRecord("fixed_interval", T, 0, 0, inst.demands, **cols)
     monkeypatch.undo()
     assert sizes and max(sizes) <= CRITERION_1_HEAD, max(sizes)
+
+
+def test_frozen_fixed_interval_run_allocates_only_its_columns():
+    # A frozen criterion-1 run returns a price column and four regret
+    # columns of T float64 each, and its constant demand is one value. Next
+    # to its four columns the regret pass holds at most eight head-sized
+    # arrays at once, and the record two (its scratch buffer and a mask).
+    T = 10**6
+    cfg = ExperimentConfig(instance=CRITERION_1, policy="fixed_interval", horizons=(T,))
+    run_experiment(dataclasses.replace(cfg, horizons=(1000,)))  # first-use caches
+    tracemalloc.start()
+    try:
+        rec = run_experiment(cfg)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+        inst = CRITERION_1.with_horizon(T).materialize(harness.replication_stream(0, 0))
+        prices = harness._fixed_prices(inst)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cols = inst.regret_columns(prices)
+        regret_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        RunRecord("fixed_interval", T, 0, 0, inst.demands, **cols)
+        record_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rec.demand.strides == (0,)
+    assert peak <= 5 * 8 * T + 4 * 2**20, peak
+    assert regret_peak <= 4 * 8 * T + 8 * 8 * CRITERION_1_HEAD, regret_peak
+    assert record_peak <= 2 * 8 * CRITERION_1_HEAD, record_peak
