@@ -40,13 +40,7 @@ from .hardness import linear_cost_demo, verify_lower_bound
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.policy is not None:
-        updates["policy"] = args.policy
-    if args.out is not None:
-        updates["out"] = args.out
+    updates = {k: v for k in ("seed", "policy", "out") if (v := getattr(args, k)) is not None}
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -125,19 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="single run, per-period CSV")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--policy")
-    p_run.add_argument("--out")
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="all horizons x replications, summary CSV")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--policy")
-    p_sweep.add_argument("--out")
-    p_sweep.set_defaults(fn=_cmd_sweep)
+    for name, fn, help in (
+        ("run", _cmd_run, "single run, per-period CSV"),
+        ("sweep", _cmd_sweep, "all horizons x replications, summary CSV"),
+    ):
+        p_config = sub.add_parser(name, help=help)
+        p_config.add_argument("--config", required=True)
+        p_config.add_argument("--seed", type=int)
+        p_config.add_argument("--policy")
+        p_config.add_argument("--out")
+        p_config.set_defaults(fn=fn)
 
     p_hard = sub.add_parser("hardness", help="impossibility reports")
     p_hard.add_argument("--kind", choices=("iid", "linear"), default="iid")

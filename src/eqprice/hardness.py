@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harness import ExperimentConfig, _fit_line, run_experiment
-from .market import CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, integral, number
+from .market import (
+    CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, integral, number, price_array
+)
 
 
 # The i.i.d. instance: the stiffer cost x^2/8 with probability 1/2, else
@@ -36,21 +38,21 @@ IID_STIFF_PROB = 0.5
 IID_DEMAND = 1.0
 
 
-def expected_total_regret(p: float) -> float:
-    """Expected per-period (unmet + cost regret + payment regret) at price p.
+def expected_total_regret(p):
+    """Expected per-period (unmet + cost regret + payment regret) at price
+    ``p``: a float at one price, an array at an array of prices. A price
+    outside [0, 1] or NaN is rejected, naming the first.
 
     Piecewise in p: 9p^2 - 6p + 23/32 below 1/8 (both draws leave unmet
     demand), 9p^2 - 2p + 7/32 on [1/8, 1/4] (only the stiffer cost does),
     and 9p^2 - 9/32 above 1/4. Minimized at the kink p = 1/8 with value
-    7/64.
+    7/64. An entry has the bits of its piece on one Python float.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("price must lie in [0, 1]")
-    if p < 0.125:
-        return 9.0 * p * p - 6.0 * p + 23.0 / 32.0
-    if p <= 0.25:
-        return 9.0 * p * p - 2.0 * p + 7.0 / 32.0
-    return 9.0 * p * p - 9.0 / 32.0
+    p = price_array(p)
+    sq = 9.0 * p * p  # each piece is summed left to right
+    r = np.where(p < 0.125, sq - 6.0 * p + 23.0 / 32.0,
+                 np.where(p <= 0.25, sq - 2.0 * p + 7.0 / 32.0, sq - 9.0 / 32.0))
+    return r if p.ndim else float(r)
 
 
 def per_period_total_regret(p: float, stiff_draw: bool) -> float:
@@ -86,13 +88,10 @@ class LowerBoundReport:
     rows: tuple[LowerBoundRow, ...]
 
     def to_csv_rows(self) -> list[str]:
-        out = ["p,analytic,empirical,n_periods,seed"]
-        for r in self.rows:
-            out.append(
-                f"{r.price:.17g},{r.analytic:.17g},{r.empirical:.17g},"
-                f"{r.n_periods},{r.seed}"
-            )
-        return out
+        return ["p,analytic,empirical,n_periods,seed"] + [
+            f"{r.price:.17g},{r.analytic:.17g},{r.empirical:.17g},{r.n_periods},{r.seed}"
+            for r in self.rows
+        ]
 
 
 def verify_lower_bound(
@@ -121,7 +120,7 @@ def verify_lower_bound(
         raise ValueError(f"n_periods must be at least 1, got {n_periods!r}")
     n_grid = int(round(1.0 / grid_step))
     grid = np.arange(n_grid + 1) / n_grid
-    values = np.array([expected_total_regret(p) for p in grid])
+    values = expected_total_regret(grid)
     arg = int(np.argmin(values))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -132,15 +131,7 @@ def verify_lower_bound(
         total_a = per_period_total_regret(p, True)
         total_b = per_period_total_regret(p, False)
         empirical = frac_a * total_a + (1.0 - frac_a) * total_b
-        rows.append(
-            LowerBoundRow(
-                price=p,
-                analytic=expected_total_regret(p),
-                empirical=empirical,
-                n_periods=n_periods,
-                seed=seed,
-            )
-        )
+        rows.append(LowerBoundRow(p, expected_total_regret(p), empirical, n_periods, seed))
     return LowerBoundReport(
         grid_argmin=float(grid[arg]), grid_min=float(values[arg]), rows=tuple(rows)
     )

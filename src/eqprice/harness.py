@@ -3,7 +3,7 @@
 Each run materialises the instance, lets the policy's kernel produce a price
 path, and takes production and regret increments from
 :meth:`~eqprice.market.MarketInstance.regret_columns`, the same pass for
-every policy. The instance has already rejected supplier mixes the policies
+every policy. The config has already rejected supplier mixes the policies
 do not support.
 
 Reproducibility contract
@@ -58,6 +58,7 @@ from .market import (
     number,
     positive,
     read_json_dict,
+    supplier_mix,
     tail_start,
 )
 from .policy_contextual import default_gamma, default_grid_size, grid_size, make_contextual_state
@@ -78,7 +79,7 @@ def _price(value, name: str) -> float:
 
 #: Per policy: the reader of each ``policy_params`` key it reads (any other
 #: key is rejected), called as ``reader(value, key)`` when the config is
-#: built, and the supplier mixes (:attr:`MarketInstance.mix`) it runs on.
+#: built, and the supplier mixes (:func:`~eqprice.market.supplier_mix`) it runs on.
 POLICIES = {
     "fixed_interval": ({}, (QUADRATIC, LINEAR)),
     "demand_grid": ({"gamma_demand": positive, "freeze_width": positive}, (QUADRATIC,)),
@@ -159,8 +160,9 @@ class ExperimentConfig:
     (demand_grid), n_prices / gamma_explore / eta (contextual_igw). Missing
     entries fall back to the theory-default tunings. Each value is read by
     its key's reader when the config is built, and an unknown key or a value
-    out of range is rejected there. Horizons, replications and seed must be
-    integral.
+    out of range is rejected there, as is a supplier mix the policy does not
+    run on or a contextual_igw instance without a valid function class.
+    Horizons, replications and seed must be integral.
     """
 
     instance: InstanceSpec
@@ -193,6 +195,11 @@ class ExperimentConfig:
         object.__setattr__(
             self, "policy_params", {k: readers[k](v, k) for k, v in params.items()}
         )
+        mix = supplier_mix(self.instance.suppliers)
+        if mix not in POLICIES[self.policy][1]:
+            raise ValueError(f"{self.policy} does not run on {mix} suppliers")
+        if self.policy == "contextual_igw":
+            _contextual_class(self.instance)
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
@@ -388,8 +395,6 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
             key = config.seed + rep
             rng = replication_stream(config.seed, rep)
             inst = spec_T.materialize(rng)
-            if inst.mix not in POLICIES[config.policy][1]:
-                raise ValueError(f"{config.policy} does not run on {inst.mix} suppliers")
             proxy = None
             if config.policy == "constant_price":
                 prices = np.full(T, config.policy_params["p"])

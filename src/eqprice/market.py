@@ -35,6 +35,7 @@ field it rejects) and rejects a parameter its family or kind ignores.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import reprlib
@@ -141,6 +142,13 @@ def _read(value, kind, name: str):
         if not ok or not np.isfinite(a).all() or args[-1] is not ... and len(a) != len(args):
             what = "finite numbers" if ndim == 1 else "equal-length rows of finite numbers"
             raise ValueError(f"{name} must be a list of {what}, got {reprlib.repr(value)}")
+        # numpy reads a bool as 1 or 0, so only a list holding 0 or 1 can hold one
+        if not isinstance(value, np.ndarray) and ((a == 0) | (a == 1)).any():
+            flat = value if ndim == 1 else list(itertools.chain.from_iterable(value))
+            if not {bool, np.bool_}.isdisjoint(map(type, flat)):
+                i = next(i for i, v in enumerate(flat) if isinstance(v, (bool, np.bool_)))
+                where = [int(j) for j in np.unravel_index(i, a.shape)]
+                raise ValueError(f"{name}{where} must be a number, got {flat[i]!r}")
         a = np.ascontiguousarray(a, dtype=float)
         if ndim == 1:
             return tuple(memoryview(a))  # Python floats, faster than tolist()
@@ -365,6 +373,16 @@ class Allocation:
     total: float | np.ndarray
 
 
+def price_array(p) -> np.ndarray:
+    """``p``, one price or an array of prices, as a float64 array; a price
+    outside [0, 1] or NaN is rejected, naming the first."""
+    prices = np.asarray(p, dtype=np.float64)
+    outside = prices[~((0.0 <= prices) & (prices <= 1.0))]
+    if outside.size:
+        raise ValueError(f"price must lie in [0, 1], got {outside[0]}")
+    return prices
+
+
 def best_response(cost: CostSpec, p, theta=None):
     """Profit-maximizing production at posted price ``p``: a float at one
     price, an array at an array of prices, each entry the one-price result
@@ -373,10 +391,7 @@ def best_response(cost: CostSpec, p, theta=None):
     quadratic: max(0, (p - a)/mu); linear: 0 below c, cap at or above c;
     context_quadratic: p * <phi, sigma(theta)>.
     """
-    prices = np.asarray(p, dtype=np.float64)
-    outside = prices[~((0.0 <= prices) & (prices <= 1.0))]
-    if outside.size:
-        raise ValueError(f"price must lie in [0, 1], got {outside[0]}")
+    prices = price_array(p)
     if cost.family == QUADRATIC:
         x = np.maximum((prices - cost.a) / cost.mu, 0.0)
     elif cost.family == LINEAR:
@@ -589,6 +604,21 @@ def tail_start(col: np.ndarray) -> int:
     return 0
 
 
+def supplier_mix(suppliers: Sequence[CostSpec]) -> str:
+    """The supplier mix the policies run on, the suppliers' one family: all
+    ``quadratic``, a single ``linear`` supplier, or all ``context_quadratic``.
+    Any other mix is rejected."""
+    families = {s.family for s in suppliers}
+    if len(families) != 1:
+        raise ValueError(
+            "harness trajectories support all-quadratic, single-linear, or "
+            f"all-contextual instances; got families {sorted(families)}"
+        )
+    if families == {LINEAR} and len(suppliers) != 1:
+        raise ValueError("linear instances support a single supplier")
+    return families.pop()
+
+
 @dataclass
 class MarketInstance:
     """Concrete instance: suppliers, a demand path, optional contexts, horizon.
@@ -602,12 +632,12 @@ class MarketInstance:
     at every period: production at p = 1 must cover every demand, with no
     slack, the same rule the clearing-price solvers apply.
 
-    It also fixes the supplier ``mix`` the policies run on, rejecting any
-    other: all ``quadratic``, a single ``linear`` supplier, or all
-    ``context_quadratic``. An all-contextual market produces p * u_t in
-    period t, where ``coefficients`` is the path u_t = sum_i <phi_i,
-    sigma(theta_t)>, computed once here (``None`` for the other mixes).
-    ``constant_demand`` records whether every period has the same demand.
+    It also fixes the supplier ``mix`` (:func:`supplier_mix`). An
+    all-contextual market produces p * u_t in period t, where
+    ``coefficients`` is the path u_t = sum_i <phi_i, sigma(theta_t)>,
+    computed once here (``None`` for the other mixes). ``constant_demand``
+    records whether every period has the same demand, which lets
+    :meth:`regret_columns` price a quadratic or linear market's head only.
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -645,15 +675,7 @@ class MarketInstance:
             if not np.all(np.isfinite(self.contexts)):
                 raise ValueError("contexts must be finite")
 
-        families = {s.family for s in self.suppliers}
-        if len(families) != 1:
-            raise ValueError(
-                "harness trajectories support all-quadratic, single-linear, or "
-                f"all-contextual instances; got families {sorted(families)}"
-            )
-        if families == {LINEAR} and len(self.suppliers) != 1:
-            raise ValueError("linear instances support a single supplier")
-        self.mix = families.pop()
+        self.mix = supplier_mix(self.suppliers)
 
         self.coefficients = None
         if self.mix == CONTEXT_QUADRATIC:
@@ -740,39 +762,29 @@ class MarketInstance:
         ``production``, ``unmet_inc``, ``cost_inc`` and ``pay_inc``; the
         instance's ``demands`` may be a read-only view of stride 0.
 
-        When every period clears alike (a quadratic or linear market with a
-        constant demand), the columns are computed once per run of
-        bit-equal prices: the runs are found in the head before the final
-        run (:func:`tail_start`), the head is filled by ``np.repeat`` and
-        the tail by one slice fill, so the work and every temporary scale
-        with the head, not the horizon. The values are those of the
-        per-period pass, since each is the same arithmetic on the same
-        operands, and the range check on the run values sees every price.
+        The columns are computed period by period over the first ``k``
+        periods: all of them, unless every period clears alike (a quadratic
+        or linear market with a constant demand). Then ``k`` ends with the
+        first period of the final run of bit-equal prices
+        (:func:`tail_start`), and each column's last value fills the rest:
+        the same arithmetic on the same operands as a pass over every period.
         """
         prices = np.asarray(prices, dtype=np.float64)
         if prices.shape != (self.horizon,):
             raise ValueError("price path length must equal the horizon")
-        posted, demands = prices, self.demands
-        if self._price_only:
-            k = tail_start(prices)
-            # bit patterns, so that 0.0 and -0.0 stay apart
-            bits = prices[: k + 1].view(np.int64)
-            starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-            posted, demands = prices[starts], demands[:1]
+        k = tail_start(prices) + 1 if self._price_only else self.horizon
+        posted = prices[:k]
         if not (0.0 <= posted.min() and posted.max() <= 1.0):
             raise ValueError("prices must lie in [0, 1]")
         cost_eq, pay_eq = self._clearing_cost_and_payment()
         prod, cost = self._production(posted)
         cols = dict(
             production=prod,
-            unmet_inc=np.maximum(0.0, demands - prod),
+            unmet_inc=np.maximum(0.0, self.demands[:k] - prod),
             cost_inc=cost - cost_eq,
             pay_inc=posted * prod - pay_eq,
         )
-        if self._price_only:
-            lengths = np.diff(starts)  # of the head's runs; the last starts at k
-            for name, v in cols.items():
-                cols[name] = np.empty(self.horizon)
-                cols[name][:k] = np.repeat(v[:-1], lengths)
-                cols[name][k:] = v[-1]
+        if k < self.horizon:
+            for name, v in cols.items():  # one column at a time, so each head is freed
+                cols[name] = np.concatenate((v, np.broadcast_to(v[-1], (self.horizon - k,))))
         return dict(price=prices, **cols)

@@ -4,6 +4,7 @@ are each a ``ValueError`` that names the key, whatever document it is in."""
 
 import json
 import os
+import re
 import sys
 import tempfile
 import types
@@ -112,6 +113,29 @@ def test_numbers_keep_their_values():
         assert type(value) is (int if value is spec.horizon else float)
     config = ExperimentConfig(instance=spec, policy="fixed_interval", horizons=[2], out=Path("r"))
     assert config.out == Path("r")
+
+
+@pytest.mark.parametrize(
+    "cls, doc, entry",
+    [
+        # each was read as 1.0 or 0.0: numpy promotes a bool among numbers
+        (InstanceSpec, {**_INSTANCE, "demands": [0.5, True]}, "demands[1]"),
+        (InstanceSpec, {**_INSTANCE, "demands": [1, 0.5, 1.0, np.True_]}, "demands[3]"),
+        (CostSpec, {"family": "context_quadratic", "phi": [0.75, True]}, "phi[1]"),
+        (InstanceSpec, {**_CONTEXTUAL, "contexts": [[1.0], [False]]}, "contexts[1, 0]"),
+        (InstanceSpec, {**_CONTEXTUAL, "contexts": [(0.0, 1), (True, 2.0)]}, "contexts[1, 0]"),
+    ],
+)
+def test_bool_in_a_list_of_numbers_names_its_entry(cls, doc, entry):
+    with pytest.raises(ValueError, match=re.escape(f"{entry} must be a number")):
+        cls.from_json_dict(doc)
+
+
+def test_zeros_and_ones_in_a_list_of_numbers_are_read():
+    spec = InstanceSpec.from_json_dict(
+        {**_CONTEXTUAL, "demands": [1, 1.0], "contexts": [[0], [1.0]]}
+    )
+    assert (spec.demands, spec.contexts) == ((1.0, 1.0), ((0.0,), (1.0,)))
 
 
 def _supported(kind) -> bool:

@@ -39,6 +39,39 @@ def test_expected_total_regret_continuous_at_kinks():
     assert abs((9 / 16 - 2 / 4 + 7 / 32) - (9 / 16 - 9 / 32)) <= 1e-15
 
 
+def _piecewise(p: float) -> float:
+    """The closed form on one Python float, piece by piece."""
+    if p < 0.125:
+        return 9.0 * p * p - 6.0 * p + 23.0 / 32.0
+    if p <= 0.25:
+        return 9.0 * p * p - 2.0 * p + 7.0 / 32.0
+    return 9.0 * p * p - 9.0 / 32.0
+
+
+def test_expected_total_regret_array_matches_the_scalar_form():
+    kinks = [0.125, 0.25]
+    near = [np.nextafter(k, side) for k in kinks for side in (0.0, 1.0)]
+    rng = np.random.Generator(np.random.Philox(key=5))
+    grid = np.concatenate(
+        [np.arange(100_001) / 100_000, kinks, near, [0.0, 1.0, 5e-324], rng.uniform(size=1000)]
+    )
+    values = expected_total_regret(grid)
+    want = np.array([_piecewise(p) for p in grid.tolist()])
+    assert values.shape == grid.shape
+    assert values.tobytes() == want.tobytes()
+    for p in kinks + near:
+        assert expected_total_regret(p).hex() == _piecewise(p).hex()
+
+
+@pytest.mark.parametrize(
+    "p, first",
+    [(1.5, "1.5"), (math.nan, "nan"), ([0.5, -0.25, 2.0], "-0.25"), ([0.5, math.nan], "nan")],
+)
+def test_expected_total_regret_rejects_the_first_bad_price(p, first):
+    with pytest.raises(ValueError, match=rf"price must lie in \[0, 1\], got {first}$"):
+        expected_total_regret(p)
+
+
 def test_formula_matches_market_machinery():
     # the closed form is the mixture average of realized totals
     for p in (0.0, 0.07, 0.125, 0.2, 0.25, 0.4, 0.8):

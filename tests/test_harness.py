@@ -230,18 +230,18 @@ def test_unsupported_supplier_mix_rejected_before_policy_runs(suppliers, monkeyp
     )
     families = {s.family for s in suppliers}
     if len(families) > 1 or (len(suppliers) > 1 and families == {"linear"}):
-        # no policy runs on these: the instance refuses them
+        # no policy runs on these: market.supplier_mix refuses them
         refused = [(policy, "support") for policy in harness.POLICIES]
     else:
         (family,) = families
         refused = [(policy, f"{policy} .*{family}") for policy in REFUSED_BY[family]]
     for policy, message in refused:
         params = {"p": 0.5} if policy == "constant_price" else {}
-        cfg = ExperimentConfig(
-            instance=instance, policy=policy, horizons=(100,), policy_params=params
-        )
+        # the config refuses the mix when it is built, so no run can start
         with pytest.raises(ValueError, match=message):
-            run_experiment(cfg)
+            ExperimentConfig(
+                instance=instance, policy=policy, horizons=(100,), policy_params=params
+            )
 
 
 def test_contextual_coefficients_computed_once_per_run(monkeypatch):
@@ -342,9 +342,8 @@ def test_contextual_requires_class_and_contexts():
         contexts=spec.contexts,
         horizon=spec.horizon,
     )
-    cfg = ExperimentConfig(instance=no_class, policy="contextual_igw", horizons=(100,))
-    with pytest.raises(ValueError):
-        run_experiment(cfg)
+    with pytest.raises(ValueError, match="requires a function_class"):
+        ExperimentConfig(instance=no_class, policy="contextual_igw", horizons=(100,))
 
 
 def test_config_validation():
@@ -820,16 +819,15 @@ def test_contextual_rejects_bad_class_member(member, message):
 def test_contextual_rejects_bad_class_bound(bound):
     # class_bound = inf used to surface as "eta must be finite", from 2/B^2;
     # a non-finite bound is now refused when the instance is built, and a
-    # zero one when the run builds the function class
+    # zero one when the config builds the function class
     if not math.isfinite(bound):
         with pytest.raises(ValueError, match="class_bound must be finite"):
             contextual_spec(bound=bound)
         return
-    cfg = ExperimentConfig(
-        instance=contextual_spec(bound=bound), policy="contextual_igw", horizons=(100,)
-    )
     with pytest.raises(ValueError, match="output bound B"):
-        run_experiment(cfg)
+        ExperimentConfig(
+            instance=contextual_spec(bound=bound), policy="contextual_igw", horizons=(100,)
+        )
 
 
 def test_contextual_class_parsed_once_per_run(monkeypatch):
@@ -840,11 +838,12 @@ def test_contextual_class_parsed_once_per_run(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "FunctionClass", counting)
+    # the config checks the class when it is built; the run builds it once more
     cfg = ExperimentConfig(
         instance=contextual_spec(), policy="contextual_igw", horizons=(50, 100),
         replications=2,
     )
+    monkeypatch.setattr(harness, "FunctionClass", counting)
     assert len(run_experiment(cfg)) == 4
     assert len(calls) == 1
 

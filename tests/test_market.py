@@ -390,8 +390,9 @@ _RUN_PATHS = {
     ids=["quadratic-intercepts", "linear"],
 )
 def test_regret_columns_per_run_match_per_period(suppliers, d, path):
-    # a constant-demand market prices each run of equal prices once; every
-    # column must be bit for bit the one-period market's, period by period
+    # a constant-demand market prices the periods up to its final run of
+    # equal prices and fills the rest; every column must be bit for bit the
+    # one-period market's, period by period, on heads with repeated prices too
     prices = _RUN_PATHS[path]
     cols = _constant_demand_market(suppliers, d, prices.size).regret_columns(prices)
     # the one-period market's columns at each distinct price (by bits),
@@ -413,8 +414,8 @@ def test_regret_columns_reject_bad_price_paths():
     )
     with pytest.raises(ValueError, match="length"):
         inst.regret_columns(np.array([0.5, 0.5]))
-    # the price-only path checks its run values: a bad value only in the
-    # final run is one of them
+    # the price-only path checks the prices up to the final run's first: a
+    # bad value only in the final run is one of them
     for prices in (
         [0.5, 1.5, 0.5], [0.5, -0.1, 0.5], [0.5, math.nan, 0.5],
         [0.5, 1.5, 1.5], [0.5, math.nan, math.nan], [math.nan] * 3,

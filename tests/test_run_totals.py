@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from eqprice import harness
 from eqprice.harness import ExperimentConfig, RunRecord, repeated_sum, run_experiment
-from eqprice.market import CostSpec, GeneratorSpec, InstanceSpec
+from eqprice.market import CostSpec, GeneratorSpec, InstanceSpec, MarketInstance
 
 #: The criterion-1 market: three quadratic suppliers and a demand of 1.
 CRITERION_1 = InstanceSpec(
@@ -210,11 +210,29 @@ def test_frozen_record_sums_only_its_head(monkeypatch):
     assert sizes and max(sizes) <= CRITERION_1_HEAD, max(sizes)
 
 
+def test_frozen_regret_pass_prices_only_its_head(monkeypatch):
+    # The regret pass of the frozen criterion-1 run prices the head and the
+    # first period of the frozen tail, and fills the rest.
+    T = 10**6
+    sizes = []
+    production = MarketInstance._production
+
+    def spy(self, prices):
+        sizes.append(np.size(prices))
+        return production(self, prices)
+
+    monkeypatch.setattr(MarketInstance, "_production", spy)
+    cfg = ExperimentConfig(instance=CRITERION_1, policy="fixed_interval", horizons=(T,))
+    run_experiment(cfg)
+    assert sizes and max(sizes) <= CRITERION_1_HEAD + 1, max(sizes)
+
+
 def test_frozen_fixed_interval_run_allocates_only_its_columns():
     # A frozen criterion-1 run returns a price column and four regret
     # columns of T float64 each, and its constant demand is one value. Next
-    # to its four columns the regret pass holds at most eight head-sized
-    # arrays at once, and the record two (its scratch buffer and a mask).
+    # to its four columns the regret pass holds at most four head-sized
+    # arrays at once (it measures three), and the record two (its scratch
+    # buffer and a mask).
     T = 10**6
     cfg = ExperimentConfig(instance=CRITERION_1, policy="fixed_interval", horizons=(T,))
     run_experiment(dataclasses.replace(cfg, horizons=(1000,)))  # first-use caches
@@ -236,5 +254,5 @@ def test_frozen_fixed_interval_run_allocates_only_its_columns():
         tracemalloc.stop()
     assert rec.demand.strides == (0,)
     assert peak <= 5 * 8 * T + 4 * 2**20, peak
-    assert regret_peak <= 4 * 8 * T + 8 * 8 * CRITERION_1_HEAD, regret_peak
+    assert regret_peak <= 4 * 8 * T + 4 * 8 * CRITERION_1_HEAD, regret_peak
     assert record_peak <= 2 * 8 * CRITERION_1_HEAD, record_peak
