@@ -1,14 +1,17 @@
 """Executable hardness demonstrations.
 
-Two constructions show when sub-linear regret on all three metrics is
-impossible:
+Two fixed constructions show when sub-linear regret on all three metrics
+is impossible:
 
 - A single supplier whose quadratic cost is redrawn i.i.d. each period
   between x^2/8 and x^2/16 (clearing prices 1/4 and 1/8) under fixed demand
-  1. No fixed price escapes an expected per-period total regret of at least
-  7/64, so the sum of the three metrics grows linearly for any policy.
+  1 (the ``IID_*`` constants). No fixed price escapes an expected
+  per-period total regret of at least 7/64, so the sum of the three metrics
+  grows linearly for any policy. :func:`verify_lower_bound` checks the
+  closed form at the prices :data:`LOWER_BOUND_PRICES`.
 
-- A single supplier with linear cost c*x: production jumps from 0 to the
+- A single supplier with linear cost 0.4 x up to a cap of 2 under fixed
+  demand 1 (the ``LINEAR_*`` constants): production jumps from 0 to the
   cap at p = c, so any price below the clearing price forfeits the whole
   demand while any price above overpays, and the three metrics cannot all
   be sub-linear.
@@ -36,6 +39,15 @@ IID_STIFF_COST = CostSpec.quadratic(mu=0.25, a=0.0)
 IID_SOFT_COST = CostSpec.quadratic(mu=0.125, a=0.0)
 IID_STIFF_PROB = 0.5
 IID_DEMAND = 1.0
+#: Prices at which :func:`verify_lower_bound` simulates the i.i.d. instance:
+#: 0, the minimizer 1/8, the other kink 1/4, and 1/2.
+LOWER_BOUND_PRICES = (0.0, 0.125, 0.25, 0.5)
+
+# The linear instance: cost 0.4 x up to a cap of 2 at demand 1, so the
+# clearing price is the unit cost 0.4 and the cap covers the demand.
+LINEAR_UNIT_COST = 0.4
+LINEAR_DEMAND = 1.0
+LINEAR_CAP = 2.0
 
 
 def expected_total_regret(p):
@@ -95,19 +107,17 @@ class LowerBoundReport:
 
 
 def verify_lower_bound(
-    grid_step: float = 1e-4,
-    n_periods: int = 100_000,
-    seed: int = 0,
-    prices: tuple[float, ...] = (0.0, 0.125, 0.25, 0.5),
+    grid_step: float = 1e-4, n_periods: int = 100_000, seed: int = 0
 ) -> LowerBoundReport:
     """Locate the analytic minimum of the expected total regret on a price
     grid and check the formula against seeded i.i.d. simulation.
 
-    The empirical value at each price is the average realized total regret
-    over ``n_periods`` draws of the i.i.d. instance's mixture, with the
-    per-draw regret evaluated by the market model. The mixture is fixed
-    because :func:`expected_total_regret`, the analytic column, is the
-    closed form for that mixture only.
+    The report has one row per price of :data:`LOWER_BOUND_PRICES`. Its
+    empirical value is the average realized total regret over ``n_periods``
+    draws of the i.i.d. instance's mixture, with the per-draw regret
+    evaluated by the market model. The instance is fixed because
+    :func:`expected_total_regret`, the analytic column, is the closed form
+    for that mixture only.
 
     ``grid_step`` must be a finite number in (0, 1] and ``n_periods`` an
     integer of at least 1; any other value raises ``ValueError`` naming it.
@@ -125,7 +135,7 @@ def verify_lower_bound(
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
-    for p in prices:
+    for p in LOWER_BOUND_PRICES:
         draws = rng.uniform(0.0, 1.0, n_periods) < IID_STIFF_PROB
         frac_a = float(np.count_nonzero(draws)) / n_periods
         total_a = per_period_total_regret(p, True)
@@ -162,20 +172,15 @@ class LinearDemoReport:
     bound_violations: int
 
 
-def linear_cost_demo(
-    horizon: int = 10_000,
-    seed: int = 0,
-    unit_cost: float = 0.4,
-    demand: float = 1.0,
-    cap: float | None = None,
-) -> LinearDemoReport:
-    """Run interval tracking against a single linear-cost supplier and fit
-    the growth of the summed regret metrics.
+def linear_cost_demo(horizon: int = 10_000, seed: int = 0) -> LinearDemoReport:
+    """Run interval tracking against the linear-cost instance (unit cost
+    c = :data:`LINEAR_UNIT_COST`, cap :data:`LINEAR_CAP`, demand d =
+    :data:`LINEAR_DEMAND`) and fit the growth of the summed regret metrics.
 
-    The clearing price is the unit cost c itself (with production cap >= d),
-    so the regret baseline is payment and cost c*d per period with zero
-    unmet demand; no equilibrium solve is involved. A period priced below c
-    contributes d - 2*c*d in total (positive for c < 1/2) and a period
+    The clearing price is the unit cost c itself (the cap covers d), so the
+    regret baseline is payment and cost c*d per period with zero unmet
+    demand; no equilibrium solve is involved. A period priced below c
+    contributes d - 2*c*d in total (positive, as c < 1/2) and a period
     priced at or above c contributes at least 2*c, so away from p = c the
     per-period total regret is floored by the smaller of the two.
 
@@ -184,12 +189,9 @@ def linear_cost_demo(
     """
     if horizon < 2:
         raise ValueError("linear_cost_demo needs horizon >= 2 to fit a line")
-    if cap is None:
-        cap = 2.0 * demand
-    if cap < demand:
-        raise ValueError("cap below demand: clearing is impossible")
+    unit_cost, demand = LINEAR_UNIT_COST, LINEAR_DEMAND
     instance = InstanceSpec(
-        suppliers=(CostSpec.linear(c=unit_cost, cap=cap),),
+        suppliers=(CostSpec.linear(c=unit_cost, cap=LINEAR_CAP),),
         demands=GeneratorSpec(kind="constant", value=demand),
         horizon=horizon,
     )
@@ -210,7 +212,7 @@ def linear_cost_demo(
         policy=rec.policy,
         horizon=horizon,
         unit_cost=unit_cost,
-        cap=cap,
+        cap=LINEAR_CAP,
         demand=demand,
         unmet=rec.unmet,
         cost_regret=rec.cost_regret,

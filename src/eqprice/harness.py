@@ -103,8 +103,6 @@ def _fmt(x: float) -> str:
 
 
 _TOP = 2**53
-#: Below it every double is a multiple of 2**-1074 and every sum is exact.
-_TINY = 2.0**-1021
 
 
 def repeated_sum(s: float, x: float, n: int) -> float:
@@ -119,10 +117,10 @@ def repeated_sum(s: float, x: float, n: int) -> float:
     second one's step c is the step of every later one, and j more
     additions give m + j*c as long as |m + j*c| stays in
     [2**52 + 1, 2**53 - 1], where no exact sum reaches the binade's edge.
-    Below :data:`_TINY` every sum is exact, so the additions jump to the
-    edge of that range at once. Crossings are stepped one addition at a
-    time. A step that leaves s unchanged or gives inf or nan ends the loop:
-    no later addition changes it.
+    Crossings, and sums among the subnormals, which have no binade of this
+    form, are stepped one addition at a time. A step that leaves s
+    unchanged or gives inf or nan ends the loop: no later addition changes
+    it.
     """
     s, x = float(s), float(x)
     steady = False  # whether s came from an addition that stayed in its binade
@@ -131,22 +129,16 @@ def repeated_sum(s: float, x: float, n: int) -> float:
         n -= 1
         if not math.isfinite(t) or (t == s and math.copysign(1.0, t) == math.copysign(1.0, s)):
             return t
-        if abs(t) < _TINY and 0 < abs(x) < _TINY:
-            m, c = int(math.ldexp(t, 1074)), int(math.ldexp(x, 1074))
-            j = min(n, (_TOP - 1 - m) // c if c > 0 else (_TOP - 1 + m) // -c)
-            t = math.ldexp(m + j * c, -1074)
+        (fs, es), (ft, et) = math.frexp(s), math.frexp(t)
+        same = es == et >= -1021 and fs * ft > 0  # one normal binade, one sign
+        if same and steady:
+            m = abs(int(math.ldexp(ft, 53)))
+            c = m - abs(int(math.ldexp(fs, 53)))  # the step of |m|
+            j = (_TOP - 1 - m) // c if c > 0 else (m - _TOP // 2 - 1) // -c
+            j = min(n, max(j, 0))
+            t = math.copysign(math.ldexp(m + j * c, et - 53), t)
             n -= j
-        else:
-            (fs, es), (ft, et) = math.frexp(s), math.frexp(t)
-            same = es == et >= -1021 and fs * ft > 0  # one normal binade, one sign
-            if same and steady:
-                m = abs(int(math.ldexp(ft, 53)))
-                c = m - abs(int(math.ldexp(fs, 53)))  # the step of |m|
-                j = (_TOP - 1 - m) // c if c > 0 else (m - _TOP // 2 - 1) // -c
-                j = min(n, max(j, 0))
-                t = math.copysign(math.ldexp(m + j * c, et - 53), t)
-                n -= j
-            steady = same
+        steady = same
         s = t
     return s
 
@@ -162,7 +154,8 @@ class ExperimentConfig:
     its key's reader when the config is built, and an unknown key or a value
     out of range is rejected there, as is a supplier mix the policy does not
     run on or a contextual_igw instance without a valid function class.
-    Horizons, replications and seed must be integral.
+    Horizons, replications and seed must be integral, and an instance that
+    lists its demands or contexts must list one per period of every horizon.
     """
 
     instance: InstanceSpec
@@ -183,6 +176,11 @@ class ExperimentConfig:
             raise ValueError("horizons must be sorted ascending")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        for name in ("demands", "contexts"):
+            listed = getattr(self.instance, name)
+            for T in self.horizons if isinstance(listed, tuple) else ():
+                if len(listed) != T:
+                    raise ValueError(f"instance {name} lists {len(listed)} periods, horizon {T}")
         readers = POLICIES[self.policy][0]
         unknown = sorted(set(self.policy_params) - set(readers))
         if unknown:

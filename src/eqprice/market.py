@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import reprlib
 import types
@@ -275,13 +274,6 @@ class CostSpec:
             return self.c * x
         return x * x / (2.0 * self.coefficient(theta))
 
-    def marginal_cost(self, x: float, theta=None) -> float:
-        if self.family == QUADRATIC:
-            return self.mu * x + self.a
-        if self.family == LINEAR:
-            return self.c
-        return x / self.coefficient(theta)
-
     def to_json_dict(self) -> dict:
         return {k: _json(getattr(self, k)) for k in COST_FIELDS[self.family]}
 
@@ -467,7 +459,9 @@ class GeneratorSpec:
     ``uniform_cube`` (lo, hi, dim) for contexts. Draws use the replication's
     Philox stream; see the harness docs for the draw order. An unknown kind,
     a non-finite value, lo or hi, hi < lo, a cube with dim < 1 and a field
-    the kind does not read (:data:`GENERATOR_FIELDS`) are rejected.
+    the kind does not read (:data:`GENERATOR_FIELDS`) are rejected. A JSON
+    document must hold every key its kind reads: a dropped ``lo`` is named,
+    not read as 0.
     """
 
     kind: str
@@ -488,6 +482,10 @@ class GeneratorSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GeneratorSpec":
+        kind = doc.get("kind")
+        for key in GENERATOR_FIELDS.get(kind, ()) if isinstance(kind, str) else ():
+            if key not in doc:
+                raise ValueError(f"{cls.__name__} document of kind {kind!r} lacks the key {key!r}")
         return read_json_dict(cls, doc, GENERATOR_FIELDS)
 
     def bounds(self) -> tuple[float, float]:
@@ -508,7 +506,9 @@ class InstanceSpec:
     :class:`FunctionClass` the contextual policy builds from them.
 
     Every field is read as its annotation declares (:func:`_read`), so a
-    spec built from lists or dicts hashes and equals its round trip.
+    spec built from lists or dicts hashes and equals its round trip. A
+    ``demands`` generator is ``constant`` or ``uniform``, a ``contexts`` one
+    ``uniform_cube``; any other kind is rejected, naming the field.
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -522,6 +522,10 @@ class InstanceSpec:
     def __post_init__(self):
         _normalise(self)
         _class_members(self.function_class or (), "function_class")
+        for name, kinds in (("demands", ("constant", "uniform")), ("contexts", ("uniform_cube",))):
+            g = getattr(self, name)
+            if isinstance(g, GeneratorSpec) and g.kind not in kinds:
+                raise ValueError(f"{name} takes a {' or '.join(kinds)} generator, got {g.kind!r}")
 
     def to_json_dict(self) -> dict:
         return {f.name: _json(v) for f in fields(self) if (v := getattr(self, f.name)) is not None}
@@ -529,13 +533,6 @@ class InstanceSpec:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "InstanceSpec":
         return read_json_dict(cls, doc)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "InstanceSpec":
-        return cls.from_json_dict(json.loads(text))
 
     def with_horizon(self, horizon: int) -> "InstanceSpec":
         return replace(self, horizon=horizon)
@@ -552,18 +549,14 @@ class InstanceSpec:
             if g.kind == "constant":
                 # one value, read-only: a view of stride 0, not T copies
                 demands = np.broadcast_to(np.float64(g.value), (T,))
-            elif g.kind == "uniform":
-                demands = rng.uniform(g.lo, g.hi, T)
             else:
-                raise ValueError(f"demand generator kind {g.kind!r} not supported")
+                demands = rng.uniform(g.lo, g.hi, T)
             bounds = self.demand_bounds or g.bounds()
         else:
             demands = np.asarray(self.demands, dtype=np.float64)
             bounds = self.demand_bounds or (float(demands.min()), float(demands.max()))
         if isinstance(self.contexts, GeneratorSpec):
             g = self.contexts
-            if g.kind != "uniform_cube":
-                raise ValueError(f"context generator kind {g.kind!r} not supported")
             contexts = rng.uniform(g.lo, g.hi, (T, g.dim))
         elif self.contexts is not None:
             contexts = np.asarray(self.contexts, dtype=np.float64)
@@ -768,14 +761,14 @@ class MarketInstance:
         first period of the final run of bit-equal prices
         (:func:`tail_start`), and each column's last value fills the rest:
         the same arithmetic on the same operands as a pass over every period.
+        A price among those ``k`` outside [0, 1] or NaN is rejected by
+        :func:`price_array`, naming the first.
         """
         prices = np.asarray(prices, dtype=np.float64)
         if prices.shape != (self.horizon,):
             raise ValueError("price path length must equal the horizon")
         k = tail_start(prices) + 1 if self._price_only else self.horizon
-        posted = prices[:k]
-        if not (0.0 <= posted.min() and posted.max() <= 1.0):
-            raise ValueError("prices must lie in [0, 1]")
+        posted = price_array(prices[:k])
         cost_eq, pay_eq = self._clearing_cost_and_payment()
         prod, cost = self._production(posted)
         cols = dict(

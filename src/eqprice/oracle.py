@@ -54,9 +54,6 @@ class OracleState:
 
     clamped: int = 0
 
-    def weights(self) -> np.ndarray:
-        return np.array(kernels.oracle_weights(self.log_weights.tolist()))
-
 
 def make_oracle_state(cls: FunctionClass, eta: float | None = None) -> OracleState:
     """Uniform-weight state; eta defaults to :func:`default_eta` of the bound."""

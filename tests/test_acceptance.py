@@ -8,6 +8,7 @@ positive increments), the quantities whose growth the interval-tracking
 analyses control; unmet demand is nonnegative by construction.
 """
 
+import json
 import math
 import time
 
@@ -161,9 +162,7 @@ def test_criterion_2_varying_demand_rate():
 
 
 def test_criterion_3_iid_lower_bound():
-    report = verify_lower_bound(
-        grid_step=1e-4, n_periods=10**5, seed=11, prices=(0.0, 0.125, 0.25, 0.5)
-    )
+    report = verify_lower_bound(grid_step=1e-4, n_periods=10**5, seed=11)
     ok = True
     detail = []
     if not (
@@ -252,7 +251,7 @@ def test_criterion_5_instance_is_hashable_and_round_trips():
     spec = _contextual_instance()
     assert all(isinstance(m, CostSpec) for m in spec.function_class)
     assert hash(spec) == hash(_contextual_instance())
-    assert InstanceSpec.from_json(spec.to_json()) == spec
+    assert InstanceSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))) == spec
     assert spec.to_json_dict()["function_class"][0] == {
         "family": "context_quadratic", "phi": [1.5, 1.5, 1.0], "feature_map_id": "identity"
     }
@@ -418,9 +417,10 @@ def test_criterion_7_lemma_suite():
         if abs(alloc.total - d) > KKT_TOL:
             kkt_viol += 1
         for s, x in zip(sup, alloc.per_supplier):
-            if x > 0 and abs(s.marginal_cost(x) - p) > KKT_TOL:
+            marginal = s.mu * x + s.a  # d cost(x) / dx of a quadratic supplier
+            if x > 0 and abs(marginal - p) > KKT_TOL:
                 kkt_viol += 1
-            if x == 0 and s.marginal_cost(0.0) < p - KKT_TOL:
+            if x == 0 and marginal < p - KKT_TOL:
                 kkt_viol += 1
     detail.append(f"KKT violations {kkt_viol}/1000 instances")
     ok = ok and kkt_viol == 0

@@ -357,6 +357,30 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "name, spec",
+    [
+        ("demands", dataclasses.replace(QUAD_FIXED, demands=(1.0, 1.0))),
+        ("contexts", InstanceSpec(
+            suppliers=(CostSpec.context_quadratic((1.0,)),),
+            demands=GeneratorSpec(kind="constant", value=0.5),
+            horizon=2,
+            contexts=((1.0,), (1.0,)),
+        )),
+    ],
+)
+def test_listed_sequence_must_cover_every_horizon(name, spec):
+    # refused when the config is built, so no run of a shorter horizon starts
+    with pytest.raises(ValueError, match=f"^instance {name} lists 2 periods, horizon 3$"):
+        ExperimentConfig(
+            instance=spec, policy="constant_price", horizons=(2, 3), policy_params={"p": 0.9}
+        )
+    config = ExperimentConfig(
+        instance=spec, policy="constant_price", horizons=(2,), policy_params={"p": 0.9}
+    )
+    assert len(run_experiment(config)) == 1
+
+
 def test_policy_params_unknown_key_rejected():
     for params, key in [
         ({"n_prise": 5}, "n_prise"),
@@ -745,7 +769,7 @@ def test_record_cumulative_fields_match_columns():
 
 def test_config_json_and_instance_path(tmp_path):
     inst_path = tmp_path / "inst.json"
-    inst_path.write_text(QUAD_FIXED.to_json())
+    inst_path.write_text(json.dumps(QUAD_FIXED.to_json_dict()))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
         json.dumps(

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqprice.market import (
+    GENERATOR_FIELDS,
     TAIL_CHUNK,
     CostSpec,
     FunctionClass,
@@ -228,6 +229,13 @@ def test_equilibrium_price_array_checks_every_demand():
         equilibrium_price(sup, np.array([0.5, 3.5, 2.5]))
 
 
+def marginal_cost(s: CostSpec, x: float, theta=None) -> float:
+    """d cost(x) / dx of a quadratic or contextual supplier."""
+    if s.family == "quadratic":
+        return s.mu * x + s.a
+    return x / s.coefficient(theta)
+
+
 def test_kkt_consistency_at_equilibrium():
     rng = np.random.Generator(np.random.Philox(key=21))
     for _ in range(200):
@@ -244,9 +252,9 @@ def test_kkt_consistency_at_equilibrium():
         alloc = aggregate_production(sup, p)
         for s, x in zip(sup, alloc.per_supplier):
             if x > 0:
-                assert abs(s.marginal_cost(x) - p) <= KKT_TOL
+                assert abs(marginal_cost(s, x) - p) <= KKT_TOL
             else:
-                assert s.marginal_cost(0.0) >= p - KKT_TOL
+                assert marginal_cost(s, 0.0) >= p - KKT_TOL
 
 
 _quadratic = st.builds(
@@ -271,9 +279,9 @@ def test_clearing_price_kkt_mixed_markets(sup, theta, frac):
     assert abs(alloc.total - d) <= KKT_TOL
     for s, x in zip(sup, alloc.per_supplier):
         if x > 0:
-            assert abs(s.marginal_cost(x, theta) - p) <= KKT_TOL
+            assert abs(marginal_cost(s, x, theta) - p) <= KKT_TOL
         else:
-            assert s.marginal_cost(0.0, theta) >= p - KKT_TOL
+            assert marginal_cost(s, 0.0, theta) >= p - KKT_TOL
 
 
 # --- Lipschitz properties -------------------------------------------------
@@ -416,11 +424,11 @@ def test_regret_columns_reject_bad_price_paths():
         inst.regret_columns(np.array([0.5, 0.5]))
     # the price-only path checks the prices up to the final run's first: a
     # bad value only in the final run is one of them
-    for prices in (
-        [0.5, 1.5, 0.5], [0.5, -0.1, 0.5], [0.5, math.nan, 0.5],
-        [0.5, 1.5, 1.5], [0.5, math.nan, math.nan], [math.nan] * 3,
+    for prices, first in (
+        ([0.5, 1.5, 0.5], "1.5"), ([0.5, -0.1, 0.5], "-0.1"), ([0.5, math.nan, 0.5], "nan"),
+        ([0.5, 1.5, 1.5], "1.5"), ([0.5, math.nan, math.nan], "nan"), ([math.nan] * 3, "nan"),
     ):
-        with pytest.raises(ValueError, match=r"prices must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=rf"^price must lie in \[0, 1\], got {first}$"):
             inst.regret_columns(np.array(prices))
 
 
@@ -597,7 +605,7 @@ def test_instance_rejects_non_finite_demands(demands):
         "demand_bounds": [0.5, 1.5],
     }
     with pytest.raises(ValueError, match="finite"):
-        spec = InstanceSpec.from_json(json.dumps(doc))
+        spec = InstanceSpec.from_json_dict(doc)
         spec.materialize(np.random.Generator(np.random.Philox(key=0)))
 
 
@@ -638,10 +646,10 @@ def test_instance_round_trip_lossless():
             {"family": "context_quadratic", "phi": [0.7, 0.1], "feature_map_id": "tanh_affine"},
         ),
     )
-    again = InstanceSpec.from_json(spec.to_json())
+    again = InstanceSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
     assert again == spec
     # float fields survive a second trip through text exactly
-    assert json.loads(again.to_json()) == json.loads(spec.to_json())
+    assert json.dumps(again.to_json_dict()) == json.dumps(spec.to_json_dict())
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -686,10 +694,10 @@ def test_instance_json_round_trip_property(
         suppliers=suppliers, demands=demands, horizon=horizon, contexts=contexts,
         demand_bounds=demand_bounds, function_class=function_class, class_bound=class_bound,
     )
-    text = spec.to_json()
-    again = InstanceSpec.from_json(text)
+    text = json.dumps(spec.to_json_dict())
+    again = InstanceSpec.from_json_dict(json.loads(text))
     assert again == spec
-    assert again.to_json() == text
+    assert json.dumps(again.to_json_dict()) == text
 
 
 # --- reading: every key checked ----------------------------------------------
@@ -759,6 +767,37 @@ def test_unknown_family_or_kind_is_named_first():
         GeneratorSpec.from_json_dict({"kind": "normal", "sigma": 1.0})
 
 
+@pytest.mark.parametrize(
+    "field, generator",
+    [
+        ("demands", GeneratorSpec(kind="uniform_cube", lo=0.5, hi=1.5, dim=1)),
+        ("contexts", GeneratorSpec(kind="constant", value=1.0)),
+        ("contexts", GeneratorSpec(kind="uniform", lo=0.5, hi=1.5)),
+    ],
+)
+def test_generator_in_the_wrong_field_is_named(field, generator):
+    # refused when the spec is built, before any run draws from it
+    doc = {"suppliers": (CostSpec.quadratic(1.0),), "demands": (0.5,), "horizon": 1}
+    with pytest.raises(ValueError, match=f"^{field} takes a .* generator, got '{generator.kind}'$"):
+        InstanceSpec(**{**doc, field: generator})
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind, row in GENERATOR_FIELDS.items() for key in row[1:]],
+)
+def test_generator_document_lacking_a_key_of_its_kind_is_named(kind, key):
+    # a dropped key would read as its default 0.0: contexts drawn from
+    # [0, hi), or demands refused later under the bounds rule, not the key
+    full = {"kind": kind, "value": 1.0, "lo": 0.5, "hi": 1.5, "dim": 2}
+    doc = {k: full[k] for k in GENERATOR_FIELDS[kind] if k != key}
+    with pytest.raises(ValueError, match=f"document of kind '{kind}' lacks the key '{key}'$"):
+        GeneratorSpec.from_json_dict(doc)
+    field = "contexts" if kind == "uniform_cube" else "demands"
+    with pytest.raises(ValueError, match=f"^{field}: GeneratorSpec document of kind '{kind}'"):
+        InstanceSpec.from_json_dict({**_INSTANCE_DOC, field: doc})
+
+
 @pytest.mark.parametrize("horizon", [1000.7, math.nan, math.inf, "1000"])
 def test_non_integral_horizon_rejected(horizon):
     with pytest.raises(ValueError, match="horizon must be an integer"):
@@ -817,7 +856,8 @@ def test_instance_json_text_every_field():
         function_class=(CostSpec.context_quadratic((1.0, 0.1), "tanh_affine"),),
         class_bound=9.0,
     )
-    assert spec.to_json() == """{
+    text = json.dumps(spec.to_json_dict(), indent=2)
+    assert text == """{
   "suppliers": [
     {
       "family": "quadratic",
@@ -868,7 +908,7 @@ def test_instance_json_text_every_field():
   ],
   "class_bound": 9.0
 }"""
-    assert InstanceSpec.from_json(spec.to_json()) == spec
+    assert InstanceSpec.from_json_dict(json.loads(text)) == spec
 
 
 def test_instance_rejects_out_of_range_price():
