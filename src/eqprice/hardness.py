@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import ExperimentConfig, _fit_line, run_experiment
+from .harness import ExperimentConfig, _fit_line, replication_stream, run_experiment
 from .market import (
     CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, integral, number, price_array
 )
@@ -114,10 +114,11 @@ def verify_lower_bound(
 
     The report has one row per price of :data:`LOWER_BOUND_PRICES`. Its
     empirical value is the average realized total regret over ``n_periods``
-    draws of the i.i.d. instance's mixture, with the per-draw regret
-    evaluated by the market model. The instance is fixed because
-    :func:`expected_total_regret`, the analytic column, is the closed form
-    for that mixture only.
+    draws of the i.i.d. instance's mixture, drawn from replication 0 of
+    ``seed`` (:func:`~eqprice.harness.replication_stream`), with the
+    per-draw regret evaluated by the market model. The instance is fixed
+    because :func:`expected_total_regret`, the analytic column, is the
+    closed form for that mixture only.
 
     ``grid_step`` must be a finite number in (0, 1] and ``n_periods`` an
     integer of at least 1; any other value raises ``ValueError`` naming it.
@@ -133,7 +134,7 @@ def verify_lower_bound(
     values = expected_total_regret(grid)
     arg = int(np.argmin(values))
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = replication_stream(seed, 0)
     rows = []
     for p in LOWER_BOUND_PRICES:
         draws = rng.uniform(0.0, 1.0, n_periods) < IID_STIFF_PROB

@@ -66,16 +66,23 @@ GENERATOR_FIELDS = {
     "uniform": ("kind", "lo", "hi"),
     "uniform_cube": ("kind", "lo", "hi", "dim"),
 }
+#: The table keys a document may drop, each read as its documented default.
+OPTIONAL_KEYS = ("a", "feature_map_id")
 
 
 def read_json_dict(cls, doc: dict, table: dict | None = None):
     """``cls`` built from the JSON document ``doc``, whose keys must be the
     ``table`` row of the spec's first field (its family or kind), or else
-    fields of ``cls``; a missing required field or any other key is named."""
+    fields of ``cls``. A missing required field, a missing key of the row
+    (but :data:`OPTIONAL_KEYS`) and any other key are named."""
     names = [f.name for f in fields(cls)]
     for f in fields(cls):
         if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"{cls.__name__} document lacks the required key {f.name!r}")
+    tag = doc.get(names[0])
+    for key in table.get(tag, ()) if table and isinstance(tag, str) else ():
+        if key not in doc and key not in OPTIONAL_KEYS:
+            raise ValueError(f"{cls.__name__} document of {names[0]} {tag!r} lacks the key {key!r}")
     spec = cls(**{k: v for k, v in doc.items() if k in names})
     known = table[getattr(spec, names[0])] if table else names
     for key in doc:
@@ -205,6 +212,8 @@ class CostSpec:
       <phi, sigma(theta)> > 0 for every admissible context.
 
     A parameter the family does not read (:data:`COST_FIELDS`) is rejected.
+    A JSON document must hold every key its family reads but
+    :data:`OPTIONAL_KEYS`: a dropped ``mu`` is named, not read as 0.
     """
 
     family: str
@@ -482,10 +491,6 @@ class GeneratorSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GeneratorSpec":
-        kind = doc.get("kind")
-        for key in GENERATOR_FIELDS.get(kind, ()) if isinstance(kind, str) else ():
-            if key not in doc:
-                raise ValueError(f"{cls.__name__} document of kind {kind!r} lacks the key {key!r}")
         return read_json_dict(cls, doc, GENERATOR_FIELDS)
 
     def bounds(self) -> tuple[float, float]:

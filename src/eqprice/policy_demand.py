@@ -14,14 +14,13 @@ The arithmetic is :func:`eqprice.kernels.cell_index` and
 :func:`eqprice.kernels.demand_update` (whose probe step is
 :func:`eqprice.kernels.demand_probe`), the only copy of it. This module
 calls them once per period. :func:`eqprice.kernels.demand_trajectory`
-computes every period's cell in one numpy pass,
-:func:`eqprice.kernels.cell_indices`, and runs each cell on its own visits:
-a cell's update never reads the demand, and whether a visit shrinks is
-monotone along a probe run, so a galloping search finds the shrinking
-visit and ``demand_update`` runs only there (see :mod:`eqprice.kernels`).
-A :class:`DemandPolicyState` carries the policy's whole configuration, its
-:class:`DemandGrid` and freeze width, so the step API reads the grid from
-the state and the harness hands the same fields to
+calls ``cell_index`` once, on the whole demand path, and runs each cell on
+its own visits: a cell's update never reads the demand, and whether a visit
+shrinks is monotone along a probe run, so a galloping search finds the
+shrinking visit and ``demand_update`` runs only there (see
+:mod:`eqprice.kernels`). A :class:`DemandPolicyState` carries the policy's
+whole configuration, its :class:`DemandGrid` and freeze width, so the step
+API reads the grid from the state and the harness hands the same fields to
 :func:`eqprice.kernels.demand_trajectory`.
 """
 
@@ -66,8 +65,9 @@ def default_gamma(horizon: int) -> float:
 
 
 def interval_index(grid: DemandGrid, d: float) -> int:
-    """1-based cell index of demand d: floor((d - d_lo)/gamma) + 1, clamped."""
-    if d < grid.d_lo - 1e-12 or d > grid.d_hi + 1e-12:
+    """1-based cell index of demand d: floor((d - d_lo)/gamma) + 1, clamped.
+    A demand outside the grid bounds, NaN included, is rejected."""
+    if not (grid.d_lo - 1e-12 <= d <= grid.d_hi + 1e-12):
         raise ValueError(f"demand {d} outside grid bounds [{grid.d_lo}, {grid.d_hi}]")
     return kernels.cell_index(d, grid.d_lo, grid.gamma, grid.n_cells) + 1
 

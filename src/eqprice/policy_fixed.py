@@ -8,15 +8,15 @@ narrower than 1/T the price freezes at the lower end. Squaring eps means the
 number of shrink events over a horizon T is O(log log T).
 
 The arithmetic is :func:`eqprice.kernels.fixed_offer` and
-:func:`eqprice.kernels.fixed_update`, the only copy of it. This module
-calls them once per period. :func:`eqprice.kernels.fixed_trajectory` calls
+:func:`eqprice.kernels.fixed_update`, the only copy of it; ``fixed_update``
+prices its bracketing offer with ``fixed_offer``. This module calls them
+once per period. :func:`eqprice.kernels.fixed_trajectory` calls
 ``fixed_update`` only at the periods that shrink: whether cursor c does is
 monotone in c, so a galloping search finds that period, and the probes
-before it are priced by ``fixed_offers``, ``fixed_offer``'s numpy twin, in
-one pass. A :class:`FixedPolicyState` is the kernel's
-tracker tuple followed by the policy's configuration, the horizon, so the
-step API builds it straight from :func:`eqprice.kernels.fixed_start` and
-``fixed_update``.
+before it are priced by one ``fixed_offer`` call on the array of their
+cursors. A :class:`FixedPolicyState` is the kernel's tracker tuple followed
+by the policy's configuration, the horizon, so the step API builds it
+straight from :func:`eqprice.kernels.fixed_start` and ``fixed_update``.
 """
 
 from __future__ import annotations

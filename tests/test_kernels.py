@@ -204,17 +204,22 @@ def test_first_event_matches_linear_scan(lo, width, offset):
     n=st.integers(0, 200),
 )
 @example(a=0.25, width=0.5, eps=0.125, lo=0, n=10)  # offers reach b at cursor 4, capped after it
-@example(a=0.25, width=0.5, eps=0.125, lo=7, n=0)  # lo == hi
+@example(a=0.25, width=0.5, eps=0.125, lo=7, n=0)  # an empty run
 @example(a=0.0, width=1.0, eps=2.0**-64, lo=2**52, n=100)  # large cursors
-def test_fixed_offers_match_fixed_offer(a, width, eps, lo, n):
+def test_fixed_offer_on_cursor_array_matches_one_cursor_calls(a, width, eps, lo, n):
     b = min(a + width, 1.0)
-    got = kernels.fixed_offers(a, b, eps, lo, lo + n)
-    want = np.array([kernels.fixed_offer(a, b, eps, j, False) for j in range(lo, lo + n)])
+    got = kernels.fixed_offer(a, b, eps, np.arange(lo, lo + n), False)
+    want = [kernels.fixed_offer(a, b, eps, j, False) for j in range(lo, lo + n)]
+    assert all(type(p) is float for p in want)
     assert got.shape == (n,)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    if n:
+        one = kernels.fixed_offer(a, b, eps, np.array(lo), False)  # a 0-d array is one cursor
+        assert type(one) is float and one == want[0]
+    assert kernels.fixed_offer(a, b, eps, lo, True) == a  # frozen posts a
 
 
-def test_cell_indices_match_cell_index():
+def test_cell_index_on_demand_array_matches_one_demand_calls():
     d_lo, gamma, n_cells = 0.5, 1.0 / math.sqrt(20_000), 142
     edges = d_lo + np.arange(n_cells + 1) * gamma
     demands = np.concatenate([
@@ -224,8 +229,9 @@ def test_cell_indices_match_cell_index():
         np.nextafter(edges, np.inf),
         [d_lo, 1.5, d_lo - 1e-12, 1.5 + 1e-12, 0.0, 1e300],  # both bounds and beyond
     ])
-    got = kernels.cell_indices(demands, d_lo, gamma, n_cells)
+    got = kernels.cell_index(demands, d_lo, gamma, n_cells)
     want = [kernels.cell_index(float(x), d_lo, gamma, n_cells) for x in demands]
+    assert all(type(k) is int for k in want)
     assert got.tolist() == want
     assert got.min() == 0 and got.max() == n_cells - 1
 
@@ -239,6 +245,10 @@ def test_demand_kernel_rejects_non_finite_demand(bad):
             fam, p1, p2, demands, np.zeros(4), np.ones(4), np.full(4, 0.5),
             0.5, 0.25, 4, 0.01,
         )
+    # the cell step itself, at one demand and on a path
+    for d in (bad, demands):
+        with pytest.raises(ValueError, match="^demands must be finite$"):
+            kernels.cell_index(d, 0.5, 0.25, 4)
 
 
 def _quadratic_ensemble(n, seed):

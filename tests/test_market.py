@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqprice.market import (
+    COST_FIELDS,
     GENERATOR_FIELDS,
+    OPTIONAL_KEYS,
     TAIL_CHUNK,
     CostSpec,
     FunctionClass,
@@ -796,6 +798,34 @@ def test_generator_document_lacking_a_key_of_its_kind_is_named(kind, key):
     field = "contexts" if kind == "uniform_cube" else "demands"
     with pytest.raises(ValueError, match=f"^{field}: GeneratorSpec document of kind '{kind}'"):
         InstanceSpec.from_json_dict({**_INSTANCE_DOC, field: doc})
+
+
+_COST_VALUES = {
+    "mu": 1.0, "a": 0.1, "c": 0.4, "cap": 2.0, "phi": [1.0], "feature_map_id": "identity",
+}
+
+
+@pytest.mark.parametrize(
+    "family, key",
+    [(f, key) for f, row in COST_FIELDS.items() for key in row[1:] if key not in OPTIONAL_KEYS],
+)
+def test_cost_document_lacking_a_key_of_its_family_is_named(family, key):
+    # a dropped key would read as its default, and fail under the family's
+    # rule ("requires curvature mu > 0"), not by the key
+    doc = {"family": family, **{k: _COST_VALUES[k] for k in COST_FIELDS[family][1:] if k != key}}
+    message = f"CostSpec document of family '{family}' lacks the key '{key}'$"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        CostSpec.from_json_dict(doc)
+    if family != "context_quadratic":  # a contextual instance needs contexts
+        with pytest.raises(ValueError, match=f"^suppliers\\[0\\]: {message}"):
+            InstanceSpec.from_json_dict({**_INSTANCE_DOC, "suppliers": [doc]})
+
+
+def test_cost_document_may_drop_a_and_feature_map_id():
+    # the two keys with documented defaults (OPTIONAL_KEYS)
+    assert CostSpec.from_json_dict({"family": "quadratic", "mu": 1.0}) == CostSpec.quadratic(1.0)
+    doc = {"family": "context_quadratic", "phi": [1.0]}
+    assert CostSpec.from_json_dict(doc) == CostSpec.context_quadratic([1.0], "identity")
 
 
 @pytest.mark.parametrize("horizon", [1000.7, math.nan, math.inf, "1000"])

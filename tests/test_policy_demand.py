@@ -30,6 +30,22 @@ def test_interval_index_rejects_out_of_range():
         interval_index(grid, 1.6)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda state: interval_index(state.grid, math.nan),
+        lambda state: cell_price(state, math.nan),
+        lambda state: demand_step(state, math.nan, 0.7),
+    ],
+    ids=["interval_index", "cell_price", "demand_step"],
+)
+def test_nan_demand_is_refused_as_outside_the_grid(entry):
+    # every comparison with NaN is false, so the bounds test is written to fail on it
+    state = make_demand_state(DemandGrid.from_width(0.5, 1.5, 0.25), horizon=100)
+    with pytest.raises(ValueError, match=r"^demand nan outside grid bounds \[0.5, 1.5\]$"):
+        entry(state)
+
+
 def test_grid_covers_span():
     grid = DemandGrid.from_width(0.5, 1.5, 0.3)
     assert grid.n_cells * grid.gamma >= grid.d_hi - grid.d_lo
