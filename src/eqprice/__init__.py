@@ -52,6 +52,7 @@ from .policy_contextual import (
 from .policy_demand import (
     DemandGrid,
     DemandPolicyState,
+    cell_price,
     demand_step,
     interval_index,
     make_demand_state,

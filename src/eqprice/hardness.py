@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import ExperimentConfig, _fit_line, replication_stream, run_experiment
+from .harness import ExperimentConfig, _fit_line, replication_stream, run_experiment, seed_key
 from .market import (
     CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, integral, number, price_array
 )
@@ -65,21 +65,6 @@ def expected_total_regret(p):
     r = np.where(p < 0.125, sq - 6.0 * p + 23.0 / 32.0,
                  np.where(p <= 0.25, sq - 2.0 * p + 7.0 / 32.0, sq - 9.0 / 32.0))
     return r if p.ndim else float(r)
-
-
-def per_period_total_regret(p: float, stiff_draw: bool) -> float:
-    """Realized total regret of one period of the i.i.d. instance given
-    which cost was drawn, computed by
-    :meth:`~eqprice.market.MarketInstance.regret_columns` on a one-period
-    market (not the closed form)."""
-    cost = IID_STIFF_COST if stiff_draw else IID_SOFT_COST
-    d = IID_DEMAND
-    market = MarketInstance(
-        suppliers=(cost,), demands=np.array([d]), contexts=None, horizon=1,
-        demand_bounds=(d, d),
-    )
-    cols = market.regret_columns(np.array([p]))
-    return float(cols["unmet_inc"][0] + cols["cost_inc"][0] + cols["pay_inc"][0])
 
 
 @dataclass(frozen=True)
@@ -120,8 +105,10 @@ def verify_lower_bound(
     because :func:`expected_total_regret`, the analytic column, is the
     closed form for that mixture only.
 
-    ``grid_step`` must be a finite number in (0, 1] and ``n_periods`` an
-    integer of at least 1; any other value raises ``ValueError`` naming it.
+    ``grid_step`` must be a finite number in (0, 1], ``n_periods`` an
+    integer of at least 1 and ``seed`` an integer in [0, 2**128)
+    (:func:`~eqprice.harness.seed_key`); any other value raises ``ValueError``
+    naming it.
     """
     grid_step = number(grid_step, "grid_step")
     if not 0.0 < grid_step <= 1.0:
@@ -129,18 +116,27 @@ def verify_lower_bound(
     n_periods = integral(n_periods, "n_periods")
     if n_periods < 1:
         raise ValueError(f"n_periods must be at least 1, got {n_periods!r}")
+    seed = seed_key(seed, 0)
     n_grid = int(round(1.0 / grid_step))
     grid = np.arange(n_grid + 1) / n_grid
     values = expected_total_regret(grid)
     arg = int(np.argmin(values))
 
+    # realized total regret at each price, one market per cost draw
+    n, d = len(LOWER_BOUND_PRICES), IID_DEMAND
+    totals = []
+    for cost in (IID_STIFF_COST, IID_SOFT_COST):
+        market = MarketInstance(
+            suppliers=(cost,), demands=np.full(n, d), contexts=None, horizon=n,
+            demand_bounds=(d, d),
+        )
+        cols = market.regret_columns(np.array(LOWER_BOUND_PRICES))
+        totals.append((cols["unmet_inc"] + cols["cost_inc"] + cols["pay_inc"]).tolist())
     rng = replication_stream(seed, 0)
     rows = []
-    for p in LOWER_BOUND_PRICES:
+    for p, total_a, total_b in zip(LOWER_BOUND_PRICES, *totals):
         draws = rng.uniform(0.0, 1.0, n_periods) < IID_STIFF_PROB
         frac_a = float(np.count_nonzero(draws)) / n_periods
-        total_a = per_period_total_regret(p, True)
-        total_b = per_period_total_regret(p, False)
         empirical = frac_a * total_a + (1.0 - frac_a) * total_b
         rows.append(LowerBoundRow(p, expected_total_regret(p), empirical, n_periods, seed))
     return LowerBoundReport(

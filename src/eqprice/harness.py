@@ -55,6 +55,7 @@ from .market import (
     InstanceSpec,
     MarketInstance,
     _normalise,
+    integral,
     number,
     positive,
     read_json_dict,
@@ -154,8 +155,9 @@ class ExperimentConfig:
     its key's reader when the config is built, and an unknown key or a value
     out of range is rejected there, as is a supplier mix the policy does not
     run on or a contextual_igw instance without a valid function class.
-    Horizons, replications and seed must be integral, and an instance that
-    lists its demands or contexts must list one per period of every horizon.
+    Horizons, replications and seed must be integral, horizons at least 1,
+    every replication's Philox key in range (:func:`seed_key`), and an instance
+    that lists its demands or contexts must list one per period of every horizon.
     """
 
     instance: InstanceSpec
@@ -174,8 +176,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {list(POLICIES)}")
         if list(self.horizons) != sorted(self.horizons):
             raise ValueError("horizons must be sorted ascending")
+        if self.horizons[0] < 1:
+            raise ValueError(f"horizons must be at least 1, got {self.horizons!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        # the first and the last replication's Philox keys
+        seed_key(self.seed, 0)
+        seed_key(self.seed, self.replications - 1)
         for name in ("demands", "contexts"):
             listed = getattr(self.instance, name)
             for T in self.horizons if isinstance(listed, tuple) else ():
@@ -310,6 +317,18 @@ class RunRecord:
         return table[name]
 
 
+def seed_key(seed, replication: int) -> int:
+    """The Philox key seed + replication of one replication; ``seed`` must be
+    an integer with 0 <= seed + replication < 2**128, else it is refused by
+    name."""
+    key = integral(seed, "seed") + replication
+    if not 0 <= key < 2**128:
+        raise ValueError(
+            f"seed + replication must lie in [0, 2**128), got {seed!r} + {replication}"
+        )
+    return key
+
+
 def replication_stream(seed: int, replication: int) -> np.random.Generator:
     """Philox stream for one replication: key = seed + replication."""
     return np.random.Generator(np.random.Philox(key=seed + replication))
@@ -332,7 +351,7 @@ def _demand_prices(inst: MarketInstance, params: dict) -> np.ndarray:
     gamma = params.get("gamma_demand", demand_default_gamma(T))
     # a missing freeze_width is None, make_demand_state's default
     state = make_demand_state(
-        DemandGrid.from_width(*inst.demand_bounds, gamma), T, params.get("freeze_width")
+        DemandGrid(*inst.demand_bounds, gamma), T, params.get("freeze_width")
     )
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
     return kernels.demand_trajectory(

@@ -3,10 +3,10 @@
 Each policy's arithmetic exists once, here, as small step functions on
 Python floats and lists: ``supply`` (the aggregate best response), the
 interval tracker (``fixed_*``), the demand grid (``cell_index``,
-``demand_probe``, ``demand_update``) and IGW sampling with its
-exponential-weights oracle (``mixture_coefficient`` through
-``exp_weights_update``). The ``*_trajectory`` loops run them over a
-horizon, and the step-level API (:mod:`eqprice.policy_fixed`,
+``cell_searching``, ``demand_probe``, ``demand_update``) and IGW sampling
+with its exponential-weights oracle (``mixture_coefficient`` through
+``exp_weights_update``); the ``*_trajectory`` loops run them over a horizon,
+and the step-level API (:mod:`eqprice.policy_fixed`,
 :mod:`eqprice.policy_demand`, :mod:`eqprice.policy_contextual`,
 :mod:`eqprice.oracle`) converts its frozen states to lists and calls the
 same steps.
@@ -160,6 +160,11 @@ def cell_index(d, d_lo, gamma, n_cells):
         raise ValueError("demands must be finite")
     k = np.clip((demands - d_lo) / gamma, 0.0, n_cells - 1).astype(np.int64)
     return k if demands.ndim else int(k)
+
+
+def cell_searching(s_lo, s_hi, k, freeze_width):
+    """Whether cell ``k``'s set (s_lo[k], s_hi[k]] is wider than the freeze width."""
+    return s_hi[k] - s_lo[k] > freeze_width
 
 
 def demand_probe(p, e):
@@ -375,7 +380,7 @@ def demand_trajectory(
         n = visits.shape[0]
         threshold = d_lo + k * gamma
         v = 0
-        while v < n and s_hi[k] - s_lo[k] > freeze_width:
+        while v < n and cell_searching(s_lo, s_hi, k, freeze_width):
             e = cell_eps[k]
             run = [cell_price[k]]
 

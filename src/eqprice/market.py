@@ -121,8 +121,11 @@ def positive(value, name: str) -> float:
 
 def integral(value, name: str) -> int:
     """``value`` as an int; a value that is not integral (1000.7, nan, "5",
-    True) is rejected, not truncated."""
-    if isinstance(value, bool) or not (isinstance(value, _REAL) and float(value).is_integer()):
+    True) is rejected, not truncated. An int is never converted to a float,
+    which overflows above 1e308."""
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not (
+        isinstance(value, (int, np.integer)) or float(value).is_integer()
+    ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .market import FunctionClass, positive
+from .market import FunctionClass, positive, price_array
 
 
 def default_eta(bound: float) -> float:
@@ -86,8 +86,10 @@ def oracle_update(
 
     Observations outside [0, B], infinite ones included, are clipped and
     counted in ``clamped``. A NaN observation is rejected: it would turn
-    every log-weight NaN for good.
+    every log-weight NaN for good, as would a NaN or infinite price, so ``p``
+    must be a price in [0, 1] (:func:`~eqprice.market.price_array`).
     """
+    p = float(price_array(p))
     x = float(x_observed)
     if math.isnan(x):
         raise ValueError("observed production must not be NaN")
@@ -98,7 +100,7 @@ def oracle_update(
     u, c_hat = _coefficients(state, cls, theta)
     lw = state.log_weights.tolist()
     cum_member_loss = state.cum_member_loss.tolist()
-    loss = kernels.exp_weights_update(lw, cum_member_loss, u, c_hat, float(p), x, state.eta)
+    loss = kernels.exp_weights_update(lw, cum_member_loss, u, c_hat, p, x, state.eta)
     return replace(
         state,
         log_weights=np.array(lw),

@@ -5,19 +5,20 @@ runs its own interval search, treating any demand in the cell as the cell's
 lower bound. A cell's feasible set (lo, hi] starts at (0, 1] with precision
 1/2; when production at the cell price covers the cell's lower demand bound
 the set shrinks to (p - eps, p], the price drops to p - eps, and eps is
-squared. A cell freezes once its set is narrower than the freeze width
+squared. A cell freezes once its set is no wider than the freeze width
 (1/sqrt(T) by default). With gamma = 1/sqrt(T) the policy's regret is
 O(sqrt(T) log log T); setting one cell per distinct demand recovers the
 small-support variant.
 
-The arithmetic is :func:`eqprice.kernels.cell_index` and
-:func:`eqprice.kernels.demand_update` (whose probe step is
-:func:`eqprice.kernels.demand_probe`), the only copy of it. This module
-calls them once per period. :func:`eqprice.kernels.demand_trajectory`
-calls ``cell_index`` once, on the whole demand path, and runs each cell on
-its own visits: a cell's update never reads the demand, and whether a visit
-shrinks is monotone along a probe run, so a galloping search finds the
-shrinking visit and ``demand_update`` runs only there (see
+The arithmetic is :func:`eqprice.kernels.cell_index`, the freeze test
+:func:`eqprice.kernels.cell_searching` and :func:`eqprice.kernels.demand_update`
+(whose probe step is :func:`eqprice.kernels.demand_probe`), the only copy of
+it. This module calls them once per period.
+:func:`eqprice.kernels.demand_trajectory` calls ``cell_index`` once, on the
+whole demand path, and runs each cell on its own visits while
+``cell_searching`` holds: a cell's update never reads the demand, and
+whether a visit shrinks is monotone along a probe run, so a galloping
+search finds the shrinking visit and ``demand_update`` runs only there (see
 :mod:`eqprice.kernels`). A :class:`DemandPolicyState` carries the policy's
 whole configuration, its :class:`DemandGrid` and freeze width, so the step
 API reads the grid from the state and the harness hands the same fields to
@@ -27,12 +28,12 @@ API reads the grid from the state and the harness hands the same fields to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
-from .market import positive
+from .market import number, positive
 
 
 @dataclass(frozen=True)
@@ -40,22 +41,21 @@ class DemandGrid:
     """Uniform partition of [d_lo, d_hi] into cells of width gamma.
 
     Cell k (1-based) covers [d_lo + (k-1)*gamma, d_lo + k*gamma); the top
-    boundary d_hi clamps into the last cell.
+    boundary d_hi clamps into the last cell. Finite 0 < d_lo <= d_hi and gamma > 0
+    (the harness's ``gamma_demand``) give n_cells = max(1, ceil((d_hi - d_lo)/gamma)).
     """
 
     d_lo: float
     d_hi: float
     gamma: float
-    n_cells: int
+    n_cells: int = field(init=False)
 
-    @classmethod
-    def from_width(cls, d_lo: float, d_hi: float, gamma: float) -> "DemandGrid":
-        if not (0.0 < d_lo <= d_hi):
-            raise ValueError("need 0 < d_lo <= d_hi")
-        # gamma is the harness's gamma_demand policy parameter
-        gamma = positive(gamma, "gamma_demand")
-        n = max(1, math.ceil((d_hi - d_lo) / gamma))
-        return cls(d_lo=d_lo, d_hi=d_hi, gamma=gamma, n_cells=n)
+    def __post_init__(self):
+        d_lo, d_hi = number(self.d_lo, "d_lo"), number(self.d_hi, "d_hi")
+        if not 0.0 < d_lo <= d_hi:
+            raise ValueError(f"need 0 < d_lo <= d_hi, got d_lo={d_lo!r}, d_hi={d_hi!r}")
+        n = math.ceil((d_hi - d_lo) / positive(self.gamma, "gamma_demand"))
+        object.__setattr__(self, "n_cells", max(1, n))
 
 
 def default_gamma(horizon: int) -> float:
@@ -88,12 +88,6 @@ class DemandPolicyState:
     eps: np.ndarray
     freeze_width: float
     shrink_count: int = 0
-
-    def cell_width(self, k: int) -> float:
-        return float(self.s_hi[k - 1] - self.s_lo[k - 1])
-
-    def cell_frozen(self, k: int) -> bool:
-        return self.cell_width(k) <= self.freeze_width
 
 
 def make_demand_state(grid: DemandGrid, horizon: int, freeze_width: float | None = None) -> DemandPolicyState:
@@ -134,7 +128,7 @@ def demand_step(
     grid = state.grid
     k = interval_index(grid, d)
     offered = float(state.price[k - 1])
-    if state.cell_frozen(k):
+    if not kernels.cell_searching(state.s_lo, state.s_hi, k - 1, state.freeze_width):
         return offered, state
     s_lo, s_hi, price, eps = (
         x.tolist() for x in (state.s_lo, state.s_hi, state.price, state.eps)

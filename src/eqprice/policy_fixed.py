@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
+from .market import integral, positive
 
 @dataclass(frozen=True)
 class FixedPolicyState:
@@ -50,9 +51,11 @@ class FixedPolicyState:
 
 
 def make_fixed_state(horizon: int) -> FixedPolicyState:
-    """Fresh tracker over [0, 1] with eps = 1/2."""
+    """Fresh tracker over [0, 1] with eps = 1/2; ``horizon`` must be an
+    integer of at least 1."""
+    horizon = integral(horizon, "horizon")
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise ValueError(f"horizon must be at least 1, got {horizon!r}")
     return FixedPolicyState(*kernels.fixed_start(horizon), horizon)
 
 
@@ -66,9 +69,11 @@ def fixed_observe(
 ) -> FixedPolicyState:
     """Advance the tracker given production observed at fixed_next_price(state)
     (see :func:`eqprice.kernels.fixed_update`); a no-op once frozen. A NaN
-    production, which would read as a shortfall, is rejected."""
+    production, which would read as a shortfall, is rejected, and so is a
+    demand ``d`` that is not a finite positive number."""
     if math.isnan(total_production):
         raise ValueError("observed production must not be NaN")
+    d = positive(d, "demand")
     if state.frozen:
         return state
     tracker = kernels.fixed_update(

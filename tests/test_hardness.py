@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from eqprice.hardness import (
+    IID_DEMAND,
     IID_SOFT_COST,
     IID_STIFF_COST,
     LinearDemoReport,
     expected_total_regret,
     linear_cost_demo,
-    per_period_total_regret,
     verify_lower_bound,
 )
-from eqprice.harness import ExperimentConfig, run_experiment
-from eqprice.market import CostSpec, GeneratorSpec, InstanceSpec, equilibrium_price
+from eqprice.harness import ExperimentConfig, replication_stream, run_experiment
+from eqprice.market import (
+    CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, equilibrium_price
+)
 
 
 def test_iid_instance_clearing_prices():
@@ -73,10 +75,40 @@ def test_expected_total_regret_rejects_the_first_bad_price(p, first):
 
 
 def test_formula_matches_market_machinery():
-    # the closed form is the mixture average of realized totals
-    for p in (0.0, 0.07, 0.125, 0.2, 0.25, 0.4, 0.8):
-        mix = 0.5 * per_period_total_regret(p, True) + 0.5 * per_period_total_regret(p, False)
-        assert mix == pytest.approx(expected_total_regret(p), abs=1e-9)
+    # the closed form is the mixture average of realized totals, each taken
+    # from a market of one cost draw over the price path
+    prices = np.array([0.0, 0.07, 0.125, 0.2, 0.25, 0.4, 0.8])
+    n, d = len(prices), IID_DEMAND
+    totals = []
+    for cost in (IID_STIFF_COST, IID_SOFT_COST):
+        market = MarketInstance(
+            suppliers=(cost,), demands=np.full(n, d), contexts=None, horizon=n,
+            demand_bounds=(d, d),
+        )
+        cols = market.regret_columns(prices)
+        totals.append(cols["unmet_inc"] + cols["cost_inc"] + cols["pay_inc"])
+    mix = 0.5 * totals[0] + 0.5 * totals[1]
+    assert mix == pytest.approx(expected_total_regret(prices), abs=1e-9)
+
+
+def test_verify_lower_bound_weights_each_draw_by_its_share():
+    # realized totals per draw at demand 1: the stiffer cost produces 4p and
+    # clears at 1/4, the softer one 8p at 1/8
+    def stiff(p):
+        return max(0.0, 1.0 - 4.0 * p) + 6.0 * p * p - 3.0 / 8.0
+
+    def soft(p):
+        return max(0.0, 1.0 - 8.0 * p) + 12.0 * p * p - 3.0 / 16.0
+
+    report = verify_lower_bound(grid_step=0.5, n_periods=10, seed=3)
+    rng = replication_stream(3, 0)
+    shares = set()
+    for row in report.rows:
+        share = np.count_nonzero(rng.uniform(0.0, 1.0, 10) < 0.5) / 10
+        shares.add(share)
+        want = share * stiff(row.price) + (1.0 - share) * soft(row.price)
+        assert row.empirical == pytest.approx(want, abs=1e-12)
+    assert shares != {0.5}  # a share away from 1/2 tells the draws apart
 
 
 def test_verify_lower_bound_grid():
@@ -95,6 +127,11 @@ def test_verify_lower_bound_grid():
         ({"n_periods": 0}, "n_periods"),
         ({"n_periods": 2.5}, "n_periods"),
         ({"n_periods": True}, "n_periods"),
+        ({"seed": True}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**128}, "seed"),
+        ({"seed": 10**400}, "seed"),  # was an OverflowError reading it as a float
     ],
 )
 def test_verify_lower_bound_rejects_invalid_parameters(kwargs, key):

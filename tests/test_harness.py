@@ -358,6 +358,25 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"seed": -1, "replications": 2}, "seed"),  # the first key is -1
+        ({"seed": 2**128 - 2, "replications": 3}, "seed"),  # the last key is 2**128
+        ({"horizons": (0,)}, "horizons"),
+    ],
+    ids=["negative-seed", "last-key-2**128", "horizon-0"],
+)
+def test_seed_and_horizons_refused_when_built(fields, key):
+    # each used to build and fail only in run_experiment, the seed with
+    # numpy's message, which names no field
+    cfg = {"instance": QUAD_FIXED, "policy": "fixed_interval", "horizons": (10,), **fields}
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**cfg)
+    # the last admissible key builds
+    ExperimentConfig(**{**cfg, "seed": 2**128 - 3, "replications": 3, "horizons": (1,)})
+
+
+@pytest.mark.parametrize(
     "name, spec",
     [
         ("demands", dataclasses.replace(QUAD_FIXED, demands=(1.0, 1.0))),

@@ -134,7 +134,7 @@ def _assert_demand_kernel_matches_reference(suppliers, T, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     demands = rng.uniform(0.5, 1.5, T)
     gamma = 1.0 / math.sqrt(T)
-    grid = DemandGrid.from_width(0.5, 1.5, gamma)
+    grid = DemandGrid(0.5, 1.5, gamma)
     state = make_demand_state(grid, T)
     fam, p1, p2 = kernels.encode_suppliers(suppliers)
     price, s_lo, s_hi, cell_prices, eps, shrinks = kernels.demand_trajectory(
@@ -287,7 +287,7 @@ def test_demand_kernel_whole_horizon_shrink_bound():
     T = 100_000
     suppliers = (CostSpec.quadratic(0.5), CostSpec.quadratic(1.0))
     demands = np.random.Generator(np.random.Philox(key=202)).uniform(0.5, 1.5, T)
-    grid = DemandGrid.from_width(0.5, 1.5, 1.0 / math.sqrt(T))
+    grid = DemandGrid(0.5, 1.5, 1.0 / math.sqrt(T))
     state = make_demand_state(grid, T)
     fam, p1, p2 = kernels.encode_suppliers(suppliers)
     shrinks = kernels.demand_trajectory(
@@ -347,7 +347,7 @@ def test_fixed_kernel_equals_step_api_property(suppliers, d, T):
 def test_demand_kernel_equals_step_api_property(
     suppliers, d_lo, spread, gamma, freeze_width, T, seed
 ):
-    grid = DemandGrid.from_width(d_lo, d_lo + spread, gamma)
+    grid = DemandGrid(d_lo, d_lo + spread, gamma)
     demands = np.random.Generator(np.random.Philox(key=seed)).uniform(
         grid.d_lo, grid.d_hi, T
     )

@@ -120,6 +120,14 @@ def test_non_finite_observations(x, clipped):
     assert np.all(np.isfinite(got.log_weights))
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, -0.5, 1.5])
+def test_price_outside_unit_interval_rejected(p):
+    # a NaN or infinite price turned every log-weight NaN for good
+    cls = constant_class([1.0, 0.0])
+    with pytest.raises(ValueError, match=r"price must lie in \[0, 1\]"):
+        oracle_update(make_oracle_state(cls), cls, p, [1.0], 0.5)
+
+
 def test_excess_loss_bound_adversarial_stream():
     # member-switching stream; excess stays below (1/eta) * ln(F)
     rng = np.random.Generator(np.random.Philox(key=63))

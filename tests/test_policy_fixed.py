@@ -45,6 +45,22 @@ def test_observe_rejects_nan_production():
     assert drive(s, [CostSpec.quadratic(0.3)], 1.0, 500)[0].frozen
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, 0.0, -1.0, "1.0", True])
+def test_observe_rejects_a_bad_demand(d):
+    # a NaN demand advanced the cursor as if production fell short
+    s = make_fixed_state(horizon=1000)
+    with pytest.raises(ValueError, match="demand"):
+        fixed_observe(s, 0.5, d)
+
+
+@pytest.mark.parametrize("horizon", [2.5, 0, -3, math.nan, "100", True])
+def test_horizon_must_be_an_integer_of_at_least_1(horizon):
+    # horizon 2.5 was stored and set the freeze width to 1/2.5
+    with pytest.raises(ValueError, match="horizon"):
+        make_fixed_state(horizon)
+    assert make_fixed_state(100.0).horizon == 100
+
+
 def test_frozen_returns_lower_end():
     from dataclasses import replace
 
