@@ -1,17 +1,19 @@
 """Experiment runner: seeded policy executions, CSV export, scaling fits.
 
-Each run materialises the instance, lets the policy's kernel produce a price
-path, and takes production and regret increments from
+Everything the harness knows about a policy is its row of :data:`POLICIES`.
+The config checks its parameters and instance against that row when it is
+built; each run materialises the instance, lets the row's runner produce a
+price path, and takes production and regret increments from
 :meth:`~eqprice.market.MarketInstance.regret_columns`, the same pass for
-every policy. The config has already rejected supplier mixes the policies
-do not support.
+every policy. Runners call ``kernels.<name>`` by position, since the
+benchmark's tracer wraps those attributes and reads arguments by index.
 
 Reproducibility contract
 ------------------------
 All randomness flows from the Philox 4x64-10 counter-based generator as
 implemented by NumPy. Replication ``r`` of a configuration with base seed
-``s`` uses the stream ``Philox(key = s + r)``; distinct keys give
-independent streams, so replications never share draws. Within a
+``s`` uses the stream ``Philox(key = s + r)`` (:func:`seed_key`); distinct
+keys give independent streams, so replications never share draws. Within a
 replication the draw order is fixed: demands (T uniforms, when generated),
 then contexts (T*dim uniforms, row-major, when generated), then the
 policy's own uniforms (one per period for the sampling policy). Uniform
@@ -52,6 +54,7 @@ from .market import (
     LINEAR,
     QUADRATIC,
     FunctionClass,
+    GeneratorSpec,
     InstanceSpec,
     MarketInstance,
     _normalise,
@@ -77,19 +80,6 @@ def _price(value, name: str) -> float:
         raise ValueError(f"policy_params[{name!r}] must be a price in [0, 1], got {value!r}")
     return p
 
-
-#: Per policy: the reader of each ``policy_params`` key it reads (any other
-#: key is rejected), called as ``reader(value, key)`` when the config is
-#: built, and the supplier mixes (:func:`~eqprice.market.supplier_mix`) it runs on.
-POLICIES = {
-    "fixed_interval": ({}, (QUADRATIC, LINEAR)),
-    "demand_grid": ({"gamma_demand": positive, "freeze_width": positive}, (QUADRATIC,)),
-    "contextual_igw": (
-        {"n_prices": grid_size, "gamma_explore": positive, "eta": positive},
-        (CONTEXT_QUADRATIC,),
-    ),
-    "constant_price": ({"p": _price}, (QUADRATIC, LINEAR, CONTEXT_QUADRATIC)),
-}
 
 PER_PERIOD_HEADER = "t,demand,price,production,unmet_inc,cost_inc,pay_inc"
 #: Summary CSV metric columns, in order; each is a :meth:`RunRecord.metric` name.
@@ -154,7 +144,8 @@ class ExperimentConfig:
     entries fall back to the theory-default tunings. Each value is read by
     its key's reader when the config is built, and an unknown key or a value
     out of range is rejected there, as is a supplier mix the policy does not
-    run on or a contextual_igw instance without a valid function class.
+    run on or an instance its row's ``prepare`` refuses: a varying demand for
+    fixed_interval, a contextual_igw instance without a valid function class.
     Horizons, replications and seed must be integral, horizons at least 1,
     every replication's Philox key in range (:func:`seed_key`), and an instance
     that lists its demands or contexts must list one per period of every horizon.
@@ -188,7 +179,7 @@ class ExperimentConfig:
             for T in self.horizons if isinstance(listed, tuple) else ():
                 if len(listed) != T:
                     raise ValueError(f"instance {name} lists {len(listed)} periods, horizon {T}")
-        readers = POLICIES[self.policy][0]
+        readers, mixes, prepare, _ = POLICIES[self.policy]
         unknown = sorted(set(self.policy_params) - set(readers))
         if unknown:
             raise ValueError(
@@ -201,10 +192,9 @@ class ExperimentConfig:
             self, "policy_params", {k: readers[k](v, k) for k, v in params.items()}
         )
         mix = supplier_mix(self.instance.suppliers)
-        if mix not in POLICIES[self.policy][1]:
+        if mix not in mixes:
             raise ValueError(f"{self.policy} does not run on {mix} suppliers")
-        if self.policy == "contextual_igw":
-            _contextual_class(self.instance)
+        prepare(self.instance)
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
@@ -330,8 +320,8 @@ def seed_key(seed, replication: int) -> int:
 
 
 def replication_stream(seed: int, replication: int) -> np.random.Generator:
-    """Philox stream for one replication: key = seed + replication."""
-    return np.random.Generator(np.random.Philox(key=seed + replication))
+    """Philox stream for one replication, keyed by :func:`seed_key`."""
+    return np.random.Generator(np.random.Philox(key=seed_key(seed, replication)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,25 +329,29 @@ def replication_stream(seed: int, replication: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_prices(inst: MarketInstance) -> np.ndarray:
-    if not inst.constant_demand:
-        raise ValueError("fixed_interval expects a constant demand sequence")
+def _constant_demand(spec: InstanceSpec) -> None:
+    """Refuse a demand that varies over the periods: ``fixed_interval`` tracks one."""
+    d = spec.demands
+    lo, hi = d.bounds() if isinstance(d, GeneratorSpec) else (min(d), max(d))
+    if lo != hi:
+        raise ValueError(f"fixed_interval expects a constant demand, got demands in [{lo}, {hi}]")
+
+
+def _run_fixed(inst: MarketInstance, params: dict, prepared, rng) -> tuple:
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
-    return kernels.fixed_trajectory(fam, p1, p2, float(inst.demands[0]), inst.horizon).price
+    return kernels.fixed_trajectory(fam, p1, p2, float(inst.demands[0]), inst.horizon).price, None
 
 
-def _demand_prices(inst: MarketInstance, params: dict) -> np.ndarray:
+def _run_demand(inst: MarketInstance, params: dict, prepared, rng) -> tuple:
     T = inst.horizon
     gamma = params.get("gamma_demand", demand_default_gamma(T))
     # a missing freeze_width is None, make_demand_state's default
-    state = make_demand_state(
-        DemandGrid(*inst.demand_bounds, gamma), T, params.get("freeze_width")
-    )
+    state = make_demand_state(DemandGrid(*inst.demand_bounds, gamma), T, params.get("freeze_width"))
     fam, p1, p2 = kernels.encode_suppliers(inst.suppliers)
     return kernels.demand_trajectory(
         fam, p1, p2, inst.demands, state.s_lo, state.s_hi, state.eps,
         state.grid.d_lo, state.grid.gamma, state.grid.n_cells, state.freeze_width,
-    ).price
+    ).price, None
 
 
 def _contextual_class(inst_spec: InstanceSpec) -> FunctionClass:
@@ -368,13 +362,7 @@ def _contextual_class(inst_spec: InstanceSpec) -> FunctionClass:
     return FunctionClass(members=inst_spec.function_class, bound=inst_spec.class_bound)
 
 
-def _contextual_prices(
-    inst: MarketInstance,
-    cls: FunctionClass,
-    params: dict,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(price path, proxy increments) of the sampling policy."""
+def _run_contextual(inst: MarketInstance, params: dict, cls: FunctionClass, rng) -> tuple:
     T = inst.horizon
     n_members = len(cls)
     K = params.get("n_prices", default_grid_size(T, n_members))
@@ -398,6 +386,32 @@ def _contextual_prices(
     return out.price, out.proxy
 
 
+#: One row per policy, the one place the harness knows about it: the reader of
+#: each ``policy_params`` key it reads, called as ``reader(value, key)`` when the
+#: config is built (any other key is rejected); the supplier mixes
+#: (:func:`~eqprice.market.supplier_mix`) it runs on; ``prepare(spec)``, which
+#: refuses an instance the policy cannot run when the config is built and
+#: returns what the runner needs; and the runner ``(inst, params, prepared, rng)
+#: -> (price path, proxy increments or None)``. Runners look each kernel up on
+#: the ``kernels`` module when they run and pass its arguments by position: the
+#: benchmark's tracer wraps those attributes and reads arguments by index.
+POLICIES = {
+    "fixed_interval": ({}, (QUADRATIC, LINEAR), _constant_demand, _run_fixed),
+    "demand_grid": (
+        {"gamma_demand": positive, "freeze_width": positive}, (QUADRATIC,),
+        lambda spec: None, _run_demand,
+    ),
+    "contextual_igw": (
+        {"n_prices": grid_size, "gamma_explore": positive, "eta": positive},
+        (CONTEXT_QUADRATIC,), _contextual_class, _run_contextual,
+    ),
+    "constant_price": (
+        {"p": _price}, (QUADRATIC, LINEAR, CONTEXT_QUADRATIC), lambda spec: None,
+        lambda inst, params, prepared, rng: (np.full(inst.horizon, params["p"]), None),
+    ),
+}
+
+
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """Execute every (horizon, replication) pair of a configuration.
 
@@ -405,28 +419,20 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     one per-period CSV per run plus a summary CSV into that directory.
     """
     records: list[RunRecord] = []
-    cls = _contextual_class(config.instance) if config.policy == "contextual_igw" else None
+    *_, prepare, run = POLICIES[config.policy]
+    prepared = prepare(config.instance)
     for T in config.horizons:
         spec_T = config.instance.with_horizon(T)
         for rep in range(config.replications):
-            key = config.seed + rep
             rng = replication_stream(config.seed, rep)
             inst = spec_T.materialize(rng)
-            proxy = None
-            if config.policy == "constant_price":
-                prices = np.full(T, config.policy_params["p"])
-            elif config.policy == "fixed_interval":
-                prices = _fixed_prices(inst)
-            elif config.policy == "demand_grid":
-                prices = _demand_prices(inst, config.policy_params)
-            else:
-                prices, proxy = _contextual_prices(inst, cls, config.policy_params, rng)
+            prices, proxy = run(inst, config.policy_params, prepared, rng)
             records.append(
                 RunRecord(
                     policy=config.policy,
                     horizon=T,
                     replication=rep,
-                    seed=key,
+                    seed=seed_key(config.seed, rep),
                     demand=inst.demands,
                     proxy_inc=proxy,
                     **inst.regret_columns(prices),

@@ -377,10 +377,23 @@ class Allocation:
     total: float | np.ndarray
 
 
+def _prices(p) -> np.ndarray:
+    """``p``, one price or an array of prices, as a float64 array. A string,
+    bytes or bool is refused, as one value or as an entry, not converted; an
+    array of numbers is passed on its dtype alone, in O(1)."""
+    a = np.asarray(p)
+    # numpy reads a bool among numbers as 1 or 0, so only a sequence holding 0 or 1 can hide one
+    if a.dtype.kind not in "iuf" or not isinstance(p, np.ndarray) and ((a == 0) | (a == 1)).any():
+        for v in np.asarray(p, dtype=object).flat:
+            if isinstance(v, (str, bytes, bool, np.bool_)):
+                raise ValueError(f"price must be a number, got {v!r}")
+    return np.asarray(a, dtype=np.float64)
+
+
 def price_array(p) -> np.ndarray:
-    """``p``, one price or an array of prices, as a float64 array; a price
-    outside [0, 1] or NaN is rejected, naming the first."""
-    prices = np.asarray(p, dtype=np.float64)
+    """``p``, one price or an array of prices, as a float64 array (:func:`_prices`);
+    a price outside [0, 1] or NaN is rejected, naming the first."""
+    prices = _prices(p)
     outside = prices[~((0.0 <= prices) & (prices <= 1.0))]
     if outside.size:
         raise ValueError(f"price must lie in [0, 1], got {outside[0]}")
@@ -769,10 +782,11 @@ class MarketInstance:
         first period of the final run of bit-equal prices
         (:func:`tail_start`), and each column's last value fills the rest:
         the same arithmetic on the same operands as a pass over every period.
-        A price among those ``k`` outside [0, 1] or NaN is rejected by
+        A string, bytes or bool among the prices is refused (:func:`_prices`),
+        and a price among those ``k`` outside [0, 1] or NaN is rejected by
         :func:`price_array`, naming the first.
         """
-        prices = np.asarray(prices, dtype=np.float64)
+        prices = _prices(prices)
         if prices.shape != (self.horizon,):
             raise ValueError("price path length must equal the horizon")
         k = tail_start(prices) + 1 if self._price_only else self.horizon

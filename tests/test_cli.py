@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from eqprice import cli
 from eqprice.cli import main
 from eqprice.harness import load_config, mean_metric_by_horizon, run_experiment
 from eqprice.market import CostSpec, GeneratorSpec, InstanceSpec
@@ -206,6 +207,22 @@ def test_non_integral_config_counts_rejected(tmp_path, key, value):
     path.write_text(json.dumps({**_config_doc(), key: value}))
     with pytest.raises(ValueError, match="must be an integer"):
         load_config(path)
+
+
+def test_fixed_interval_on_a_varying_demand_fails_before_any_run(
+    tmp_path, config_path, capsys, monkeypatch
+):
+    # the config was accepted, and the run raised once it reached the tracker
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    out = tmp_path / "run.csv"
+    argv = ["run", "--config", str(config_path), "--policy", "fixed_interval", "--out", str(out)]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == (
+        "ValueError: fixed_interval expects a constant demand, got demands in [0.5, 1.5]"
+    )
+    assert runs == [] and not out.exists()
 
 
 def test_config_lacking_policy_fails_the_run(tmp_path, capsys):

@@ -111,7 +111,7 @@ def test_numbers_keep_their_values():
     assert (spec.horizon, spec.demand_bounds, spec.class_bound) == (2, (0.25, 1.0), 3.0)
     for value in (spec.horizon, *spec.demands, *spec.contexts[0], *spec.demand_bounds):
         assert type(value) is (int if value is spec.horizon else float)
-    config = ExperimentConfig(instance=spec, policy="fixed_interval", horizons=[2], out=Path("r"))
+    config = ExperimentConfig(instance=spec, policy="demand_grid", horizons=[2], out=Path("r"))
     assert config.out == Path("r")
 
 

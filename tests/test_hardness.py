@@ -74,6 +74,15 @@ def test_expected_total_regret_rejects_the_first_bad_price(p, first):
         expected_total_regret(p)
 
 
+@pytest.mark.parametrize(
+    "p, named", [("0.125", "'0.125'"), (True, "True"), ([0.5, False], "False")]
+)
+def test_expected_total_regret_refuses_a_string_or_bool_price(p, named):
+    # expected_total_regret("0.125") returned 7/64, the minimum
+    with pytest.raises(ValueError, match=rf"^price must be a number, got {named}$"):
+        expected_total_regret(p)
+
+
 def test_formula_matches_market_machinery():
     # the closed form is the mixture average of realized totals, each taken
     # from a market of one cost draw over the price path

@@ -320,18 +320,42 @@ def test_replications_use_distinct_streams():
     assert not np.array_equal(s1, s2)
 
 
+@pytest.mark.parametrize("seed, replication", [(-1, 0), (-3, 2), (2**128 - 1, 1), (1.5, 0)])
+def test_replication_stream_refuses_a_bad_seed_by_name(seed, replication):
+    # numpy refused -1 with "key must be positive", naming no field
+    with pytest.raises(ValueError, match="seed"):
+        replication_stream(seed, replication)
+
+
 def test_fixed_interval_rejects_varying_demand():
-    cfg = ExperimentConfig(
-        instance=InstanceSpec(
-            suppliers=(CostSpec.quadratic(0.5),),
-            demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
-            horizon=100,
-        ),
-        policy="fixed_interval",
-        horizons=(100,),
-    )
-    with pytest.raises(ValueError):
-        run_experiment(cfg)
+    # the config was accepted, and the run refused the demand
+    for demands in (
+        GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
+        GeneratorSpec(kind="uniform", lo=0.5, hi=1.0),
+        (1.0,) * 99 + (0.9,),
+    ):
+        with pytest.raises(ValueError, match="fixed_interval expects a constant demand"):
+            ExperimentConfig(
+                instance=InstanceSpec(
+                    suppliers=(CostSpec.quadratic(0.5),), demands=demands, horizon=100
+                ),
+                policy="fixed_interval",
+                horizons=(100,),
+            )
+
+
+@pytest.mark.parametrize(
+    "demands", [GeneratorSpec(kind="uniform", lo=0.75, hi=0.75), (0.75,) * 100],
+    ids=["uniform-lo-equals-hi", "explicit-equal"],
+)
+def test_fixed_interval_runs_a_constant_demand_in_any_form(demands):
+    spec = InstanceSpec(suppliers=(CostSpec.quadratic(0.5),), demands=demands, horizon=100)
+    constant = dataclasses.replace(spec, demands=GeneratorSpec(kind="constant", value=0.75))
+    cfg = ExperimentConfig(instance=spec, policy="fixed_interval", horizons=(100,))
+    (rec,) = run_experiment(cfg)
+    (want,) = run_experiment(dataclasses.replace(cfg, instance=constant))
+    assert np.array_equal(rec.demand, want.demand)
+    assert rec.price.tobytes() == want.price.tobytes()
 
 
 def test_contextual_requires_class_and_contexts():

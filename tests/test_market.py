@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,23 @@ def test_best_response_rejects_price_outside_unit_interval():
         best_response(CostSpec.quadratic(1.0), 1.5)
     with pytest.raises(ValueError):
         best_response(CostSpec.quadratic(1.0), -0.1)
+
+
+#: Prices that numpy would convert, with the value each refusal names: a
+#: string, bytes or bool, as one value or as an entry.
+NOT_PRICES = [
+    ("0.5", "'0.5'"), (b"0.5", "b'0.5'"), (True, "True"), (np.True_, "np.True_"),
+    ([0.5, True], "True"), ([0.5, "0.5"], "'0.5'"), ([[0.5], [True]], "True"),
+    (np.array([0.5, False], dtype=object), "False"), (np.array(["0.5"]), "'0.5'"),
+    (np.array([True, False]), "True"),
+]
+
+
+@pytest.mark.parametrize("p, named", NOT_PRICES)
+def test_best_response_refuses_a_string_or_bool_price(p, named):
+    # best_response(q, "0.5") gave 1.0 and best_response(q, True) gave 2.0
+    with pytest.raises(ValueError, match=rf"^price must be a number, got {re.escape(named)}$"):
+        best_response(CostSpec.quadratic(0.5), p)
 
 
 @st.composite
@@ -432,6 +450,22 @@ def test_regret_columns_reject_bad_price_paths():
     ):
         with pytest.raises(ValueError, match=rf"^price must lie in \[0, 1\], got {first}$"):
             inst.regret_columns(np.array(prices))
+
+
+@pytest.mark.parametrize("prices, named", [
+    (["0.5", "0.5", "0.5"], "'0.5'"), ([0.5, True, 0.5], "True"), ([0.5, 0.5, b"1"], "b'1'"),
+    (np.array([True, True, True]), "True"), ((0.5, 0.5, True), "True"),
+])
+def test_regret_columns_refuse_a_string_or_bool_price(prices, named):
+    # the path was read with np.asarray(prices, float64), which parsed "0.5"
+    # and read True as 1.0; a bool in the final run of a price-only path,
+    # which is not range-checked, is refused too
+    inst = MarketInstance(
+        suppliers=(CostSpec.quadratic(0.5),), demands=np.ones(3), contexts=None,
+        horizon=3, demand_bounds=(1.0, 1.0),
+    )
+    with pytest.raises(ValueError, match=rf"^price must be a number, got {re.escape(named)}$"):
+        inst.regret_columns(prices)
 
 
 def _tail_start_reference(col):

@@ -15,8 +15,8 @@ PACKAGE = ROOT / "src" / "eqprice"
 
 #: Names kept with no caller yet, each with the reason.
 ALLOWED = {
-    "max_shrink_events": "ROADMAP item 2 checks a run's shrinks against it",
-    "max_total_shrinks": "ROADMAP item 2 checks a run's shrinks against it",
+    "max_shrink_events": "ROADMAP item 4 checks a run's shrinks against it",
+    "max_total_shrinks": "ROADMAP item 4 checks a run's shrinks against it",
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

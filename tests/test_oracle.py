@@ -128,6 +128,14 @@ def test_price_outside_unit_interval_rejected(p):
         oracle_update(make_oracle_state(cls), cls, p, [1.0], 0.5)
 
 
+@pytest.mark.parametrize("p, named", [("0.5", "'0.5'"), (b"0.5", "b'0.5'"), (True, "True")])
+def test_string_or_bool_price_refused(p, named):
+    # oracle_update(state, cls, "0.5", ...) updated the log-weights
+    cls = constant_class([1.0, 0.0])
+    with pytest.raises(ValueError, match=rf"^price must be a number, got {named}$"):
+        oracle_update(make_oracle_state(cls), cls, p, [1.0], 0.5)
+
+
 def test_excess_loss_bound_adversarial_stream():
     # member-switching stream; excess stays below (1/eta) * ln(F)
     rng = np.random.Generator(np.random.Philox(key=63))

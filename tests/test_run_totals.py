@@ -193,7 +193,7 @@ def test_frozen_record_sums_only_its_head(monkeypatch):
     # 21,182 periods; the record's totals must not pass over the horizon.
     T = 10**6
     inst = CRITERION_1.with_horizon(T).materialize(harness.replication_stream(0, 0))
-    prices = harness._fixed_prices(inst)
+    prices, _ = harness._run_fixed(inst, {}, None, None)
     assert np.all(prices[CRITERION_1_HEAD:] == prices[-1])
     assert prices[CRITERION_1_HEAD - 1] != prices[-1]
     cols = inst.regret_columns(prices)
@@ -241,7 +241,7 @@ def test_frozen_fixed_interval_run_allocates_only_its_columns():
         rec = run_experiment(cfg)[0]
         peak = tracemalloc.get_traced_memory()[1]
         inst = CRITERION_1.with_horizon(T).materialize(harness.replication_stream(0, 0))
-        prices = harness._fixed_prices(inst)
+        prices, _ = harness._run_fixed(inst, {}, None, None)
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         cols = inst.regret_columns(prices)
