@@ -5,8 +5,12 @@ The config checks its parameters and instance against that row when it is
 built; each run materialises the instance, lets the row's runner produce a
 price path, and takes production and regret increments from
 :meth:`~eqprice.market.MarketInstance.regret_columns`, the same pass for
-every policy. Runners call ``kernels.<name>`` by position, since the
-benchmark's tracer wraps those attributes and reads arguments by index.
+every policy. Where a price path freezes on a market that clears alike in
+every period, the pass returns the columns' heads, up to the first frozen
+period; :class:`RunRecord` totals them without expanding them, and expands
+a column only when it is read. Runners call ``kernels.<name>`` by position,
+since the benchmark's tracer wraps those attributes and reads arguments by
+index.
 
 Reproducibility contract
 ------------------------
@@ -58,6 +62,7 @@ from .market import (
     InstanceSpec,
     MarketInstance,
     _normalise,
+    full_column,
     integral,
     number,
     positive,
@@ -146,9 +151,10 @@ class ExperimentConfig:
     out of range is rejected there, as is a supplier mix the policy does not
     run on or an instance its row's ``prepare`` refuses: a varying demand for
     fixed_interval, a contextual_igw instance without a valid function class.
-    Horizons, replications and seed must be integral, horizons at least 1,
-    every replication's Philox key in range (:func:`seed_key`), and an instance
-    that lists its demands or contexts must list one per period of every horizon.
+    Horizons, replications and seed must be integral, horizons strictly
+    ascending and at least 1, every replication's Philox key in range
+    (:func:`seed_key`), and an instance that lists its demands or contexts
+    must list one per period of every horizon.
     """
 
     instance: InstanceSpec
@@ -165,8 +171,8 @@ class ExperimentConfig:
         _normalise(self)
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {list(POLICIES)}")
-        if list(self.horizons) != sorted(self.horizons):
-            raise ValueError("horizons must be sorted ascending")
+        if any(a >= b for a, b in zip(self.horizons, self.horizons[1:])):
+            raise ValueError(f"horizons must be strictly ascending, got {self.horizons!r}")
         if self.horizons[0] < 1:
             raise ValueError(f"horizons must be at least 1, got {self.horizons!r}")
         if self.replications < 1:
@@ -204,33 +210,52 @@ class ExperimentConfig:
         return read_json_dict(cls, doc)
 
 
-def _head_length(col) -> int:
-    """The periods of ``col`` before its final run of bit-equal values
-    (:func:`~eqprice.market.tail_start`), and at least 1, since np.cumsum
-    starts from the first value instead of adding it to 0.0. A column that
-    is not a float64 array is all head."""
-    if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
-        return len(col)
-    return max(tail_start(col), 1)
+class _Column:
+    """A regret column of :class:`RunRecord`: stored as the head it was
+    given, read as the full column of ``horizon`` periods. A head is
+    expanded (:func:`~eqprice.market.full_column`) on its first read and the
+    result kept, so every read returns the same array."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            raise AttributeError(self.name)  # no class-level value: a required field
+        col = vars(rec)[self.name]
+        if len(col) < rec.horizon:
+            col = vars(rec)[self.name] = full_column(col, rec.horizon)
+        return col
+
+    def __set__(self, rec, value):
+        vars(rec)[self.name] = value
 
 
 @dataclass
 class RunRecord:
     """Seeded trajectory of one (horizon, replication) execution.
 
-    Cumulative fields are the left-to-right sums of the per-period columns,
-    bit for bit; they are derived in the constructor and cannot be passed
-    to it. Each column's final run of bit-equal values (a frozen price's
-    tail) is added in closed form by :func:`repeated_sum`, so a run that
-    freezes costs its head, not its horizon. ``demand`` is the instance's
+    ``production``, ``unmet_inc``, ``cost_inc`` and ``pay_inc`` may be passed
+    as the heads :meth:`~eqprice.market.MarketInstance.regret_columns`
+    returns: one length k with 1 <= k <= ``horizon``, where k < ``horizon``
+    means that every later period repeats period k - 1, which the
+    constructor checks on ``price`` and ``demand``. Read, each is the full
+    column of ``horizon`` periods, expanded on first read and kept. The
+    other columns have ``horizon`` periods. ``demand`` is the instance's
     demand path, a read-only array of stride 0 when the demand is a
     ``constant`` generator's one value.
+
+    Cumulative fields are the left-to-right sums of the full columns, bit
+    for bit; they are derived in the constructor and cannot be passed to it.
+    Each is ``np.cumsum`` over the head plus the repeated last value, added
+    in closed form by :func:`repeated_sum`, so a run that freezes costs its
+    head, not its horizon.
     ``cost_pos`` / ``pay_pos`` accumulate only positive increments (the
     overshoot periods) and are what the rate fits consume. ``proxy_inc``
     holds the exact expected absolute production-demand mismatch under the
     sampling distribution, present only for the sampling policy. The
-    constructor raises ``ValueError`` unless ``horizon >= 1`` and every
-    column (``proxy_inc`` too, when given) has shape ``(horizon,)``.
+    constructor raises ``ValueError``, naming the column, unless
+    ``horizon >= 1`` and every column has the shape above.
     """
 
     policy: str
@@ -239,10 +264,10 @@ class RunRecord:
     seed: int
     demand: np.ndarray
     price: np.ndarray
-    production: np.ndarray
-    unmet_inc: np.ndarray
-    cost_inc: np.ndarray
-    pay_inc: np.ndarray
+    production: np.ndarray = _Column()
+    unmet_inc: np.ndarray = _Column()
+    cost_inc: np.ndarray = _Column()
+    pay_inc: np.ndarray = _Column()
     proxy_inc: np.ndarray | None = None
     unmet: float = field(init=False)
     cost_regret: float = field(init=False)
@@ -254,45 +279,60 @@ class RunRecord:
     _COLUMNS = (
         "demand", "price", "production", "unmet_inc", "cost_inc", "pay_inc", "proxy_inc"
     )
+    _HEADS = ("production", "unmet_inc", "cost_inc", "pay_inc")
 
     def __post_init__(self):
-        if self.horizon < 1:
+        T = self.horizon
+        if T < 1:
             raise ValueError("horizon must be >= 1")
-        for name in self._COLUMNS:
+        for name in ("demand", "price", "proxy_inc"):
             col = getattr(self, name)
-            if col is not None and np.shape(col) != (self.horizon,):
+            if col is not None and np.shape(col) != (T,):
+                raise ValueError(f"column {name} has shape {np.shape(col)}, expected ({T},)")
+        heads = {name: vars(self)[name] for name in self._HEADS}
+        k_shape = np.shape(heads["production"])
+        for name, col in heads.items():
+            shape = np.shape(col)
+            if not (len(shape) == 1 and 1 <= shape[0] <= T):
+                raise ValueError(f"column {name} has shape {shape}, expected (k,), 1 <= k <= {T}")
+            if shape != k_shape:
                 raise ValueError(
-                    f"column {name} has shape {np.shape(col)}, expected ({self.horizon},)"
+                    f"column {name} has shape {shape}, production {k_shape}: "
+                    "the regret columns share one length"
                 )
-        # Each total is the left-to-right sum of its column, bit for bit:
-        # np.cumsum over the head, then repeated_sum over the final run of
-        # bit-equal values, so a run whose price freezes sums its head and
-        # not the horizon. The positive parts reuse their column's split. A
-        # column holding both infinities totals NaN, and one whose sum leaves
-        # the float range totals inf: both without a warning.
-        heads = {
-            name: _head_length(getattr(self, name))
-            for name in ("unmet_inc", "cost_inc", "pay_inc", "proxy_inc")
-            if getattr(self, name) is not None
-        }
-        buf = np.empty(max(heads.values()))
+        k = k_shape[0]
+        for name in ("price", "demand") if k < T else ():
+            col = np.asarray(getattr(self, name), dtype=np.float64)
+            if col.strides != (0,) and tail_start(col) > k - 1:
+                raise ValueError(
+                    f"column {name} is not constant from period {k - 1} on, so "
+                    f"regret columns of {k} periods cannot stand for {T}"
+                )
+        # Each total is the left-to-right sum of its full column, bit for bit:
+        # np.cumsum over the periods before a head's last value, then
+        # repeated_sum over the periods from it on, which all hold it (at
+        # least one period goes to np.cumsum, which starts from the first
+        # value instead of adding it to 0.0). A column holding both
+        # infinities totals NaN, and one whose sum leaves the float range
+        # totals inf: both without a warning.
+        buf = np.empty(T if self.proxy_inc is not None else k)
 
-        def total(name, positive=False):
-            col, k = getattr(self, name), heads[name]
-            head = np.maximum(col[:k], 0.0, out=buf[:k]) if positive else col[:k]
-            s = np.cumsum(head, out=buf[:k])[-1]
-            if k < self.horizon:
+        def total(col, positive=False):
+            n = len(col) if len(col) == T else max(len(col) - 1, 1)
+            head = np.maximum(col[:n], 0.0, out=buf[:n]) if positive else col[:n]
+            s = np.cumsum(head, out=buf[:n])[-1]
+            if n < T:
                 tail = np.maximum(col[-1], 0.0) if positive else col[-1]
-                s = repeated_sum(s, tail, self.horizon - k)
+                s = repeated_sum(s, tail, T - n)
             return float(s)
 
         with np.errstate(invalid="ignore", over="ignore"):
-            self.unmet = total("unmet_inc")
-            self.cost_regret = total("cost_inc")
-            self.payment_regret = total("pay_inc")
-            self.cost_pos = total("cost_inc", positive=True)
-            self.pay_pos = total("pay_inc", positive=True)
-            self.proxy_reg = math.nan if self.proxy_inc is None else total("proxy_inc")
+            self.unmet = total(heads["unmet_inc"])
+            self.cost_regret = total(heads["cost_inc"])
+            self.payment_regret = total(heads["pay_inc"])
+            self.cost_pos = total(heads["cost_inc"], positive=True)
+            self.pay_pos = total(heads["pay_inc"], positive=True)
+            self.proxy_reg = math.nan if self.proxy_inc is None else total(self.proxy_inc)
 
     def metric(self, name: str) -> float:
         """Metric lookup for fits: U_T, C_T, P_T, C_T_pos, P_T_pos, proxy_reg."""

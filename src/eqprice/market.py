@@ -618,6 +618,20 @@ def tail_start(col: np.ndarray) -> int:
     return 0
 
 
+def full_column(head, horizon: int) -> np.ndarray:
+    """The ``horizon``-period column of a head returned by
+    :meth:`MarketInstance.regret_columns`: the head, then its last value
+    repeated. A head of the full horizon is returned as it is."""
+    k = len(head)
+    if k == horizon:
+        return head
+    head = np.asarray(head)
+    col = np.empty(horizon, head.dtype)
+    col[:k] = head
+    col[k:] = head[-1]
+    return col
+
+
 def supplier_mix(suppliers: Sequence[CostSpec]) -> str:
     """The supplier mix the policies run on, the suppliers' one family: all
     ``quadratic``, a single ``linear`` supplier, or all ``context_quadratic``.
@@ -776,15 +790,16 @@ class MarketInstance:
         ``production``, ``unmet_inc``, ``cost_inc`` and ``pay_inc``; the
         instance's ``demands`` may be a read-only view of stride 0.
 
-        The columns are computed period by period over the first ``k``
-        periods: all of them, unless every period clears alike (a quadratic
-        or linear market with a constant demand). Then ``k`` ends with the
-        first period of the final run of bit-equal prices
-        (:func:`tail_start`), and each column's last value fills the rest:
-        the same arithmetic on the same operands as a pass over every period.
-        A string, bytes or bool among the prices is refused (:func:`_prices`),
-        and a price among those ``k`` outside [0, 1] or NaN is rejected by
-        :func:`price_array`, naming the first.
+        ``price`` is the path itself; the other four columns are its head,
+        the first ``k`` periods, computed period by period. ``k`` is the
+        horizon unless every period clears alike (a quadratic or linear
+        market with a constant demand). Then ``k`` ends with the first
+        period of the final run of bit-equal prices (:func:`tail_start`),
+        and every later period repeats period ``k - 1`` of each column:
+        :func:`full_column` of a head is, bit for bit, the column a pass over
+        every period computes. A string, bytes or bool among the prices is
+        refused (:func:`_prices`), and a price among those ``k`` outside
+        [0, 1] or NaN is rejected by :func:`price_array`, naming the first.
         """
         prices = _prices(prices)
         if prices.shape != (self.horizon,):
@@ -793,13 +808,10 @@ class MarketInstance:
         posted = price_array(prices[:k])
         cost_eq, pay_eq = self._clearing_cost_and_payment()
         prod, cost = self._production(posted)
-        cols = dict(
+        return dict(
+            price=prices,
             production=prod,
             unmet_inc=np.maximum(0.0, self.demands[:k] - prod),
             cost_inc=cost - cost_eq,
             pay_inc=posted * prod - pay_eq,
         )
-        if k < self.horizon:
-            for name, v in cols.items():  # one column at a time, so each head is freed
-                cols[name] = np.concatenate((v, np.broadcast_to(v[-1], (self.horizon - k,))))
-        return dict(price=prices, **cols)

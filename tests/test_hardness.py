@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eqprice import hardness
 from eqprice.hardness import (
     IID_DEMAND,
     IID_SOFT_COST,
@@ -14,7 +15,7 @@ from eqprice.hardness import (
 )
 from eqprice.harness import ExperimentConfig, replication_stream, run_experiment
 from eqprice.market import (
-    CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, equilibrium_price
+    CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, equilibrium_price, full_column
 )
 
 
@@ -85,8 +86,9 @@ def test_expected_total_regret_refuses_a_string_or_bool_price(p, named):
 
 def test_formula_matches_market_machinery():
     # the closed form is the mixture average of realized totals, each taken
-    # from a market of one cost draw over the price path
-    prices = np.array([0.0, 0.07, 0.125, 0.2, 0.25, 0.4, 0.8])
+    # from a market of one cost draw over the price path; the path ends in
+    # a repeated price, so the market returns heads one period short
+    prices = np.array([0.0, 0.07, 0.125, 0.2, 0.25, 0.4, 0.8, 0.8])
     n, d = len(prices), IID_DEMAND
     totals = []
     for cost in (IID_STIFF_COST, IID_SOFT_COST):
@@ -95,29 +97,34 @@ def test_formula_matches_market_machinery():
             demand_bounds=(d, d),
         )
         cols = market.regret_columns(prices)
-        totals.append(cols["unmet_inc"] + cols["cost_inc"] + cols["pay_inc"])
+        assert cols["production"].shape == (n - 1,)
+        totals.append(full_column(cols["unmet_inc"] + cols["cost_inc"] + cols["pay_inc"], n))
     mix = 0.5 * totals[0] + 0.5 * totals[1]
     assert mix == pytest.approx(expected_total_regret(prices), abs=1e-9)
 
 
-def test_verify_lower_bound_weights_each_draw_by_its_share():
+def test_verify_lower_bound_weights_each_draw_by_its_share(monkeypatch):
     # realized totals per draw at demand 1: the stiffer cost produces 4p and
-    # clears at 1/4, the softer one 8p at 1/8
+    # clears at 1/4, the softer one 8p at 1/8. A path ending in a repeated
+    # price, whose regret heads are one period short, still gives every row.
     def stiff(p):
         return max(0.0, 1.0 - 4.0 * p) + 6.0 * p * p - 3.0 / 8.0
 
     def soft(p):
         return max(0.0, 1.0 - 8.0 * p) + 12.0 * p * p - 3.0 / 16.0
 
-    report = verify_lower_bound(grid_step=0.5, n_periods=10, seed=3)
-    rng = replication_stream(3, 0)
-    shares = set()
-    for row in report.rows:
-        share = np.count_nonzero(rng.uniform(0.0, 1.0, 10) < 0.5) / 10
-        shares.add(share)
-        want = share * stiff(row.price) + (1.0 - share) * soft(row.price)
-        assert row.empirical == pytest.approx(want, abs=1e-12)
-    assert shares != {0.5}  # a share away from 1/2 tells the draws apart
+    for prices in (hardness.LOWER_BOUND_PRICES, (0.0, 0.125, 0.5, 0.5)):
+        monkeypatch.setattr(hardness, "LOWER_BOUND_PRICES", prices)
+        report = verify_lower_bound(grid_step=0.5, n_periods=10, seed=3)
+        assert [row.price for row in report.rows] == list(prices)
+        rng = replication_stream(3, 0)
+        shares = set()
+        for row in report.rows:
+            share = np.count_nonzero(rng.uniform(0.0, 1.0, 10) < 0.5) / 10
+            shares.add(share)
+            want = share * stiff(row.price) + (1.0 - share) * soft(row.price)
+            assert row.empirical == pytest.approx(want, abs=1e-12)
+        assert shares != {0.5}  # a share away from 1/2 tells the draws apart
 
 
 def test_verify_lower_bound_grid():

@@ -400,6 +400,16 @@ def test_seed_and_horizons_refused_when_built(fields, key):
     ExperimentConfig(**{**cfg, "seed": 2**128 - 3, "replications": 3, "horizons": (1,)})
 
 
+@pytest.mark.parametrize("horizons", [(50, 50), (10, 50, 50), (100, 10)])
+def test_horizons_must_be_strictly_ascending(horizons, tmp_path):
+    # (50, 50) used to run twice, writing run_T50_rep0.csv twice and two
+    # identical summary rows
+    with pytest.raises(ValueError, match=r"^horizons must be strictly ascending"):
+        ExperimentConfig(
+            instance=QUAD_FIXED, policy="fixed_interval", horizons=horizons, out=tmp_path
+        )
+
+
 @pytest.mark.parametrize(
     "name, spec",
     [

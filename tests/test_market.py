@@ -22,6 +22,7 @@ from eqprice.market import (
     best_response,
     context_coefficients,
     equilibrium_price,
+    full_column,
     tail_start,
 )
 from eqprice.features import apply_feature_map
@@ -418,21 +419,27 @@ _RUN_PATHS = {
     ids=["quadratic-intercepts", "linear"],
 )
 def test_regret_columns_per_run_match_per_period(suppliers, d, path):
-    # a constant-demand market prices the periods up to its final run of
-    # equal prices and fills the rest; every column must be bit for bit the
-    # one-period market's, period by period, on heads with repeated prices too
+    # a constant-demand market returns the price path and the heads of the
+    # other columns, up to the first period of its final run of equal
+    # prices; every full column must be bit for bit the one-period market's,
+    # period by period, on heads with repeated prices too
     prices = _RUN_PATHS[path]
-    cols = _constant_demand_market(suppliers, d, prices.size).regret_columns(prices)
+    T = prices.size
+    cols = _constant_demand_market(suppliers, d, T).regret_columns(prices)
+    assert set(cols) == {"price", "production", "unmet_inc", "cost_inc", "pay_inc"}
+    assert cols["price"] is prices
+    k = tail_start(prices) + 1
+    assert all(c.shape == (k,) for name, c in cols.items() if name != "price")
     # the one-period market's columns at each distinct price (by bits),
     # placed at every period that posts it
     _, first, where = np.unique(prices.view(np.int64), return_index=True, return_inverse=True)
     one = [_constant_demand_market(suppliers, d, 1).regret_columns(prices[t : t + 1]) for t in first]
     for name in cols:
         want = np.concatenate([c[name] for c in one])[where]
-        bad = np.flatnonzero(cols[name].view(np.int64) != want.view(np.int64))
+        col = full_column(cols[name], T)
+        assert col.shape == (T,)
+        bad = np.flatnonzero(col.view(np.int64) != want.view(np.int64))
         assert bad.size == 0, (name, bad[:1], prices[bad[:1]])
-    assert set(cols) == {"price", "production", "unmet_inc", "cost_inc", "pay_inc"}
-    assert all(c.shape == prices.shape for c in cols.values())
 
 
 def test_regret_columns_reject_bad_price_paths():

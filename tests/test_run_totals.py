@@ -1,8 +1,8 @@
-"""Run totals: ``repeated_sum`` and the head/tail split of ``RunRecord``.
+"""Run totals: ``repeated_sum`` and the regret heads of ``RunRecord``.
 
-Every total must be the left-to-right ``np.cumsum`` total of its column, bit
-for bit, while a column that ends in a long run of equal values is summed
-over its head only.
+Every total must be the left-to-right ``np.cumsum`` total of its full
+column, bit for bit, while a run whose price freezes passes the record its
+regret columns' heads and is summed over them only.
 """
 
 import dataclasses
@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from eqprice import harness
 from eqprice.harness import ExperimentConfig, RunRecord, repeated_sum, run_experiment
-from eqprice.market import CostSpec, GeneratorSpec, InstanceSpec, MarketInstance
+from eqprice.market import (
+    CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, aggregate_production, full_column
+)
 
 #: The criterion-1 market: three quadratic suppliers and a demand of 1.
 CRITERION_1 = InstanceSpec(
@@ -190,29 +192,41 @@ def test_criterion_1_totals_match_cumsum(policy, params):
 
 def test_frozen_record_sums_only_its_head(monkeypatch):
     # The fixed tracker freezes on the criterion-1 market at T = 1e6 after
-    # 21,182 periods; the record's totals must not pass over the horizon.
+    # 21,182 periods. The regret pass returns heads that end with the first
+    # frozen period, the record takes them as they are, and its totals
+    # neither pass over the horizon nor scan a regret column for its tail.
     T = 10**6
     inst = CRITERION_1.with_horizon(T).materialize(harness.replication_stream(0, 0))
     prices, _ = harness._run_fixed(inst, {}, None, None)
     assert np.all(prices[CRITERION_1_HEAD:] == prices[-1])
     assert prices[CRITERION_1_HEAD - 1] != prices[-1]
     cols = inst.regret_columns(prices)
-    sizes = []
-    cumsum = np.cumsum
+    heads = [cols[name] for name in RunRecord._HEADS]
+    assert all(h.shape == (CRITERION_1_HEAD + 1,) for h in heads)
+    sizes, scanned = [], []
+    cumsum, tail_start = np.cumsum, harness.tail_start
 
     def spy(a, *args, **kwargs):
         sizes.append(np.size(a))
         return cumsum(a, *args, **kwargs)
 
+    def scan(col):
+        scanned.append(col)
+        return tail_start(col)
+
     monkeypatch.setattr(np, "cumsum", spy)
-    RunRecord("fixed_interval", T, 0, 0, inst.demands, **cols)
+    monkeypatch.setattr(harness, "tail_start", scan)
+    rec = RunRecord("fixed_interval", T, 0, 0, inst.demands, **cols)
     monkeypatch.undo()
     assert sizes and max(sizes) <= CRITERION_1_HEAD, max(sizes)
+    assert not any(np.may_share_memory(a, h) for a in scanned for h in heads)
+    for name, head in zip(RunRecord._HEADS, heads):
+        assert vars(rec)[name] is head  # stored as given, until read
 
 
 def test_frozen_regret_pass_prices_only_its_head(monkeypatch):
     # The regret pass of the frozen criterion-1 run prices the head and the
-    # first period of the frozen tail, and fills the rest.
+    # first period of the frozen tail, and nothing more.
     T = 10**6
     sizes = []
     production = MarketInstance._production
@@ -228,11 +242,11 @@ def test_frozen_regret_pass_prices_only_its_head(monkeypatch):
 
 
 def test_frozen_fixed_interval_run_allocates_only_its_columns():
-    # A frozen criterion-1 run returns a price column and four regret
-    # columns of T float64 each, and its constant demand is one value. Next
-    # to its four columns the regret pass holds at most four head-sized
-    # arrays at once (it measures three), and the record two (its scratch
-    # buffer and a mask).
+    # A frozen criterion-1 run allocates one T-sized float64 column, the
+    # kernel's price path: its constant demand is one value, and its regret
+    # columns are heads until read. The regret pass holds head-sized arrays
+    # only (it measures eight at once), and the record two (its scratch
+    # buffer and the price scan's mask).
     T = 10**6
     cfg = ExperimentConfig(instance=CRITERION_1, policy="fixed_interval", horizons=(T,))
     run_experiment(dataclasses.replace(cfg, horizons=(1000,)))  # first-use caches
@@ -253,6 +267,89 @@ def test_frozen_fixed_interval_run_allocates_only_its_columns():
     finally:
         tracemalloc.stop()
     assert rec.demand.strides == (0,)
-    assert peak <= 5 * 8 * T + 4 * 2**20, peak
-    assert regret_peak <= 4 * 8 * T + 4 * 8 * CRITERION_1_HEAD, regret_peak
+    assert peak <= 8 * T + 4 * 2**20, peak
+    assert regret_peak <= 9 * 8 * CRITERION_1_HEAD, regret_peak
     assert record_peak <= 2 * 8 * CRITERION_1_HEAD, record_peak
+
+
+@st.composite
+def price_only_runs(draw):
+    """(instance, policy, params) of a policy on a quadratic or linear market
+    with a constant demand: fixed_interval, or constant_price at any price."""
+    if draw(st.booleans()):
+        suppliers = tuple(
+            CostSpec.quadratic(draw(st.floats(0.05, 3.0)), draw(st.sampled_from([0.0, 0.1, 0.4])))
+            for _ in range(draw(st.integers(1, 3)))
+        )
+    else:
+        c, cap = draw(st.floats(0.05, 0.95)), draw(st.floats(0.5, 3.0))
+        suppliers = (CostSpec.linear(c=c, cap=cap),)
+    d = draw(st.floats(0.05, 1.0)) * aggregate_production(suppliers, 1.0).total
+    T = draw(st.integers(1, 3000))
+    spec = InstanceSpec(
+        suppliers=suppliers, demands=GeneratorSpec(kind="constant", value=d), horizon=T
+    )
+    if draw(st.booleans()):
+        return spec, "fixed_interval", {}
+    return spec, "constant_price", {"p": draw(st.floats(0.0, 1.0))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(price_only_runs())
+@example((CRITERION_1.with_horizon(10**6), "fixed_interval", {}))
+def test_record_of_heads_equals_record_of_full_columns(run):
+    # A record built from the regret heads reads, column by column, and
+    # totals the bits of one built from the full columns.
+    spec, policy, params = run
+    T = spec.horizon
+    inst = spec.materialize(harness.replication_stream(0, 0))
+    prices, _ = harness.POLICIES[policy][-1](inst, params, None, None)
+    cols = inst.regret_columns(prices)
+    full = {name: full_column(col, T) for name, col in cols.items()}
+    heads = RunRecord(policy, T, 0, 0, inst.demands, **cols)
+    whole = RunRecord(policy, T, 0, 0, inst.demands, **full)
+    for name in RunRecord._COLUMNS[:-1]:
+        col = getattr(heads, name)
+        assert col is getattr(heads, name)  # expanded once, then kept
+        assert col.shape == (T,) and col.dtype == np.float64
+        assert col.tobytes() == getattr(whole, name).tobytes(), name
+    for name in harness.SUMMARY_METRICS:
+        assert same_bits(heads.metric(name), whole.metric(name)), name
+
+
+def _record(T, k, price=None, demand=None, lengths=None):
+    """A record of constant_price with regret heads of ``k`` periods (or of
+    ``lengths``), price 0.5 and demand 1.0 unless given."""
+    price = np.full(T, 0.5) if price is None else np.asarray(price, dtype=np.float64)
+    demand = np.ones(T) if demand is None else np.asarray(demand, dtype=np.float64)
+    heads = [np.ones(n) for n in (lengths or (k,) * 4)]
+    return RunRecord("constant_price", T, 0, 0, demand, price, *heads)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"T": 10, "k": 5, "lengths": (5, 5, 4, 5)}, "cost_inc"),
+        ({"T": 10, "k": 5, "lengths": (4, 5, 5, 5)}, "unmet_inc"),
+        ({"T": 10, "k": 0}, "production"),
+        ({"T": 10, "k": 11}, "production"),
+        ({"T": 5, "k": 3, "price": [0.1, 0.2, 0.3, 0.3, 0.4]}, "price"),
+        ({"T": 5, "k": 3, "price": [0.1, 0.2, 0.0, 0.0, -0.0]}, "price"),
+        ({"T": 5, "k": 3, "demand": [1.0, 1.0, 1.0, 1.0, 2.0]}, "demand"),
+        ({"T": 5, "k": 1, "demand": [1.0, 1.0, 1.0, 1.0, 2.0]}, "demand"),
+    ],
+    ids=[
+        "unequal-heads", "unequal-first-heads", "k=0", "k>T", "price-moves",
+        "price-sign-of-zero", "demand-moves", "one-period-head",
+    ],
+)
+def test_record_refuses_heads_that_cannot_stand_for_the_horizon(kwargs, named):
+    with pytest.raises(ValueError, match=rf"^column {named} "):
+        _record(**kwargs)
+
+
+def test_record_accepts_a_head_where_price_and_demand_hold():
+    # prices change up to period k - 1 = 2 and hold from it on
+    rec = _record(5, 3, price=[0.1, 0.2, 0.3, 0.3, 0.3], demand=[1.0, 2.0, 3.0, 3.0, 3.0])
+    assert rec.production.tobytes() == np.ones(5).tobytes()
+    assert rec.unmet == 5.0
