@@ -3,7 +3,7 @@
 Everything the harness knows about a policy is its row of :data:`POLICIES`.
 The config checks its parameters and instance against that row when it is
 built; each run materialises the instance, lets the row's runner produce a
-price path, and takes production and regret increments from
+price path, and takes every column of the run from
 :meth:`~eqprice.market.MarketInstance.regret_columns`, the same pass for
 every policy. Where a price path freezes on a market that clears alike in
 every period, the pass returns the columns' heads, up to the first frozen
@@ -47,7 +47,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,6 @@ from .market import (
     positive,
     read_json_dict,
     supplier_mix,
-    tail_start,
 )
 from .policy_contextual import default_gamma, default_grid_size, grid_size, make_contextual_state
 from .policy_demand import DemandGrid, make_demand_state
@@ -211,19 +210,25 @@ class ExperimentConfig:
 
 
 class _Column:
-    """A regret column of :class:`RunRecord`: stored as the head it was
-    given, read as the full column of ``horizon`` periods. A head is
-    expanded (:func:`~eqprice.market.full_column`) on its first read and the
-    result kept, so every read returns the same array."""
+    """A column of :class:`RunRecord`: stored as the head it was given,
+    read as the full column of ``horizon`` periods. A head is expanded
+    (:func:`~eqprice.market.full_column`) on its first read and the result
+    kept, so every read returns the same array. An optional column defaults
+    to None, which reads as None."""
+
+    def __init__(self, optional=False):
+        self.optional = optional
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, rec, owner=None):
         if rec is None:
+            if self.optional:
+                return None  # the field's default
             raise AttributeError(self.name)  # no class-level value: a required field
         col = vars(rec)[self.name]
-        if len(col) < rec.horizon:
+        if col is not None and len(col) < rec.horizon:
             col = vars(rec)[self.name] = full_column(col, rec.horizon)
         return col
 
@@ -235,15 +240,15 @@ class _Column:
 class RunRecord:
     """Seeded trajectory of one (horizon, replication) execution.
 
-    ``production``, ``unmet_inc``, ``cost_inc`` and ``pay_inc`` may be passed
-    as the heads :meth:`~eqprice.market.MarketInstance.regret_columns`
-    returns: one length k with 1 <= k <= ``horizon``, where k < ``horizon``
-    means that every later period repeats period k - 1, which the
-    constructor checks on ``price`` and ``demand``. Read, each is the full
-    column of ``horizon`` periods, expanded on first read and kept. The
-    other columns have ``horizon`` periods. ``demand`` is the instance's
-    demand path, a read-only array of stride 0 when the demand is a
-    ``constant`` generator's one value.
+    Every column, ``demand``, ``price``, ``production``, ``unmet_inc``,
+    ``cost_inc``, ``pay_inc`` and ``proxy_inc`` when given, is a head of
+    one length k with 1 <= k <= ``horizon``, as
+    :meth:`~eqprice.market.MarketInstance.regret_columns` returns them: the
+    record stands for ``horizon`` periods by repeating its last row. Read,
+    each is the full column of ``horizon`` periods, expanded on first read
+    and kept; a head of stride 0, such as a ``constant`` generator's
+    demand, reads as a read-only view of stride 0. The repr leaves the
+    columns out.
 
     Cumulative fields are the left-to-right sums of the full columns, bit
     for bit; they are derived in the constructor and cannot be passed to it.
@@ -262,13 +267,13 @@ class RunRecord:
     horizon: int
     replication: int
     seed: int
-    demand: np.ndarray
-    price: np.ndarray
+    demand: np.ndarray = _Column()
+    price: np.ndarray = _Column()
     production: np.ndarray = _Column()
     unmet_inc: np.ndarray = _Column()
     cost_inc: np.ndarray = _Column()
     pay_inc: np.ndarray = _Column()
-    proxy_inc: np.ndarray | None = None
+    proxy_inc: np.ndarray | None = _Column(optional=True)
     unmet: float = field(init=False)
     cost_regret: float = field(init=False)
     payment_regret: float = field(init=False)
@@ -279,34 +284,22 @@ class RunRecord:
     _COLUMNS = (
         "demand", "price", "production", "unmet_inc", "cost_inc", "pay_inc", "proxy_inc"
     )
-    _HEADS = ("production", "unmet_inc", "cost_inc", "pay_inc")
 
     def __post_init__(self):
         T = self.horizon
         if T < 1:
             raise ValueError("horizon must be >= 1")
-        for name in ("demand", "price", "proxy_inc"):
-            col = getattr(self, name)
-            if col is not None and np.shape(col) != (T,):
-                raise ValueError(f"column {name} has shape {np.shape(col)}, expected ({T},)")
-        heads = {name: vars(self)[name] for name in self._HEADS}
+        heads = {name: vars(self)[name] for name in self._COLUMNS}
+        if heads["proxy_inc"] is None:
+            del heads["proxy_inc"]
         k_shape = np.shape(heads["production"])
+        if not (len(k_shape) == 1 and 1 <= k_shape[0] <= T):
+            raise ValueError(f"column production has shape {k_shape}, expected (k,), 1 <= k <= {T}")
         for name, col in heads.items():
-            shape = np.shape(col)
-            if not (len(shape) == 1 and 1 <= shape[0] <= T):
-                raise ValueError(f"column {name} has shape {shape}, expected (k,), 1 <= k <= {T}")
-            if shape != k_shape:
+            if np.shape(col) != k_shape:
                 raise ValueError(
-                    f"column {name} has shape {shape}, production {k_shape}: "
-                    "the regret columns share one length"
-                )
-        k = k_shape[0]
-        for name in ("price", "demand") if k < T else ():
-            col = np.asarray(getattr(self, name), dtype=np.float64)
-            if col.strides != (0,) and tail_start(col) > k - 1:
-                raise ValueError(
-                    f"column {name} is not constant from period {k - 1} on, so "
-                    f"regret columns of {k} periods cannot stand for {T}"
+                    f"column {name} has shape {np.shape(col)}, production {k_shape}: "
+                    "the columns share one length"
                 )
         # Each total is the left-to-right sum of its full column, bit for bit:
         # np.cumsum over the periods before a head's last value, then
@@ -315,7 +308,7 @@ class RunRecord:
         # value instead of adding it to 0.0). A column holding both
         # infinities totals NaN, and one whose sum leaves the float range
         # totals inf: both without a warning.
-        buf = np.empty(T if self.proxy_inc is not None else k)
+        buf = np.empty(k_shape)
 
         def total(col, positive=False):
             n = len(col) if len(col) == T else max(len(col) - 1, 1)
@@ -332,7 +325,11 @@ class RunRecord:
             self.payment_regret = total(heads["pay_inc"])
             self.cost_pos = total(heads["cost_inc"], positive=True)
             self.pay_pos = total(heads["pay_inc"], positive=True)
-            self.proxy_reg = math.nan if self.proxy_inc is None else total(self.proxy_inc)
+            self.proxy_reg = total(heads["proxy_inc"]) if "proxy_inc" in heads else math.nan
+
+    def __repr__(self):  # without the columns: reading one expands its head
+        shown = [f.name for f in fields(self) if f.name not in self._COLUMNS]
+        return f"RunRecord({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
 
     def metric(self, name: str) -> float:
         """Metric lookup for fits: U_T, C_T, P_T, C_T_pos, P_T_pos, proxy_reg."""
@@ -473,7 +470,6 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
                     horizon=T,
                     replication=rep,
                     seed=seed_key(config.seed, rep),
-                    demand=inst.demands,
                     proxy_inc=proxy,
                     **inst.regret_columns(prices),
                 )

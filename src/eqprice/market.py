@@ -621,11 +621,14 @@ def tail_start(col: np.ndarray) -> int:
 def full_column(head, horizon: int) -> np.ndarray:
     """The ``horizon``-period column of a head returned by
     :meth:`MarketInstance.regret_columns`: the head, then its last value
-    repeated. A head of the full horizon is returned as it is."""
+    repeated. A head of the full horizon is returned as it is, and one of
+    stride 0 expands to a read-only view of stride 0."""
     k = len(head)
     if k == horizon:
         return head
     head = np.asarray(head)
+    if head.strides == (0,):
+        return np.broadcast_to(head[-1:], (horizon,))
     col = np.empty(horizon, head.dtype)
     col[:k] = head
     col[k:] = head[-1]
@@ -786,18 +789,16 @@ class MarketInstance:
         ``unmet_inc`` = (d_t - x_t)_+, and ``cost_inc`` and ``pay_inc`` are
         the total cost and payment at the posted price minus those of the
         clearing allocation (signed). Keys are the
-        :class:`~eqprice.harness.RunRecord` column names ``price``,
-        ``production``, ``unmet_inc``, ``cost_inc`` and ``pay_inc``; the
-        instance's ``demands`` may be a read-only view of stride 0.
+        :class:`~eqprice.harness.RunRecord` column names, ``demand`` to
+        ``pay_inc``, and each column is its head, the first ``k`` periods.
 
-        ``price`` is the path itself; the other four columns are its head,
-        the first ``k`` periods, computed period by period. ``k`` is the
-        horizon unless every period clears alike (a quadratic or linear
-        market with a constant demand). Then ``k`` ends with the first
-        period of the final run of bit-equal prices (:func:`tail_start`),
+        ``k`` is the horizon unless every period clears alike (a quadratic
+        or linear market with a constant demand). Then ``k`` ends with the
+        first period of the final run of bit-equal prices (:func:`tail_start`),
         and every later period repeats period ``k - 1`` of each column:
         :func:`full_column` of a head is, bit for bit, the column a pass over
-        every period computes. A string, bytes or bool among the prices is
+        every period computes; ``price`` is then a copy of its head, not a
+        view of the path. A string, bytes or bool among the prices is
         refused (:func:`_prices`), and a price among those ``k`` outside
         [0, 1] or NaN is rejected by :func:`price_array`, naming the first.
         """
@@ -809,7 +810,8 @@ class MarketInstance:
         cost_eq, pay_eq = self._clearing_cost_and_payment()
         prod, cost = self._production(posted)
         return dict(
-            price=prices,
+            demand=self.demands[:k],
+            price=prices if k == self.horizon else prices[:k].copy(),
             production=prod,
             unmet_inc=np.maximum(0.0, self.demands[:k] - prod),
             cost_inc=cost - cost_eq,

@@ -419,17 +419,21 @@ _RUN_PATHS = {
     ids=["quadratic-intercepts", "linear"],
 )
 def test_regret_columns_per_run_match_per_period(suppliers, d, path):
-    # a constant-demand market returns the price path and the heads of the
-    # other columns, up to the first period of its final run of equal
-    # prices; every full column must be bit for bit the one-period market's,
-    # period by period, on heads with repeated prices too
+    # a constant-demand market returns the heads of every column, price and
+    # demand too, up to the first period of its final run of equal prices;
+    # every full column must be bit for bit the one-period market's, period
+    # by period, on heads with repeated prices too
     prices = _RUN_PATHS[path]
     T = prices.size
     cols = _constant_demand_market(suppliers, d, T).regret_columns(prices)
-    assert set(cols) == {"price", "production", "unmet_inc", "cost_inc", "pay_inc"}
-    assert cols["price"] is prices
+    assert set(cols) == {"demand", "price", "production", "unmet_inc", "cost_inc", "pay_inc"}
     k = tail_start(prices) + 1
-    assert all(c.shape == (k,) for name, c in cols.items() if name != "price")
+    assert all(c.shape == (k,) for c in cols.values())
+    if k == T:
+        assert cols["price"] is prices
+    else:  # a copy of the head: the record holds no T-sized path
+        assert not np.may_share_memory(cols["price"], prices)
+        assert cols["price"].tobytes() == prices[:k].tobytes()
     # the one-period market's columns at each distinct price (by bits),
     # placed at every period that posts it
     _, first, where = np.unique(prices.view(np.int64), return_index=True, return_inverse=True)

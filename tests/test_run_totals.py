@@ -1,8 +1,8 @@
 """Run totals: ``repeated_sum`` and the regret heads of ``RunRecord``.
 
 Every total must be the left-to-right ``np.cumsum`` total of its full
-column, bit for bit, while a run whose price freezes passes the record its
-regret columns' heads and is summed over them only.
+column, bit for bit, while a run whose price freezes passes the record the
+heads of its columns and is summed over them only.
 """
 
 import dataclasses
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqprice import harness
+from eqprice import harness, market
 from eqprice.harness import ExperimentConfig, RunRecord, repeated_sum, run_experiment
 from eqprice.market import (
     CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, aggregate_production, full_column
@@ -192,19 +192,20 @@ def test_criterion_1_totals_match_cumsum(policy, params):
 
 def test_frozen_record_sums_only_its_head(monkeypatch):
     # The fixed tracker freezes on the criterion-1 market at T = 1e6 after
-    # 21,182 periods. The regret pass returns heads that end with the first
-    # frozen period, the record takes them as they are, and its totals
-    # neither pass over the horizon nor scan a regret column for its tail.
+    # 21,182 periods. The regret pass returns heads of every column that end
+    # with the first frozen period, the record takes them as they are, and
+    # its totals neither pass over the horizon nor scan a column for its
+    # tail: the one scan of a run is the regret pass's.
     T = 10**6
     inst = CRITERION_1.with_horizon(T).materialize(harness.replication_stream(0, 0))
     prices, _ = harness._run_fixed(inst, {}, None, None)
     assert np.all(prices[CRITERION_1_HEAD:] == prices[-1])
     assert prices[CRITERION_1_HEAD - 1] != prices[-1]
     cols = inst.regret_columns(prices)
-    heads = [cols[name] for name in RunRecord._HEADS]
-    assert all(h.shape == (CRITERION_1_HEAD + 1,) for h in heads)
+    assert list(cols) == list(RunRecord._COLUMNS[:-1])
+    assert all(h.shape == (CRITERION_1_HEAD + 1,) for h in cols.values())
     sizes, scanned = [], []
-    cumsum, tail_start = np.cumsum, harness.tail_start
+    cumsum, tail_start = np.cumsum, market.tail_start
 
     def spy(a, *args, **kwargs):
         sizes.append(np.size(a))
@@ -215,12 +216,14 @@ def test_frozen_record_sums_only_its_head(monkeypatch):
         return tail_start(col)
 
     monkeypatch.setattr(np, "cumsum", spy)
-    monkeypatch.setattr(harness, "tail_start", scan)
-    rec = RunRecord("fixed_interval", T, 0, 0, inst.demands, **cols)
+    monkeypatch.setattr(market, "tail_start", scan)
+    rec = RunRecord("fixed_interval", T, 0, 0, **cols)
+    assert not scanned
+    run_experiment(ExperimentConfig(instance=CRITERION_1, policy="fixed_interval", horizons=(T,)))
+    assert len(scanned) == 1
     monkeypatch.undo()
     assert sizes and max(sizes) <= CRITERION_1_HEAD, max(sizes)
-    assert not any(np.may_share_memory(a, h) for a in scanned for h in heads)
-    for name, head in zip(RunRecord._HEADS, heads):
+    for name, head in cols.items():
         assert vars(rec)[name] is head  # stored as given, until read
 
 
@@ -243,11 +246,12 @@ def test_frozen_regret_pass_prices_only_its_head(monkeypatch):
 
 def test_frozen_fixed_interval_run_allocates_only_its_columns():
     # A frozen criterion-1 run allocates one T-sized float64 column, the
-    # kernel's price path: its constant demand is one value, and its regret
-    # columns are heads until read. The regret pass holds head-sized arrays
-    # only (it measures eight at once), and the record two (its scratch
-    # buffer and the price scan's mask).
+    # kernel's price path, and keeps none: its constant demand is one value,
+    # and its columns, the price too, are heads until read. The regret pass
+    # holds head-sized arrays only (it measures eight at once), and the
+    # record one (its scratch buffer).
     T = 10**6
+    head = 8 * (CRITERION_1_HEAD + 1)
     cfg = ExperimentConfig(instance=CRITERION_1, policy="fixed_interval", horizons=(T,))
     run_experiment(dataclasses.replace(cfg, horizons=(1000,)))  # first-use caches
     tracemalloc.start()
@@ -262,14 +266,22 @@ def test_frozen_fixed_interval_run_allocates_only_its_columns():
         regret_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        RunRecord("fixed_interval", T, 0, 0, inst.demands, **cols)
+        RunRecord("fixed_interval", T, 0, 0, **cols)
         record_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert rec.demand.strides == (0,)
+    assert rec.demand.strides == (0,) and not rec.demand.flags.writeable
     assert peak <= 8 * T + 4 * 2**20, peak
     assert regret_peak <= 9 * 8 * CRITERION_1_HEAD, regret_peak
-    assert record_peak <= 2 * 8 * CRITERION_1_HEAD, record_peak
+    assert record_peak <= head + 2**14, record_peak
+    # what the record keeps: the memory behind each array it stores
+    owners = {}
+    for a in vars(rec).values():
+        while isinstance(a, np.ndarray) and a.base is not None:
+            a = a.base
+        if isinstance(a, np.ndarray):
+            owners[id(a)] = a.nbytes
+    assert sum(owners.values()) <= 6 * head, owners
 
 
 @st.composite
@@ -306,8 +318,8 @@ def test_record_of_heads_equals_record_of_full_columns(run):
     prices, _ = harness.POLICIES[policy][-1](inst, params, None, None)
     cols = inst.regret_columns(prices)
     full = {name: full_column(col, T) for name, col in cols.items()}
-    heads = RunRecord(policy, T, 0, 0, inst.demands, **cols)
-    whole = RunRecord(policy, T, 0, 0, inst.demands, **full)
+    heads = RunRecord(policy, T, 0, 0, **cols)
+    whole = RunRecord(policy, T, 0, 0, **full)
     for name in RunRecord._COLUMNS[:-1]:
         col = getattr(heads, name)
         assert col is getattr(heads, name)  # expanded once, then kept
@@ -317,30 +329,32 @@ def test_record_of_heads_equals_record_of_full_columns(run):
         assert same_bits(heads.metric(name), whole.metric(name)), name
 
 
-def _record(T, k, price=None, demand=None, lengths=None):
-    """A record of constant_price with regret heads of ``k`` periods (or of
-    ``lengths``), price 0.5 and demand 1.0 unless given."""
-    price = np.full(T, 0.5) if price is None else np.asarray(price, dtype=np.float64)
-    demand = np.ones(T) if demand is None else np.asarray(demand, dtype=np.float64)
-    heads = [np.ones(n) for n in (lengths or (k,) * 4)]
-    return RunRecord("constant_price", T, 0, 0, demand, price, *heads)
+def _record(T, k, lengths=()):
+    """A record of constant_price whose columns are heads of ``k`` periods,
+    except those ``lengths`` names, as (column, length) pairs."""
+    cols = {name: np.ones(k) for name in RunRecord._COLUMNS[:-1]}
+    cols.update((name, np.ones(n)) for name, n in lengths)
+    return RunRecord("constant_price", T, 0, 0, **cols)
 
 
 @pytest.mark.parametrize(
     "kwargs, named",
     [
-        ({"T": 10, "k": 5, "lengths": (5, 5, 4, 5)}, "cost_inc"),
-        ({"T": 10, "k": 5, "lengths": (4, 5, 5, 5)}, "unmet_inc"),
+        ({"T": 10, "k": 5, "lengths": [("cost_inc", 4)]}, "cost_inc"),
+        ({"T": 10, "k": 5, "lengths": [("unmet_inc", 4)]}, "unmet_inc"),
         ({"T": 10, "k": 0}, "production"),
         ({"T": 10, "k": 11}, "production"),
-        ({"T": 5, "k": 3, "price": [0.1, 0.2, 0.3, 0.3, 0.4]}, "price"),
-        ({"T": 5, "k": 3, "price": [0.1, 0.2, 0.0, 0.0, -0.0]}, "price"),
-        ({"T": 5, "k": 3, "demand": [1.0, 1.0, 1.0, 1.0, 2.0]}, "demand"),
-        ({"T": 5, "k": 1, "demand": [1.0, 1.0, 1.0, 1.0, 2.0]}, "demand"),
+        ({"T": 5, "k": 3, "lengths": [("price", 5)]}, "price"),
+        ({"T": 5, "k": 3, "lengths": [("price", 2)]}, "price"),
+        ({"T": 5, "k": 3, "lengths": [("demand", 5)]}, "demand"),
+        ({"T": 5, "k": 3, "lengths": [("demand", 1)]}, "demand"),
+        ({"T": 5, "k": 3, "lengths": [("proxy_inc", 5)]}, "proxy_inc"),
+        ({"T": 5, "k": 3, "lengths": [("proxy_inc", 2)]}, "proxy_inc"),
     ],
     ids=[
-        "unequal-heads", "unequal-first-heads", "k=0", "k>T", "price-moves",
-        "price-sign-of-zero", "demand-moves", "one-period-head",
+        "unequal-heads", "unequal-first-heads", "k=0", "k>T", "price-of-the-horizon",
+        "short-price", "demand-of-the-horizon", "one-period-demand",
+        "proxy-of-the-horizon", "short-proxy",
     ],
 )
 def test_record_refuses_heads_that_cannot_stand_for_the_horizon(kwargs, named):
@@ -349,7 +363,40 @@ def test_record_refuses_heads_that_cannot_stand_for_the_horizon(kwargs, named):
 
 
 def test_record_accepts_a_head_where_price_and_demand_hold():
-    # prices change up to period k - 1 = 2 and hold from it on
-    rec = _record(5, 3, price=[0.1, 0.2, 0.3, 0.3, 0.3], demand=[1.0, 2.0, 3.0, 3.0, 3.0])
+    # a record of 3-row heads stands for 5 periods: its last row repeats
+    price, demand, proxy = [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], [0.5, 0.25, 0.125]
+    rec = RunRecord(
+        "constant_price", 5, 0, 0, demand, price, *[np.ones(3)] * 4, proxy_inc=proxy
+    )
+    assert rec.price.tobytes() == np.array([0.1, 0.2, 0.3, 0.3, 0.3]).tobytes()
+    assert rec.demand.tobytes() == np.array([1.0, 2.0, 3.0, 3.0, 3.0]).tobytes()
+    assert rec.proxy_inc.tobytes() == np.array([0.5, 0.25, 0.125, 0.125, 0.125]).tobytes()
     assert rec.production.tobytes() == np.ones(5).tobytes()
     assert rec.unmet == 5.0
+    assert rec.proxy_reg == 1.125
+    rec = _record(5, 3)  # no proxy_inc: it reads as None
+    assert rec.proxy_inc is None and math.isnan(rec.proxy_reg)
+
+
+def test_repr_of_a_frozen_record_expands_no_column():
+    # the repr shows the run and its totals, and reads no column: reading
+    # one would expand its head to the horizon
+    T = 10**6
+    rec = run_experiment(
+        ExperimentConfig(instance=CRITERION_1, policy="fixed_interval", horizons=(T,))
+    )[0]
+    stored = dict(vars(rec))
+    tracemalloc.start()
+    try:
+        text = repr(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * CRITERION_1_HEAD, peak
+    assert all(vars(rec)[name] is col for name, col in stored.items())
+    assert all(len(vars(rec)[name]) == CRITERION_1_HEAD + 1 for name in RunRecord._COLUMNS[:-1])
+    assert text.startswith("RunRecord(policy='fixed_interval', horizon=1000000, replication=0,")
+    for name in ("unmet", "cost_regret", "payment_regret", "cost_pos", "pay_pos", "proxy_reg"):
+        assert f"{name}={getattr(rec, name)!r}" in text
+    for name in RunRecord._COLUMNS:
+        assert f"{name}=" not in text
