@@ -33,6 +33,7 @@ from .harness import (
     fit_scaling,
     load_config,
     read_summary_csv,
+    run_csv_name,
     run_experiment,
     write_run_csv,
 )
@@ -56,7 +57,7 @@ def _cmd_run(args) -> int:
     into_dir = args.out is None and config.out is not None
     if into_dir or out.endswith(tuple(filter(None, (os.sep, os.altsep)))) or Path(out).is_dir():
         Path(out).mkdir(parents=True, exist_ok=True)
-        out = Path(out) / f"run_T{rec.horizon}_rep{rec.replication}.csv"
+        out = Path(out) / run_csv_name(rec)
     write_run_csv(rec, out)
     print(
         f"policy={rec.policy} T={rec.horizon} seed={rec.seed} "

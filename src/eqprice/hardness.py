@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import ExperimentConfig, _fit_line, replication_stream, run_experiment, seed_key
+from .harness import (
+    ExperimentConfig, RunRecord, _fit_line, replication_stream, run_experiment, seed_key
+)
 from .market import (
-    CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, full_column, integral, number,
-    price_array,
+    CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, integral, number, price_array
 )
 
 
@@ -132,8 +133,8 @@ def verify_lower_bound(
             demand_bounds=(d, d),
         )
         cols = market.regret_columns(np.array(LOWER_BOUND_PRICES))
-        head = cols["unmet_inc"] + cols["cost_inc"] + cols["pay_inc"]
-        totals.append(full_column(head, n).tolist())
+        rec = RunRecord("verify_lower_bound", n, 0, seed, **cols)
+        totals.append((rec.unmet_inc + rec.cost_inc + rec.pay_inc).tolist())
     rng = replication_stream(seed, 0)
     rows = []
     for p, total_a, total_b in zip(LOWER_BOUND_PRICES, *totals):

@@ -7,10 +7,10 @@ price path, and takes every column of the run from
 :meth:`~eqprice.market.MarketInstance.regret_columns`, the same pass for
 every policy. Where a price path freezes on a market that clears alike in
 every period, the pass returns the columns' heads, up to the first frozen
-period; :class:`RunRecord` totals them without expanding them, and expands
-a column only when it is read. Runners call ``kernels.<name>`` by position,
-since the benchmark's tracer wraps those attributes and reads arguments by
-index.
+period; :class:`RunRecord` keeps and totals the heads, and a read builds
+the full column without storing it. Runners call ``kernels.<name>`` by
+position, since the benchmark's tracer wraps those attributes and reads
+arguments by index.
 
 Reproducibility contract
 ------------------------
@@ -211,10 +211,10 @@ class ExperimentConfig:
 
 class _Column:
     """A column of :class:`RunRecord`: stored as the head it was given,
-    read as the full column of ``horizon`` periods. A head is expanded
-    (:func:`~eqprice.market.full_column`) on its first read and the result
-    kept, so every read returns the same array. An optional column defaults
-    to None, which reads as None."""
+    read as :func:`~eqprice.market.full_column` of that head over
+    ``horizon`` periods. A read stores nothing, so the record keeps its
+    heads; a head of the full horizon reads as itself. An optional column
+    defaults to None, which reads as None."""
 
     def __init__(self, optional=False):
         self.optional = optional
@@ -227,16 +227,14 @@ class _Column:
             if self.optional:
                 return None  # the field's default
             raise AttributeError(self.name)  # no class-level value: a required field
-        col = vars(rec)[self.name]
-        if col is not None and len(col) < rec.horizon:
-            col = vars(rec)[self.name] = full_column(col, rec.horizon)
-        return col
+        head = vars(rec)[self.name]
+        return None if head is None else full_column(head, rec.horizon)
 
     def __set__(self, rec, value):
         vars(rec)[self.name] = value
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     """Seeded trajectory of one (horizon, replication) execution.
 
@@ -244,11 +242,11 @@ class RunRecord:
     ``cost_inc``, ``pay_inc`` and ``proxy_inc`` when given, is a head of
     one length k with 1 <= k <= ``horizon``, as
     :meth:`~eqprice.market.MarketInstance.regret_columns` returns them: the
-    record stands for ``horizon`` periods by repeating its last row. Read,
-    each is the full column of ``horizon`` periods, expanded on first read
-    and kept; a head of stride 0, such as a ``constant`` generator's
-    demand, reads as a read-only view of stride 0. The repr leaves the
-    columns out.
+    record stands for ``horizon`` periods by repeating its last row. The
+    record keeps the heads as given; each read returns the full column of
+    ``horizon`` periods (:class:`_Column`), and a head of stride 0, such as
+    a frozen run's demand, reads as a read-only view of stride 0. The repr
+    leaves the columns out, and ``==`` is identity.
 
     Cumulative fields are the left-to-right sums of the full columns, bit
     for bit; they are derived in the constructor and cannot be passed to it.
@@ -311,13 +309,11 @@ class RunRecord:
         buf = np.empty(k_shape)
 
         def total(col, positive=False):
-            n = len(col) if len(col) == T else max(len(col) - 1, 1)
-            head = np.maximum(col[:n], 0.0, out=buf[:n]) if positive else col[:n]
-            s = np.cumsum(head, out=buf[:n])[-1]
-            if n < T:
-                tail = np.maximum(col[-1], 0.0) if positive else col[-1]
-                s = repeated_sum(s, tail, T - n)
-            return float(s)
+            if positive:
+                col = np.maximum(col, 0.0, out=buf)
+            n = max(len(col) - 1, 1)
+            s = np.cumsum(col[:n], out=buf[:n])[-1]
+            return float(repeated_sum(s, col[-1], T - n))
 
         with np.errstate(invalid="ignore", over="ignore"):
             self.unmet = total(heads["unmet_inc"])
@@ -333,15 +329,11 @@ class RunRecord:
 
     def metric(self, name: str) -> float:
         """Metric lookup for fits: U_T, C_T, P_T, C_T_pos, P_T_pos, proxy_reg."""
-        table = {
-            "U_T": self.unmet,
-            "C_T": self.cost_regret,
-            "P_T": self.payment_regret,
-            "C_T_pos": self.cost_pos,
-            "P_T_pos": self.pay_pos,
-            "proxy_reg": self.proxy_reg,
-        }
-        return table[name]
+        totals = (
+            self.unmet, self.cost_regret, self.payment_regret, self.cost_pos, self.pay_pos,
+            self.proxy_reg,
+        )
+        return dict(zip(SUMMARY_METRICS, totals))[name]
 
 
 def seed_key(seed, replication: int) -> int:
@@ -478,7 +470,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for rec in records:
-            write_run_csv(rec, out_dir / f"run_T{rec.horizon}_rep{rec.replication}.csv")
+            write_run_csv(rec, out_dir / run_csv_name(rec))
         write_summary_csv(records, out_dir / "summary.csv")
     return records
 
@@ -697,13 +689,15 @@ def _csv_block(block: np.ndarray) -> bytes:
     return chars[keep].tobytes()
 
 
+def run_csv_name(record: RunRecord) -> str:
+    """The per-period CSV's file name in an output directory."""
+    return f"run_T{record.horizon}_rep{record.replication}.csv"
+
+
 def write_run_csv(record: RunRecord, path: str | Path) -> None:
     """Per-period CSV with the fixed 7-column schema; t is 1-based and every
     field is the bytes of ``_fmt`` of its value (see :func:`_csv_block`)."""
-    cols = (
-        record.demand, record.price, record.production,
-        record.unmet_inc, record.cost_inc, record.pay_inc,
-    )
+    cols = [getattr(record, name) for name in PER_PERIOD_HEADER.split(",")[1:]]
     with open(path, "wb") as f:
         f.write(PER_PERIOD_HEADER.encode() + b"\n")
         for start in range(0, record.horizon, CSV_BLOCK_ROWS):

@@ -68,6 +68,8 @@ GENERATOR_FIELDS = {
 }
 #: The table keys a document may drop, each read as its documented default.
 OPTIONAL_KEYS = ("a", "feature_map_id")
+#: How far outside its declared bounds a demand is still accepted.
+DEMAND_SLACK = 1e-12
 
 
 def read_json_dict(cls, doc: dict, table: dict | None = None):
@@ -619,10 +621,10 @@ def tail_start(col: np.ndarray) -> int:
 
 
 def full_column(head, horizon: int) -> np.ndarray:
-    """The ``horizon``-period column of a head returned by
-    :meth:`MarketInstance.regret_columns`: the head, then its last value
-    repeated. A head of the full horizon is returned as it is, and one of
-    stride 0 expands to a read-only view of stride 0."""
+    """What a ``RunRecord`` column reads: a head returned by
+    :meth:`MarketInstance.regret_columns`, then its last value repeated up to
+    ``horizon`` periods, in a new array. A head of the full horizon is
+    returned as it is, and one of stride 0 becomes a read-only view of stride 0."""
     k = len(head)
     if k == horizon:
         return head
@@ -697,7 +699,7 @@ class MarketInstance:
         d_lo, d_hi = self.demand_bounds
         if not (0.0 < d_lo <= d_hi < math.inf):
             raise ValueError("demand bounds must satisfy 0 < d_lo <= d_hi < inf")
-        if d_min < d_lo - 1e-12 or d_max > d_hi + 1e-12:
+        if d_min < d_lo - DEMAND_SLACK or d_max > d_hi + DEMAND_SLACK:
             raise ValueError("demands fall outside the declared bounds")
         if self.contexts is not None:
             self.contexts = np.asarray(self.contexts, dtype=np.float64)
@@ -797,10 +799,10 @@ class MarketInstance:
         first period of the final run of bit-equal prices (:func:`tail_start`),
         and every later period repeats period ``k - 1`` of each column:
         :func:`full_column` of a head is, bit for bit, the column a pass over
-        every period computes; ``price`` is then a copy of its head, not a
-        view of the path. A string, bytes or bool among the prices is
-        refused (:func:`_prices`), and a price among those ``k`` outside
-        [0, 1] or NaN is rejected by :func:`price_array`, naming the first.
+        every period computes; ``price`` is then a copy of its head and
+        ``demand`` a view of stride 0. A string, bytes or bool among the
+        prices is refused (:func:`_prices`), and a price among those ``k``
+        outside [0, 1] or NaN is rejected by :func:`price_array`, naming the first.
         """
         prices = _prices(prices)
         if prices.shape != (self.horizon,):
@@ -809,11 +811,12 @@ class MarketInstance:
         posted = price_array(prices[:k])
         cost_eq, pay_eq = self._clearing_cost_and_payment()
         prod, cost = self._production(posted)
+        demand = self.demands if k == self.horizon else np.broadcast_to(self.demands[k - 1], (k,))
         return dict(
-            demand=self.demands[:k],
+            demand=demand,
             price=prices if k == self.horizon else prices[:k].copy(),
             production=prod,
-            unmet_inc=np.maximum(0.0, self.demands[:k] - prod),
+            unmet_inc=np.maximum(0.0, demand - prod),
             cost_inc=cost - cost_eq,
             pay_inc=posted * prod - pay_eq,
         )

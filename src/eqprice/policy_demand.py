@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .market import number, positive
+from .market import DEMAND_SLACK, number, positive
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def default_gamma(horizon: int) -> float:
 def interval_index(grid: DemandGrid, d: float) -> int:
     """1-based cell index of demand d: floor((d - d_lo)/gamma) + 1, clamped.
     A demand outside the grid bounds, NaN included, is rejected."""
-    if not (grid.d_lo - 1e-12 <= d <= grid.d_hi + 1e-12):
+    if not (grid.d_lo - DEMAND_SLACK <= d <= grid.d_hi + DEMAND_SLACK):
         raise ValueError(f"demand {d} outside grid bounds [{grid.d_lo}, {grid.d_hi}]")
     return kernels.cell_index(d, grid.d_lo, grid.gamma, grid.n_cells) + 1
 

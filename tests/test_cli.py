@@ -90,6 +90,28 @@ def test_sweep_and_fit(tmp_path, config_path, capsys):
         assert mean == pytest.approx(np.mean([r.cost_pos for r in records if r.horizon == T]))
 
 
+def test_sweep_without_any_out_writes_into_results(tmp_path, config_path, monkeypatch, capsys):
+    # neither the config nor the command names an out: the sweep writes
+    # into results/ under the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().out == "wrote 6 runs to results/summary.csv\n"
+    written = sorted(p.name for p in (tmp_path / "results").iterdir())
+    assert written == sorted(
+        ["summary.csv"] + [f"run_T{T}_rep{r}.csv" for T in (100, 200, 400) for r in (0, 1)]
+    )
+
+
+def test_fit_out_writes_the_printed_line(tmp_path, config_path, capsys):
+    out_dir = tmp_path / "results"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--summary", str(out_dir / "summary.csv"), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    assert out.read_text() == printed + "\n"
+    assert json.loads(printed)["metric"] == "U_T"
+
+
 def test_seed_override_changes_output(tmp_path, config_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -107,6 +129,15 @@ def test_hardness_iid_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "p,analytic,empirical,n_periods,seed"
     assert len(lines) == 5
+
+
+def test_hardness_iid_without_out_prints_the_rows(tmp_path, capsys):
+    args = ["hardness", "--kind", "iid", "--periods", "2000", "--seed", "4"]
+    out = tmp_path / "iid.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 @pytest.mark.parametrize(
@@ -134,6 +165,16 @@ def test_hardness_linear_json(capsys):
     doc = json.loads(capsys.readouterr().out.strip())
     assert doc["policy"] == "fixed_interval"
     assert doc["r_squared"] > 0.9
+
+
+def test_hardness_linear_out_writes_the_json(tmp_path, capsys):
+    args = ["hardness", "--kind", "linear", "--periods", "3000"]
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    out = tmp_path / "linear.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("linear demo slope=")
+    assert out.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_error_is_machine_readable(tmp_path, capsys):

@@ -236,6 +236,14 @@ def test_cell_index_on_demand_array_matches_one_demand_calls():
     assert got.min() == 0 and got.max() == n_cells - 1
 
 
+def test_sample_arm_falls_back_to_the_last_arm():
+    # a draw above the probabilities' running total goes to the last arm
+    assert kernels.sample_arm([0.5, 0.25, 0.125], 0.9) == 2
+    assert sum([0.1] * 10) < 1.0 and kernels.sample_arm([0.1] * 10, 1.0) == 9
+    assert kernels.sample_arm([0.5, 0.25, 0.125], 0.8) == 2  # covered by the last arm
+    assert kernels.sample_arm([0.5, 0.25, 0.125], 0.5) == 0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_demand_kernel_rejects_non_finite_demand(bad):
     fam, p1, p2 = kernels.encode_suppliers((CostSpec.quadratic(0.5),))

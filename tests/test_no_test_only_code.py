@@ -3,7 +3,8 @@ outside the tests: from a name the README or the benchmark scripts name, or
 from ``cli.main``, through references in the package. A reference is a name
 a definition reads, or an attribute it uses, that it does not bind itself as
 a parameter or local; an import, such as a re-export in ``__init__.py``, is
-not one. Code only a test reaches is deleted, not kept for the test."""
+not one. Code only a test reaches is deleted, not kept for the test, and a
+module imports only names it reads."""
 
 import ast
 import re
@@ -85,3 +86,28 @@ def test_every_definition_has_a_caller_outside_the_tests():
     assert sorted(unused - set(ALLOWED)) == []
     # an allowed name that gains a caller leaves the list
     assert sorted(ALLOWED) == sorted(unused & set(ALLOWED))
+
+
+def _unused_imports() -> dict:
+    """The names each module but ``__init__.py``, which re-exports, imports
+    and never reads, by file name."""
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    return unused
+
+
+def test_every_import_is_read():
+    assert _unused_imports() == {}

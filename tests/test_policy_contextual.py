@@ -136,6 +136,13 @@ def test_default_tunings():
     assert g == pytest.approx(expected)
 
 
+def test_default_grid_size_of_one_member():
+    # ln|F| = 0: the grid keeps the T^(1/3) scale, and at least 2 prices
+    assert default_grid_size(1, 1) == 2
+    assert default_grid_size(10**3, 1) == math.ceil((10**3) ** (1 / 3)) == 10
+    assert default_grid_size(10**5, 1) == 47
+
+
 def test_params_validation():
     # fewer than 2 prices, or a grid size that is not an integer
     for n_prices in (1, 0, -3, 2.5, 4.0, "4", None):

@@ -8,6 +8,7 @@ heads of its columns and is summed over them only.
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,14 +275,65 @@ def test_frozen_fixed_interval_run_allocates_only_its_columns():
     assert peak <= 8 * T + 4 * 2**20, peak
     assert regret_peak <= 9 * 8 * CRITERION_1_HEAD, regret_peak
     assert record_peak <= head + 2**14, record_peak
-    # what the record keeps: the memory behind each array it stores
+    assert sum(_kept(rec).values()) <= 6 * head
+    # A constant demand listed period by period: the record keeps no view of
+    # the instance's T-long demand array, only arrays of at most one head.
+    n = 10**5
+    listed = InstanceSpec(suppliers=CRITERION_1.suppliers, demands=(1.0,) * n, horizon=n)
+    rec = run_experiment(dataclasses.replace(cfg, instance=listed, horizons=(n,)))[0]
+    assert all(len(vars(rec)[name]) == CRITERION_1_HEAD + 1 for name in RunRecord._COLUMNS[:-1])
+    assert max(_kept(rec).values()) <= head
+
+
+def _kept(*records) -> dict:
+    """The memory the records keep: the bytes behind each array they store,
+    by the id of the array that owns them."""
     owners = {}
-    for a in vars(rec).values():
-        while isinstance(a, np.ndarray) and a.base is not None:
-            a = a.base
-        if isinstance(a, np.ndarray):
-            owners[id(a)] = a.nbytes
-    assert sum(owners.values()) <= 6 * head, owners
+    for rec in records:
+        for a in vars(rec).values():
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            if isinstance(a, np.ndarray):
+                owners[id(a)] = a.nbytes
+    return owners
+
+
+def test_exported_frozen_runs_keep_only_their_heads(tmp_path):
+    # Writing a per-period CSV reads every column over the whole horizon;
+    # the records keep their heads all the same, not the 76 MiB of columns
+    # those reads build.
+    T = 10**6
+    cfg = ExperimentConfig(
+        instance=CRITERION_1, policy="fixed_interval", horizons=(T,), replications=2,
+        out=tmp_path,
+    )
+    records = run_experiment(cfg)
+    written = sorted(tmp_path.iterdir())
+    assert [p.name for p in written] == [
+        "run_T1000000_rep0.csv", "run_T1000000_rep1.csv", "summary.csv"
+    ]
+    for p in written:
+        p.unlink()  # 200 MB of CSV
+    kept = _kept(*records)
+    assert sum(kept.values()) <= 2 * 6 * 8 * (CRITERION_1_HEAD + 1), kept
+
+
+def test_only_market_and_harness_know_the_head_format():
+    # market makes the heads and a RunRecord column reads them: every other
+    # module reads a record's columns
+    package = Path(market.__file__).parent
+    users = {p.name for p in package.glob("*.py") if "full_column" in p.read_text()}
+    assert users == {"market.py", "harness.py"}
+
+
+def test_records_compare_by_identity_and_keep_their_heads():
+    # == on two records of equal 3-row heads at T = 5 neither raises nor
+    # reads a column: a record equals only itself
+    cols = {name: np.ones(3) for name in RunRecord._COLUMNS[:-1]}
+    a, b = (RunRecord("constant_price", 5, 0, 0, **cols) for _ in range(2))
+    assert (a == b) is False and (a != b) is True and a == a
+    for rec in (a, b):
+        assert all(vars(rec)[name] is col for name, col in cols.items())
 
 
 @st.composite
@@ -322,7 +374,7 @@ def test_record_of_heads_equals_record_of_full_columns(run):
     whole = RunRecord(policy, T, 0, 0, **full)
     for name in RunRecord._COLUMNS[:-1]:
         col = getattr(heads, name)
-        assert col is getattr(heads, name)  # expanded once, then kept
+        assert vars(heads)[name] is cols[name]  # a read leaves the head in place
         assert col.shape == (T,) and col.dtype == np.float64
         assert col.tobytes() == getattr(whole, name).tobytes(), name
     for name in harness.SUMMARY_METRICS:
