@@ -78,13 +78,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_hardness(args) -> int:
     if args.kind == "iid":
-        report = verify_lower_bound(
-            grid_step=args.grid_step, n_periods=args.periods, seed=args.seed or 0
-        )
+        report = verify_lower_bound(n_periods=args.periods, seed=args.seed or 0)
         lines = report.to_csv_rows()
         if args.out:
             Path(args.out).write_text("\n".join(lines) + "\n")
-            print(f"grid min {report.grid_min:.9f} at p={report.grid_argmin} -> {args.out}")
+            print(f"min {report.minimum:.9f} at p={report.argmin} -> {args.out}")
         else:
             print("\n".join(lines))
         return 0
@@ -133,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hard = sub.add_parser("hardness", help="impossibility reports")
     p_hard.add_argument("--kind", choices=("iid", "linear"), default="iid")
-    p_hard.add_argument("--grid-step", type=float, default=1e-4)
     p_hard.add_argument("--periods", type=int, default=100_000)
     p_hard.add_argument("--seed", type=int)
     p_hard.add_argument("--out")

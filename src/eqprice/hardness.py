@@ -31,7 +31,7 @@ from .harness import (
     ExperimentConfig, RunRecord, _fit_line, replication_stream, run_experiment, seed_key
 )
 from .market import (
-    CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, integral, number, price_array
+    CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, integral, price_array
 )
 
 
@@ -44,6 +44,14 @@ IID_DEMAND = 1.0
 #: Prices at which :func:`verify_lower_bound` simulates the i.i.d. instance:
 #: 0, the minimizer 1/8, the other kink 1/4, and 1/2.
 LOWER_BOUND_PRICES = (0.0, 0.125, 0.25, 0.5)
+#: (lower end, upper end, b, c) of each piece 9p^2 + b p + c of
+#: :func:`expected_total_regret`: both draws leave unmet demand below 1/8,
+#: only the stiffer cost does up to 1/4, and neither does above.
+IID_REGRET_PIECES = (
+    (0.0, 0.125, -6.0, 23.0 / 32.0),
+    (0.125, 0.25, -2.0, 7.0 / 32.0),
+    (0.25, 1.0, 0.0, -9.0 / 32.0),
+)
 
 # The linear instance: cost 0.4 x up to a cap of 2 at demand 1, so the
 # clearing price is the unit cost 0.4 and the cap covers the demand.
@@ -57,15 +65,14 @@ def expected_total_regret(p):
     ``p``: a float at one price, an array at an array of prices. A price
     outside [0, 1] or NaN is rejected, naming the first.
 
-    Piecewise in p: 9p^2 - 6p + 23/32 below 1/8 (both draws leave unmet
-    demand), 9p^2 - 2p + 7/32 on [1/8, 1/4] (only the stiffer cost does),
-    and 9p^2 - 9/32 above 1/4. Minimized at the kink p = 1/8 with value
-    7/64. An entry has the bits of its piece on one Python float.
+    Piecewise in p, one quadratic per :data:`IID_REGRET_PIECES` row, which
+    meet exactly at the kinks; minimized at the kink p = 1/8 with value 7/64.
+    An entry has the bits of its piece on one Python float.
     """
     p = price_array(p)
-    sq = 9.0 * p * p  # each piece is summed left to right
-    r = np.where(p < 0.125, sq - 6.0 * p + 23.0 / 32.0,
-                 np.where(p <= 0.25, sq - 2.0 * p + 7.0 / 32.0, sq - 9.0 / 32.0))
+    _, upper, b, c = np.array(IID_REGRET_PIECES).T
+    i = np.searchsorted(upper, p)
+    r = 9.0 * p * p + b[i] * p + c[i]  # summed left to right
     return r if p.ndim else float(r)
 
 
@@ -80,10 +87,10 @@ class LowerBoundRow:
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    """Analytic grid minimum plus Monte Carlo checks at selected prices."""
+    """Exact minimum of the expected total regret plus Monte Carlo rows."""
 
-    grid_argmin: float
-    grid_min: float
+    argmin: float
+    minimum: float
     rows: tuple[LowerBoundRow, ...]
 
     def to_csv_rows(self) -> list[str]:
@@ -93,11 +100,10 @@ class LowerBoundReport:
         ]
 
 
-def verify_lower_bound(
-    grid_step: float = 1e-4, n_periods: int = 100_000, seed: int = 0
-) -> LowerBoundReport:
-    """Locate the analytic minimum of the expected total regret on a price
-    grid and check the formula against seeded i.i.d. simulation.
+def verify_lower_bound(n_periods: int = 100_000, seed: int = 0) -> LowerBoundReport:
+    """Compute the exact minimum of the expected total regret, the least
+    value at a convex piece's vertex -b/18 clipped into the piece, and check
+    the closed form against seeded i.i.d. simulation.
 
     The report has one row per price of :data:`LOWER_BOUND_PRICES`. Its
     empirical value is the average realized total regret over ``n_periods``
@@ -107,22 +113,18 @@ def verify_lower_bound(
     because :func:`expected_total_regret`, the analytic column, is the
     closed form for that mixture only.
 
-    ``grid_step`` must be a finite number in (0, 1], ``n_periods`` an
-    integer of at least 1 and ``seed`` an integer in [0, 2**128)
-    (:func:`~eqprice.harness.seed_key`); any other value raises ``ValueError``
-    naming it.
+    ``n_periods`` must be an integer of at least 1 and ``seed`` an integer
+    in [0, 2**128) (:func:`~eqprice.harness.seed_key`); any other value
+    raises ``ValueError`` naming it.
     """
-    grid_step = number(grid_step, "grid_step")
-    if not 0.0 < grid_step <= 1.0:
-        raise ValueError(f"grid_step must lie in (0, 1], got {grid_step!r}")
     n_periods = integral(n_periods, "n_periods")
     if n_periods < 1:
         raise ValueError(f"n_periods must be at least 1, got {n_periods!r}")
     seed = seed_key(seed, 0)
-    n_grid = int(round(1.0 / grid_step))
-    grid = np.arange(n_grid + 1) / n_grid
-    values = expected_total_regret(grid)
-    arg = int(np.argmin(values))
+    minimum, argmin = min(
+        (expected_total_regret(v), v)
+        for v in (min(max(-b / 18.0, lo), hi) for lo, hi, b, _ in IID_REGRET_PIECES)
+    )
 
     # realized total regret at each price, one market per cost draw
     n, d = len(LOWER_BOUND_PRICES), IID_DEMAND
@@ -142,9 +144,7 @@ def verify_lower_bound(
         frac_a = float(np.count_nonzero(draws)) / n_periods
         empirical = frac_a * total_a + (1.0 - frac_a) * total_b
         rows.append(LowerBoundRow(p, expected_total_regret(p), empirical, n_periods, seed))
-    return LowerBoundReport(
-        grid_argmin=float(grid[arg]), grid_min=float(values[arg]), rows=tuple(rows)
-    )
+    return LowerBoundReport(argmin=argmin, minimum=minimum, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -162,18 +162,12 @@ def test_criterion_2_varying_demand_rate():
 
 
 def test_criterion_3_iid_lower_bound():
-    report = verify_lower_bound(grid_step=1e-4, n_periods=10**5, seed=11)
-    ok = True
-    detail = []
-    if not (
-        abs(report.grid_min - 7.0 / 64.0) <= 1e-12
-        and abs(report.grid_argmin - 0.125) <= 1e-12
-    ):
-        ok = False
-    detail.append(
-        f"grid min {report.grid_min:.15f} at p={report.grid_argmin} "
+    report = verify_lower_bound(n_periods=10**5, seed=11)
+    ok = report.minimum == 7.0 / 64.0 and report.argmin == 0.125
+    detail = [
+        f"minimum {report.minimum:.15f} at p={report.argmin} "
         f"(target 7/64 = {7 / 64} at 0.125)"
-    )
+    ]
     for row in report.rows:
         rel = abs(row.empirical - row.analytic) / max(abs(row.analytic), 1e-12)
         detail.append(f"p={row.price}: mc rel err {rel:.4f}")

@@ -145,11 +145,6 @@ def test_hardness_iid_without_out_prints_the_rows(tmp_path, capsys):
     [
         ("--periods", "0", "n_periods"),
         ("--periods", "-5", "n_periods"),
-        ("--grid-step", "0", "grid_step"),
-        ("--grid-step", "-0.1", "grid_step"),
-        ("--grid-step", "nan", "grid_step"),
-        ("--grid-step", "inf", "grid_step"),
-        ("--grid-step", "3", "grid_step"),
     ],
 )
 def test_hardness_iid_rejects_invalid_parameters(flag, value, key, capsys):
@@ -298,6 +293,15 @@ def test_hardness_policy_flag_is_refused(capsys):
             main(["hardness", "--kind", kind, "--policy", "fixed_interval"])
         assert exc.value.code != 0
     assert "--policy" in capsys.readouterr().err
+
+
+def test_hardness_grid_step_flag_is_refused(capsys):
+    # the i.i.d. minimum is exact, and linear demos never read the flag
+    for kind in ("iid", "linear"):
+        with pytest.raises(SystemExit) as exc:
+            main(["hardness", "--kind", kind, "--grid-step", "0", "--periods", "100"])
+        assert exc.value.code != 0
+        assert "--grid-step" in capsys.readouterr().err
 
 
 def test_fit_means_equal_record_means_bit_for_bit(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_verify_lower_bound_weights_each_draw_by_its_share(monkeypatch):
 
     for prices in (hardness.LOWER_BOUND_PRICES, (0.0, 0.125, 0.5, 0.5)):
         monkeypatch.setattr(hardness, "LOWER_BOUND_PRICES", prices)
-        report = verify_lower_bound(grid_step=0.5, n_periods=10, seed=3)
+        report = verify_lower_bound(n_periods=10, seed=3)
         assert [row.price for row in report.rows] == list(prices)
         rng = replication_stream(3, 0)
         shares = set()
@@ -127,19 +127,20 @@ def test_verify_lower_bound_weights_each_draw_by_its_share(monkeypatch):
         assert shares != {0.5}  # a share away from 1/2 tells the draws apart
 
 
-def test_verify_lower_bound_grid():
-    report = verify_lower_bound(grid_step=1e-4, n_periods=1000, seed=3)
-    assert report.grid_argmin == pytest.approx(0.125, abs=1e-12)
-    assert abs(report.grid_min - 7.0 / 64.0) <= 1e-12
+def test_verify_lower_bound_minimum_is_exact():
+    report = verify_lower_bound(n_periods=1000, seed=3)
+    assert report.minimum == 7.0 / 64.0
+    assert report.argmin == 0.125
 
 
 @pytest.mark.parametrize(
     "kwargs, key",
     [
-        ({"grid_step": 0.0}, "grid_step"),
-        ({"grid_step": 1.5}, "grid_step"),
-        ({"grid_step": math.nan}, "grid_step"),
-        ({"grid_step": "0.1"}, "grid_step"),
+        # int() of each would parse, overflow, or raise without naming the field
+        ({"n_periods": "10"}, "n_periods"),
+        ({"n_periods": math.inf}, "n_periods"),
+        ({"n_periods": math.nan}, "n_periods"),
+        ({"n_periods": None}, "n_periods"),
         ({"n_periods": 0}, "n_periods"),
         ({"n_periods": 2.5}, "n_periods"),
         ({"n_periods": True}, "n_periods"),
@@ -156,8 +157,9 @@ def test_verify_lower_bound_rejects_invalid_parameters(kwargs, key):
 
 
 def test_verify_lower_bound_accepts_the_edges():
-    report = verify_lower_bound(grid_step=1.0, n_periods=1)
-    assert report.grid_argmin == 0.0  # 23/32 at p = 0 against 279/32 at p = 1
+    report = verify_lower_bound(n_periods=1)
+    assert report.minimum == 7.0 / 64.0
+    assert report.argmin == 0.125
     assert all(r.n_periods == 1 for r in report.rows)
 
 
@@ -166,7 +168,7 @@ def test_verify_lower_bound_empirical():
     for row in report.rows:
         assert row.empirical == pytest.approx(row.analytic, rel=0.02)
         # the analytic minimum floors the empirical average at every price
-        assert row.empirical >= report.grid_min - 0.02 * row.analytic
+        assert row.empirical >= report.minimum - 0.02 * row.analytic
 
 
 def test_lower_bound_csv_rows():
