@@ -140,8 +140,12 @@ def verify_lower_bound(n_periods: int = 100_000, seed: int = 0) -> LowerBoundRep
     rng = replication_stream(seed, 0)
     rows = []
     for p, total_a, total_b in zip(LOWER_BOUND_PRICES, *totals):
-        draws = rng.uniform(0.0, 1.0, n_periods) < IID_STIFF_PROB
-        frac_a = float(np.count_nonzero(draws)) / n_periods
+        # the stream's next n_periods draws, counted 2**16 at a time
+        stiff = sum(
+            np.count_nonzero(rng.uniform(0.0, 1.0, min(2**16, n_periods - i)) < IID_STIFF_PROB)
+            for i in range(0, n_periods, 2**16)
+        )
+        frac_a = float(stiff) / n_periods
         empirical = frac_a * total_a + (1.0 - frac_a) * total_b
         rows.append(LowerBoundRow(p, expected_total_regret(p), empirical, n_periods, seed))
     return LowerBoundReport(argmin=argmin, minimum=minimum, rows=tuple(rows))

@@ -3,12 +3,13 @@
 Everything the harness knows about a policy is its row of :data:`POLICIES`.
 The config checks its parameters and instance against that row when it is
 built; each run materialises the instance, lets the row's runner produce a
-price path, and takes every column of the run from
+price head, and takes every column of the run from
 :meth:`~eqprice.market.MarketInstance.regret_columns`, the same pass for
-every policy. Where a price path freezes on a market that clears alike in
-every period, the pass returns the columns' heads, up to the first frozen
-period; :class:`RunRecord` keeps and totals the heads, and a read builds
-the full column without storing it. Runners call ``kernels.<name>`` by
+every policy. A price head is 1 to T prices whose last repeats up to T: a
+runner whose price freezes ends it at the first frozen period. On a market
+that clears alike in every period, the pass returns every column's head of
+that length; :class:`RunRecord` keeps and totals the heads, and a read
+builds the full column without storing it. Runners call ``kernels.<name>`` by
 position, since the benchmark's tracer wraps those attributes and reads
 arguments by index.
 
@@ -421,7 +422,7 @@ def _run_contextual(inst: MarketInstance, params: dict, cls: FunctionClass, rng)
 #: (:func:`~eqprice.market.supplier_mix`) it runs on; ``prepare(spec)``, which
 #: refuses an instance the policy cannot run when the config is built and
 #: returns what the runner needs; and the runner ``(inst, params, prepared, rng)
-#: -> (price path, proxy increments or None)``. Runners look each kernel up on
+#: -> (price head, proxy increments or None)``. Runners look each kernel up on
 #: the ``kernels`` module when they run and pass its arguments by position: the
 #: benchmark's tracer wraps those attributes and reads arguments by index.
 POLICIES = {
@@ -436,7 +437,7 @@ POLICIES = {
     ),
     "constant_price": (
         {"p": _price}, (QUADRATIC, LINEAR, CONTEXT_QUADRATIC), lambda spec: None,
-        lambda inst, params, prepared, rng: (np.full(inst.horizon, params["p"]), None),
+        lambda inst, params, prepared, rng: (np.full(1, params["p"]), None),
     ),
 }
 
@@ -696,14 +697,16 @@ def run_csv_name(record: RunRecord) -> str:
 
 def write_run_csv(record: RunRecord, path: str | Path) -> None:
     """Per-period CSV with the fixed 7-column schema; t is 1-based and every
-    field is the bytes of ``_fmt`` of its value (see :func:`_csv_block`)."""
-    cols = [getattr(record, name) for name in PER_PERIOD_HEADER.split(",")[1:]]
+    field is the bytes of ``_fmt`` of its value (see :func:`_csv_block`).
+    Each block is built from the record's heads, so no full column is."""
+    heads = [vars(record)[name] for name in PER_PERIOD_HEADER.split(",")[1:]]
     with open(path, "wb") as f:
         f.write(PER_PERIOD_HEADER.encode() + b"\n")
         for start in range(0, record.horizon, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, record.horizon)
             f.write(_csv_block(np.column_stack(
-                [np.arange(start + 1, stop + 1, dtype=np.float64)] + [c[start:stop] for c in cols]
+                [np.arange(start + 1, stop + 1, dtype=np.float64)]
+                + [full_column(h[min(start, len(h) - 1) : stop], stop - start) for h in heads]
             )))
 
 

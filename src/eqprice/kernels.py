@@ -41,10 +41,12 @@ on Python 3.12 and later), and the transcendental calls are
 round differently in the last bit.
 
 A loop returns a named tuple (:class:`FixedResult`, :class:`DemandResult`,
-:class:`ContextualResult`) of the posted price path, the final policy state
-and its counters (the contextual loop also the arms, the expected mismatch
+:class:`ContextualResult`) of the posted prices, the final policy state and
+its counters (the contextual loop also the arms, the expected mismatch
 ``proxy`` and the oracle's losses) as numpy arrays and numbers;
-:mod:`eqprice.market` computes production and regret from the price path.
+:mod:`eqprice.market` computes production and regret from the prices. A
+tracker's prices are a head: 1 to T prices whose last repeats up to T,
+ending at the first period whose price is frozen for good.
 Argument and result positions are a fixed interface: ``perfbench/tracer.py``
 reads some of them by index.
 
@@ -67,7 +69,8 @@ FAMILY_LINEAR = 1
 
 
 class FixedResult(NamedTuple):
-    """:func:`fixed_trajectory`'s price path and final tracker state."""
+    """:func:`fixed_trajectory`'s price head, up to the first frozen period
+    (all T prices if it never freezes), and final tracker state."""
 
     price: np.ndarray
     a: float
@@ -79,7 +82,9 @@ class FixedResult(NamedTuple):
 
 
 class DemandResult(NamedTuple):
-    """:func:`demand_trajectory`'s price path and final per-cell state."""
+    """:func:`demand_trajectory`'s prices and final per-cell state. The
+    prices are a head up to the cell's first frozen visit when every period
+    visits one cell, else all T of them."""
 
     price: np.ndarray
     s_lo: np.ndarray
@@ -325,7 +330,7 @@ def fixed_trajectory(fam, param1, param2, d, T):
     d = float(d)
     if not supply(fam, param1, param2, 1.0) >= d:
         raise ValueError(f"production at p=1 falls short of the demand {d}")
-    price = np.empty(T)
+    runs = []
     a, b, eps, cursor, frozen, shrinks, resets = fixed_start(T)
     t = 0
     while t < T and not frozen:
@@ -335,19 +340,18 @@ def fixed_trajectory(fam, param1, param2, d, T):
             return supply(fam, param1, param2, fixed_offer(a, b, eps, c, False)) >= d
 
         c = _first_event(event, cursor, cursor + T - 1 - t)
-        stop = cursor + T - t if c is None else c
-        price[t : t + stop - cursor] = fixed_offer(a, b, eps, np.arange(cursor, stop), False)
+        stop = cursor + T - t if c is None else c + 1
+        runs.append(fixed_offer(a, b, eps, np.arange(cursor, stop), False))
         t += stop - cursor
         if c is None:
             break
         p = fixed_offer(a, b, eps, c, False)
-        price[t] = p
-        t += 1
         a, b, eps, cursor, frozen, shrinks, resets = fixed_update(
             a, b, eps, c, shrinks, resets, p, supply(fam, param1, param2, p), d, T
         )
-    price[t:] = fixed_offer(a, b, eps, cursor, frozen)
-    return FixedResult(price, a, b, eps, frozen, shrinks, resets)
+    if t < T:  # the first frozen period
+        runs.append(np.full(1, fixed_offer(a, b, eps, cursor, frozen)))
+    return FixedResult(np.concatenate(runs), a, b, eps, frozen, shrinks, resets)
 
 
 def demand_trajectory(
@@ -407,6 +411,8 @@ def demand_trajectory(
                 )
                 v += j + 1
         price[visits[v:]] = cell_price[k]
+        if n == len(cells):  # every period visits cell k: the head ends at its first frozen visit
+            price = price[: v + 1]
     return DemandResult(
         price, np.array(s_lo), np.array(s_hi), np.array(cell_price), np.array(cell_eps),
         shrinks,

@@ -594,37 +594,13 @@ class InstanceSpec:
         )
 
 
-#: Values compared per pass of :func:`tail_start`: its mask (64 KiB) is
-#: reused from the heap, not a fresh T-sized allocation.
-TAIL_CHUNK = 2**16
-
-
-def tail_start(col: np.ndarray) -> int:
-    """The index where the final run of bit-equal values of a float64
-    column starts: 0 for a constant column. Values are compared as int64
-    bits, so 0.0 and -0.0 differ and NaNs are equal only with one payload.
-
-    The column is scanned back from its end :data:`TAIL_CHUNK` values at a
-    time, each chunk by one contiguous compare and an ``argmax`` on the
-    reversed mask, so a long tail allocates no T-sized temporary."""
-    bits = col.view(np.int64)
-    last = bits[-1]
-    stop = len(bits)
-    while stop > 0:
-        start = max(stop - TAIL_CHUNK, 0)
-        moved = bits[start:stop] != last
-        i = int(np.argmax(moved[::-1]))  # the chunk's trailing values equal to the last
-        if moved[-1 - i]:
-            return stop - i
-        stop = start
-    return 0
-
-
 def full_column(head, horizon: int) -> np.ndarray:
-    """What a ``RunRecord`` column reads: a head returned by
-    :meth:`MarketInstance.regret_columns`, then its last value repeated up to
-    ``horizon`` periods, in a new array. A head of the full horizon is
-    returned as it is, and one of stride 0 becomes a read-only view of stride 0."""
+    """A head, then its last value repeated up to ``horizon`` periods, in a
+    new array: what a ``RunRecord`` column reads of a head returned by
+    :meth:`MarketInstance.regret_columns`, and the price path that method
+    prices of a runner's price head on a market whose periods do not clear
+    alike. A head of the full horizon is returned as it is, and one of
+    stride 0 becomes a read-only view of stride 0."""
     k = len(head)
     if k == horizon:
         return head
@@ -785,38 +761,41 @@ class MarketInstance:
         return cost_eq, p_stars * tot_eq
 
     def regret_columns(self, prices: np.ndarray) -> dict:
-        """Per-period production and regret increments of a posted price path.
+        """Per-period production and regret increments of a posted price head.
 
-        Measured against every period's clearing allocation:
-        ``unmet_inc`` = (d_t - x_t)_+, and ``cost_inc`` and ``pay_inc`` are
-        the total cost and payment at the posted price minus those of the
-        clearing allocation (signed). Keys are the
-        :class:`~eqprice.harness.RunRecord` column names, ``demand`` to
+        ``prices`` is a head of 1 to T prices, as a runner returns it: its
+        last price repeats up to the horizon T. Measured against every
+        period's clearing allocation: ``unmet_inc`` = (d_t - x_t)_+, and
+        ``cost_inc`` and ``pay_inc`` are the total cost and payment at the
+        posted price minus those of the clearing allocation (signed). Keys are
+        the :class:`~eqprice.harness.RunRecord` column names, ``demand`` to
         ``pay_inc``, and each column is its head, the first ``k`` periods.
 
-        ``k`` is the horizon unless every period clears alike (a quadratic
-        or linear market with a constant demand). Then ``k`` ends with the
-        first period of the final run of bit-equal prices (:func:`tail_start`),
-        and every later period repeats period ``k - 1`` of each column:
-        :func:`full_column` of a head is, bit for bit, the column a pass over
-        every period computes; ``price`` is then a copy of its head and
-        ``demand`` a view of stride 0. A string, bytes or bool among the
-        prices is refused (:func:`_prices`), and a price among those ``k``
-        outside [0, 1] or NaN is rejected by :func:`price_array`, naming the first.
+        If every period clears alike (a quadratic or linear market with a
+        constant demand), ``k`` is the length of the price head, and every
+        later period repeats period ``k - 1`` of each column, bit for bit what
+        a pass over every period computes: ``price`` is then a copy of a head
+        shorter than T, and ``demand`` a view of stride 0. Any other market prices :func:`full_column` of the head, and ``k``
+        is T. A string, bytes or bool is refused (:func:`_prices`), as is a
+        price outside [0, 1] or NaN (:func:`price_array`, naming the first),
+        or a head that is not 1-D, is empty or is longer than T.
         """
-        prices = _prices(prices)
-        if prices.shape != (self.horizon,):
-            raise ValueError("price path length must equal the horizon")
-        k = tail_start(prices) + 1 if self._price_only else self.horizon
-        posted = price_array(prices[:k])
+        head = price_array(prices)
+        if head.ndim != 1 or not 1 <= len(head) <= self.horizon:
+            raise ValueError(
+                f"a price head holds 1 to {self.horizon} prices, got shape {head.shape}"
+            )
+        if not self._price_only:
+            head = full_column(head, self.horizon)
+        k = len(head)
         cost_eq, pay_eq = self._clearing_cost_and_payment()
-        prod, cost = self._production(posted)
+        prod, cost = self._production(head)
         demand = self.demands if k == self.horizon else np.broadcast_to(self.demands[k - 1], (k,))
         return dict(
             demand=demand,
-            price=prices if k == self.horizon else prices[:k].copy(),
+            price=head if k == self.horizon else head.copy(),
             production=prod,
             unmet_inc=np.maximum(0.0, demand - prod),
             cost_inc=cost - cost_eq,
-            pay_inc=posted * prod - pay_eq,
+            pay_inc=head * prod - pay_eq,
         )

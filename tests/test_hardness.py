@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,8 +87,9 @@ def test_expected_total_regret_refuses_a_string_or_bool_price(p, named):
 
 def test_formula_matches_market_machinery():
     # the closed form is the mixture average of realized totals, each taken
-    # from a market of one cost draw over the price path; the path ends in
-    # a repeated price, so the market returns heads one period short
+    # from a market of one cost draw over the price path; the market is
+    # given the path's head, one period short of its repeated last price,
+    # and returns heads of that length
     prices = np.array([0.0, 0.07, 0.125, 0.2, 0.25, 0.4, 0.8, 0.8])
     n, d = len(prices), IID_DEMAND
     totals = []
@@ -96,23 +98,26 @@ def test_formula_matches_market_machinery():
             suppliers=(cost,), demands=np.full(n, d), contexts=None, horizon=n,
             demand_bounds=(d, d),
         )
-        cols = market.regret_columns(prices)
+        cols = market.regret_columns(prices[:-1])
         assert cols["production"].shape == (n - 1,)
         totals.append(full_column(cols["unmet_inc"] + cols["cost_inc"] + cols["pay_inc"], n))
     mix = 0.5 * totals[0] + 0.5 * totals[1]
     assert mix == pytest.approx(expected_total_regret(prices), abs=1e-9)
 
 
+def stiff(p):
+    """Realized total regret of the stiffer cost draw at demand 1: it
+    produces 4p and clears at 1/4."""
+    return max(0.0, 1.0 - 4.0 * p) + 6.0 * p * p - 3.0 / 8.0
+
+
+def soft(p):
+    """Realized total regret of the softer cost draw: 8p, clearing at 1/8."""
+    return max(0.0, 1.0 - 8.0 * p) + 12.0 * p * p - 3.0 / 16.0
+
+
 def test_verify_lower_bound_weights_each_draw_by_its_share(monkeypatch):
-    # realized totals per draw at demand 1: the stiffer cost produces 4p and
-    # clears at 1/4, the softer one 8p at 1/8. A path ending in a repeated
-    # price, whose regret heads are one period short, still gives every row.
-    def stiff(p):
-        return max(0.0, 1.0 - 4.0 * p) + 6.0 * p * p - 3.0 / 8.0
-
-    def soft(p):
-        return max(0.0, 1.0 - 8.0 * p) + 12.0 * p * p - 3.0 / 16.0
-
+    # A path ending in a repeated price gives every row too.
     for prices in (hardness.LOWER_BOUND_PRICES, (0.0, 0.125, 0.5, 0.5)):
         monkeypatch.setattr(hardness, "LOWER_BOUND_PRICES", prices)
         report = verify_lower_bound(n_periods=10, seed=3)
@@ -125,6 +130,26 @@ def test_verify_lower_bound_weights_each_draw_by_its_share(monkeypatch):
             want = share * stiff(row.price) + (1.0 - share) * soft(row.price)
             assert row.empirical == pytest.approx(want, abs=1e-12)
         assert shares != {0.5}  # a share away from 1/2 tells the draws apart
+
+
+def test_verify_lower_bound_counts_its_draws_in_fixed_blocks():
+    # each row's draws are counted 2**16 at a time: the shares are those of
+    # one draw of n_periods from the stream, over a block edge too, and the
+    # memory does not grow with n_periods (one array of 4e6 draws is 30 MiB)
+    n = 2**17 + 3
+    report = verify_lower_bound(n_periods=n, seed=5)
+    rng = replication_stream(5, 0)
+    for row in report.rows:
+        share = np.count_nonzero(rng.uniform(0.0, 1.0, n) < 0.5) / n
+        want = share * stiff(row.price) + (1.0 - share) * soft(row.price)
+        assert row.empirical == pytest.approx(want, abs=1e-12)
+    tracemalloc.start()
+    try:
+        verify_lower_bound(n_periods=4 * 10**6, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
 
 
 def test_verify_lower_bound_minimum_is_exact():

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from eqprice import kernels
 from eqprice.features import apply_feature_map
-from eqprice.market import CostSpec, FunctionClass, aggregate_production, equilibrium_price
+from eqprice.market import (
+    CostSpec, FunctionClass, aggregate_production, equilibrium_price, full_column
+)
 from eqprice.policy_contextual import (
     contextual_observe,
     contextual_step,
@@ -34,14 +36,27 @@ from eqprice.policy_fixed import (
 
 
 def reference_fixed(suppliers, d, T):
+    """The step API's prices over T periods, its final state, and the length
+    of the fixed kernel's price head: up to the first period posted frozen,
+    or T if none is."""
     state = make_fixed_state(T)
     prices = np.empty(T)
+    head = T
     for t in range(T):
+        if state.frozen and head == T:
+            head = t + 1
         p = fixed_next_price(state)
         prices[t] = p
         x = aggregate_production(suppliers, p).total
         state = fixed_observe(state, x, d)
-    return prices, state
+    return prices, state, head
+
+
+def assert_fixed_head(price, ref_prices, head):
+    """The kernel's price head ends at the first frozen period and, with its
+    last price repeated, is the step API's price path."""
+    assert price.shape == (head,)
+    assert np.array_equal(full_column(price, len(ref_prices)), ref_prices)
 
 
 def test_fixed_kernel_matches_reference():
@@ -49,8 +64,9 @@ def test_fixed_kernel_matches_reference():
     d, T = 1.7, 4000
     fam, p1, p2 = kernels.encode_suppliers(suppliers)
     price, a, b, eps, frozen, shrinks, resets = kernels.fixed_trajectory(fam, p1, p2, d, T)
-    ref_prices, ref_state = reference_fixed(suppliers, d, T)
-    assert np.array_equal(price, ref_prices)
+    ref_prices, ref_state, head = reference_fixed(suppliers, d, T)
+    assert head < T  # it freezes
+    assert_fixed_head(price, ref_prices, head)
     assert shrinks == ref_state.shrink_count
     assert resets == ref_state.resets
     assert (a, b, eps) == (ref_state.a, ref_state.b, ref_state.eps)
@@ -92,8 +108,8 @@ def test_fixed_kernel_linear_instance():
     d, T = 1.0, 3000
     fam, p1, p2 = kernels.encode_suppliers((supplier,))
     price = kernels.fixed_trajectory(fam, p1, p2, d, T)[0]
-    ref_prices, _ = reference_fixed((supplier,), d, T)
-    assert np.array_equal(price, ref_prices)
+    ref_prices, _, head = reference_fixed((supplier,), d, T)
+    assert_fixed_head(price, ref_prices, head)
 
 
 @pytest.mark.parametrize(
@@ -123,8 +139,8 @@ def test_fixed_kernel_matches_reference_long_horizon(suppliers, d):
             kernels.fixed_trajectory(fam, p1, p2, d, T)
         return
     price, a, b, eps, frozen, shrinks, resets = kernels.fixed_trajectory(fam, p1, p2, d, T)
-    ref_prices, ref = reference_fixed(suppliers, d, T)
-    assert np.array_equal(price, ref_prices)
+    ref_prices, ref, head = reference_fixed(suppliers, d, T)
+    assert_fixed_head(price, ref_prices, head)
     assert (a, b, eps, frozen) == (ref.a, ref.b, ref.eps, ref.frozen)
     assert (shrinks, resets) == (ref.shrink_count, ref.resets) and resets == 0
     assert np.count_nonzero(np.diff(price)) > 1000  # long probe runs
@@ -336,8 +352,8 @@ def test_fixed_kernel_equals_step_api_property(suppliers, d, T):
             kernels.fixed_trajectory(fam, p1, p2, d, T)
         return
     price, a, b, eps, frozen, shrinks, resets = kernels.fixed_trajectory(fam, p1, p2, d, T)
-    ref_prices, ref = reference_fixed(suppliers, d, T)
-    assert np.array_equal(price, ref_prices)
+    ref_prices, ref, head = reference_fixed(suppliers, d, T)
+    assert_fixed_head(price, ref_prices, head)
     assert (a, b, eps, frozen) == (ref.a, ref.b, ref.eps, ref.frozen)
     assert (shrinks, resets) == (ref.shrink_count, ref.resets) and resets == 0
 
@@ -352,6 +368,15 @@ def test_fixed_kernel_equals_step_api_property(suppliers, d, T):
     T=st.integers(1, 300),
     seed=st.integers(0, 2**32),
 )
+# a constant demand visits one cell: it freezes within the horizon, or not
+@example(
+    suppliers=[CostSpec.quadratic(0.5)], d_lo=0.3, spread=0.0, gamma=0.1, freeze_width=1e-3,
+    T=200, seed=0,
+)
+@example(
+    suppliers=[CostSpec.quadratic(0.5)], d_lo=0.3, spread=0.0, gamma=0.1, freeze_width=1e-4,
+    T=3, seed=0,
+)
 def test_demand_kernel_equals_step_api_property(
     suppliers, d_lo, spread, gamma, freeze_width, T, seed
 ):
@@ -365,10 +390,20 @@ def test_demand_kernel_equals_step_api_property(
         fam, p1, p2, demands, state.s_lo, state.s_hi, state.eps,
         grid.d_lo, grid.gamma, grid.n_cells, state.freeze_width,
     )
+    # one cell visited in every period ends the prices at its first frozen
+    # visit, and they stand for the path with the last one repeated
+    cells = kernels.cell_index(demands, grid.d_lo, grid.gamma, grid.n_cells)
+    head = T
+    path = full_column(price, T)
     for t in range(T):
+        if head == T and np.all(cells == cells[0]) and not kernels.cell_searching(
+            state.s_lo, state.s_hi, cells[0], state.freeze_width
+        ):
+            head = t + 1
         x = aggregate_production(suppliers, cell_price(state, demands[t])).total
         offered, state = demand_step(state, demands[t], x)
-        assert price[t] == offered
+        assert path[t] == offered
+    assert price.shape == (head,)
     assert shrinks == state.shrink_count
     final = (state.s_lo, state.s_hi, state.price, state.eps)
     for got, want in zip((s_lo, s_hi, cell_prices, eps), final):

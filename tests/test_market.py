@@ -11,7 +11,6 @@ from eqprice.market import (
     COST_FIELDS,
     GENERATOR_FIELDS,
     OPTIONAL_KEYS,
-    TAIL_CHUNK,
     CostSpec,
     FunctionClass,
     GeneratorSpec,
@@ -23,7 +22,6 @@ from eqprice.market import (
     context_coefficients,
     equilibrium_price,
     full_column,
-    tail_start,
 )
 from eqprice.features import apply_feature_map
 
@@ -396,20 +394,24 @@ def _constant_demand_market(suppliers, d, T):
     )
 
 
-_RUN_PATHS = {
-    "probe-runs": np.repeat([0.1, 0.3, 0.3000000000000001, 0.55, 0.7, 0.55], [3, 1, 4, 2, 7, 5]),
-    "constant": np.full(40, 0.62),
-    "no-repeats": np.random.Generator(np.random.Philox(key=31)).uniform(0.0, 1.0, 50),
-    "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0, 0.4, 0.0, -0.0]),
-    "one-period": np.array([0.8]),
-    # the final run spans several tail_start chunks
-    "multi-chunk-tail": np.repeat([0.2, 0.45, 0.3], [5, 7, 3 * TAIL_CHUNK + 11]),
-    # the head ends exactly where the last chunk begins
-    "head-at-chunk-edge": np.repeat([0.1, 0.7, 0.35], [4, 9, TAIL_CHUNK]),
+#: Price heads and the horizon each stands for.
+_RUN_HEADS = {
+    "probe-runs": (
+        np.repeat([0.1, 0.3, 0.3000000000000001, 0.55, 0.7, 0.55], [3, 1, 4, 2, 7, 5]), 30
+    ),
+    "constant": (np.full(1, 0.62), 40),
+    "no-repeats": (np.random.Generator(np.random.Philox(key=31)).uniform(0.0, 1.0, 50), 50),
+    "signed-zeros": (np.array([0.0, -0.0, -0.0, 0.0, 0.4, 0.0, -0.0]), 9),
+    "one-period": (np.array([0.8]), 1),
+    # a head that itself ends in a long run of equal prices, over several
+    # 2**16-value chunks
+    "multi-chunk-tail": (np.repeat([0.2, 0.45, 0.3], [5, 7, 3 * 2**16 + 11]), 3 * 2**16 + 40),
+    # a short head that stands for a chunk of 2**16 periods more
+    "head-at-chunk-edge": (np.repeat([0.1, 0.7, 0.35], [4, 9, 1]), 13 + 2**16),
 }
 
 
-@pytest.mark.parametrize("path", list(_RUN_PATHS), ids=list(_RUN_PATHS))
+@pytest.mark.parametrize("path", list(_RUN_HEADS), ids=list(_RUN_HEADS))
 @pytest.mark.parametrize(
     "suppliers, d",
     [
@@ -420,22 +422,22 @@ _RUN_PATHS = {
 )
 def test_regret_columns_per_run_match_per_period(suppliers, d, path):
     # a constant-demand market returns the heads of every column, price and
-    # demand too, up to the first period of its final run of equal prices;
-    # every full column must be bit for bit the one-period market's, period
-    # by period, on heads with repeated prices too
-    prices = _RUN_PATHS[path]
-    T = prices.size
-    cols = _constant_demand_market(suppliers, d, T).regret_columns(prices)
+    # demand too, as long as the price head it is given; every full column
+    # must be bit for bit the one-period market's, period by period, on
+    # heads with repeated prices too
+    head, T = _RUN_HEADS[path]
+    cols = _constant_demand_market(suppliers, d, T).regret_columns(head)
     assert set(cols) == {"demand", "price", "production", "unmet_inc", "cost_inc", "pay_inc"}
-    k = tail_start(prices) + 1
+    k = len(head)
     assert all(c.shape == (k,) for c in cols.values())
     if k == T:
-        assert cols["price"] is prices
-    else:  # a copy of the head: the record holds no T-sized path
-        assert not np.may_share_memory(cols["price"], prices)
-        assert cols["price"].tobytes() == prices[:k].tobytes()
+        assert cols["price"] is head
+    else:  # a copy of the head: the record pins no buffer of the runner's
+        assert not np.may_share_memory(cols["price"], head)
+        assert cols["price"].tobytes() == head.tobytes()
     # the one-period market's columns at each distinct price (by bits),
     # placed at every period that posts it
+    prices = full_column(head, T)
     _, first, where = np.unique(prices.view(np.int64), return_index=True, return_inverse=True)
     one = [_constant_demand_market(suppliers, d, 1).regret_columns(prices[t : t + 1]) for t in first]
     for name in cols:
@@ -451,16 +453,46 @@ def test_regret_columns_reject_bad_price_paths():
         suppliers=(CostSpec.quadratic(0.5),), demands=np.ones(3), contexts=None,
         horizon=3, demand_bounds=(1.0, 1.0),
     )
-    with pytest.raises(ValueError, match="length"):
-        inst.regret_columns(np.array([0.5, 0.5]))
-    # the price-only path checks the prices up to the final run's first: a
-    # bad value only in the final run is one of them
+    # a head holds 1 to T prices in one dimension
+    for prices, shape in (
+        (np.array([]), "(0,)"), (np.full(4, 0.5), "(4,)"), (np.full((1, 3), 0.5), "(1, 3)"),
+        (np.float64(0.5), "()"),
+    ):
+        named = rf"^a price head holds 1 to 3 prices, got shape {re.escape(shape)}$"
+        with pytest.raises(ValueError, match=named):
+            inst.regret_columns(prices)
+    # every price of the head is checked, the last one too
     for prices, first in (
         ([0.5, 1.5, 0.5], "1.5"), ([0.5, -0.1, 0.5], "-0.1"), ([0.5, math.nan, 0.5], "nan"),
         ([0.5, 1.5, 1.5], "1.5"), ([0.5, math.nan, math.nan], "nan"), ([math.nan] * 3, "nan"),
+        ([0.5, 2.0], "2.0"), ([-0.5], "-0.5"),
     ):
         with pytest.raises(ValueError, match=rf"^price must lie in \[0, 1\], got {first}$"):
             inst.regret_columns(np.array(prices))
+
+
+@pytest.mark.parametrize("contextual", [False, True], ids=["quadratic", "contextual"])
+def test_one_price_head_on_a_varying_demand_market_reads_as_the_full_path(contextual):
+    # a market whose periods clear differently prices the head repeated up to
+    # T: every column is bit for bit the one of the full price path
+    rng = np.random.Generator(np.random.Philox(key=8))
+    T = 500
+    demands = rng.uniform(0.4, 0.9, T)
+    if contextual:
+        suppliers = (CostSpec.context_quadratic((1.0, 1.0)),)
+        contexts = rng.uniform(0.5, 1.5, (T, 2))
+    else:
+        suppliers, contexts = (CostSpec.quadratic(0.5, a=0.1), CostSpec.quadratic(1.1)), None
+    inst = MarketInstance(
+        suppliers=suppliers, demands=demands, contexts=contexts, horizon=T,
+        demand_bounds=(0.4, 0.9),
+    )
+    p = 0.61
+    head, full = inst.regret_columns(np.full(1, p)), inst.regret_columns(np.full(T, p))
+    assert list(head) == list(full)
+    for name, col in head.items():
+        assert col.shape == (T,)
+        assert col.tobytes() == full[name].tobytes(), name
 
 
 @pytest.mark.parametrize("prices, named", [
@@ -469,67 +501,13 @@ def test_regret_columns_reject_bad_price_paths():
 ])
 def test_regret_columns_refuse_a_string_or_bool_price(prices, named):
     # the path was read with np.asarray(prices, float64), which parsed "0.5"
-    # and read True as 1.0; a bool in the final run of a price-only path,
-    # which is not range-checked, is refused too
+    # and read True as 1.0; a bool anywhere in the head is refused
     inst = MarketInstance(
         suppliers=(CostSpec.quadratic(0.5),), demands=np.ones(3), contexts=None,
         horizon=3, demand_bounds=(1.0, 1.0),
     )
     with pytest.raises(ValueError, match=rf"^price must be a number, got {re.escape(named)}$"):
         inst.regret_columns(prices)
-
-
-def _tail_start_reference(col):
-    """The final run's start by one reversed compare over the whole column."""
-    bits = col.view(np.int64)
-    moved = bits[::-1] != bits[-1]
-    i = int(np.argmax(moved))
-    return len(col) - i if moved[i] else 0
-
-
-def _bits(b):
-    return np.array([b], dtype=np.uint64).view(np.float64)[0]
-
-
-#: Tail values: signed zeros, NaNs with different payloads and signs, and
-#: ordinary values.
-_TAIL_VALUES = (
-    0.0, -0.0, 1.0, 0.3, math.inf,
-    _bits(0x7FF8000000000000), _bits(0x7FF8000000000001), _bits(0xFFF8000000000000),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    head=st.lists(st.sampled_from(_TAIL_VALUES), max_size=40),
-    tail=st.sampled_from(_TAIL_VALUES),
-    n=st.one_of(
-        st.sampled_from([1, 2, TAIL_CHUNK - 1, TAIL_CHUNK, TAIL_CHUNK + 1, 2 * TAIL_CHUNK]),
-        st.integers(1, 3 * TAIL_CHUNK),
-    ),
-)
-@example(head=[], tail=0.0, n=1)  # T = 1
-@example(head=[], tail=0.3, n=2 * TAIL_CHUNK + 5)  # all constant
-@example(head=[0.0], tail=-0.0, n=TAIL_CHUNK)
-@example(head=[_TAIL_VALUES[6]], tail=_TAIL_VALUES[5], n=TAIL_CHUNK + 1)
-def test_tail_start_matches_the_reversed_compare(head, tail, n):
-    col = np.concatenate([np.array(head, dtype=np.float64), np.full(n, tail)])
-    assert tail_start(col) == _tail_start_reference(col)
-
-
-@pytest.mark.parametrize(
-    "col",
-    [
-        np.broadcast_to(np.float64(0.4), (3 * TAIL_CHUNK,)),
-        np.broadcast_to(np.float64(-0.0), (1,)),
-        np.repeat([0.1, -0.0, 0.0], [3, 5, 2 * TAIL_CHUNK + 3])[::2],
-        np.repeat([0.1, 0.2], [TAIL_CHUNK, 2 * TAIL_CHUNK])[::-1],
-        np.repeat([0.6, 0.2, 0.6], [10, 2 * TAIL_CHUNK, 3])[::3],
-    ],
-    ids=["stride-0", "stride-0-T=1", "strided", "reversed", "strided-short-tail"],
-)
-def test_tail_start_of_views_matches_the_reversed_compare(col):
-    assert tail_start(col) == _tail_start_reference(col)
 
 
 def test_capacity_at_one_matches_scalar_reference():

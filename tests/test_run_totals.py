@@ -193,35 +193,28 @@ def test_criterion_1_totals_match_cumsum(policy, params):
 
 def test_frozen_record_sums_only_its_head(monkeypatch):
     # The fixed tracker freezes on the criterion-1 market at T = 1e6 after
-    # 21,182 periods. The regret pass returns heads of every column that end
-    # with the first frozen period, the record takes them as they are, and
-    # its totals neither pass over the horizon nor scan a column for its
-    # tail: the one scan of a run is the regret pass's.
+    # 21,182 periods. Its price head ends with the first frozen period, the
+    # regret pass returns heads of every column of that length, the record
+    # takes them as they are, and neither the record's totals nor the run
+    # pass over the horizon.
     T = 10**6
     inst = CRITERION_1.with_horizon(T).materialize(harness.replication_stream(0, 0))
     prices, _ = harness._run_fixed(inst, {}, None, None)
-    assert np.all(prices[CRITERION_1_HEAD:] == prices[-1])
-    assert prices[CRITERION_1_HEAD - 1] != prices[-1]
+    assert prices.shape == (CRITERION_1_HEAD + 1,)
+    assert prices[-2] != prices[-1]
     cols = inst.regret_columns(prices)
     assert list(cols) == list(RunRecord._COLUMNS[:-1])
     assert all(h.shape == (CRITERION_1_HEAD + 1,) for h in cols.values())
-    sizes, scanned = [], []
-    cumsum, tail_start = np.cumsum, market.tail_start
+    sizes = []
+    cumsum = np.cumsum
 
     def spy(a, *args, **kwargs):
         sizes.append(np.size(a))
         return cumsum(a, *args, **kwargs)
 
-    def scan(col):
-        scanned.append(col)
-        return tail_start(col)
-
     monkeypatch.setattr(np, "cumsum", spy)
-    monkeypatch.setattr(market, "tail_start", scan)
     rec = RunRecord("fixed_interval", T, 0, 0, **cols)
-    assert not scanned
     run_experiment(ExperimentConfig(instance=CRITERION_1, policy="fixed_interval", horizons=(T,)))
-    assert len(scanned) == 1
     monkeypatch.undo()
     assert sizes and max(sizes) <= CRITERION_1_HEAD, max(sizes)
     for name, head in cols.items():
@@ -246,11 +239,10 @@ def test_frozen_regret_pass_prices_only_its_head(monkeypatch):
 
 
 def test_frozen_fixed_interval_run_allocates_only_its_columns():
-    # A frozen criterion-1 run allocates one T-sized float64 column, the
-    # kernel's price path, and keeps none: its constant demand is one value,
-    # and its columns, the price too, are heads until read. The regret pass
-    # holds head-sized arrays only (it measures eight at once), and the
-    # record one (its scratch buffer).
+    # A frozen criterion-1 run allocates no T-sized array: the kernel returns
+    # its price head, its constant demand is one value, and its columns are
+    # heads until read. The regret pass holds head-sized arrays only (it
+    # measures eight at once), and the record one (its scratch buffer).
     T = 10**6
     head = 8 * (CRITERION_1_HEAD + 1)
     cfg = ExperimentConfig(instance=CRITERION_1, policy="fixed_interval", horizons=(T,))
@@ -272,7 +264,7 @@ def test_frozen_fixed_interval_run_allocates_only_its_columns():
     finally:
         tracemalloc.stop()
     assert rec.demand.strides == (0,) and not rec.demand.flags.writeable
-    assert peak <= 8 * T + 4 * 2**20, peak
+    assert peak <= 2 * 2**20, peak
     assert regret_peak <= 9 * 8 * CRITERION_1_HEAD, regret_peak
     assert record_peak <= head + 2**14, record_peak
     assert sum(_kept(rec).values()) <= 6 * head
@@ -299,9 +291,9 @@ def _kept(*records) -> dict:
 
 
 def test_exported_frozen_runs_keep_only_their_heads(tmp_path):
-    # Writing a per-period CSV reads every column over the whole horizon;
-    # the records keep their heads all the same, not the 76 MiB of columns
-    # those reads build.
+    # Writing a per-period CSV builds each block of rows from the records'
+    # heads: the export expands no column to the horizon (five of them are
+    # 38 MiB at T = 1e6), and the records keep their heads only.
     T = 10**6
     cfg = ExperimentConfig(
         instance=CRITERION_1, policy="fixed_interval", horizons=(T,), replications=2,
@@ -316,6 +308,16 @@ def test_exported_frozen_runs_keep_only_their_heads(tmp_path):
         p.unlink()  # 200 MB of CSV
     kept = _kept(*records)
     assert sum(kept.values()) <= 2 * 6 * 8 * (CRITERION_1_HEAD + 1), kept
+    # one export traced, at a shorter horizon: tracing slows it fivefold
+    cfg = dataclasses.replace(cfg, horizons=(10**5,), replications=1, out=None)
+    rec = run_experiment(cfg)[0]
+    tracemalloc.start()
+    try:
+        harness.write_run_csv(rec, tmp_path / "traced.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, peak
 
 
 def test_only_market_and_harness_know_the_head_format():
