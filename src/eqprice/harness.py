@@ -359,7 +359,7 @@ def replication_stream(seed: int, replication: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _constant_demand(spec: InstanceSpec) -> None:
+def _refuse_varying_demand(spec: InstanceSpec) -> None:
     """Refuse a demand that varies over the periods: ``fixed_interval`` tracks one."""
     d = spec.demands
     lo, hi = d.bounds() if isinstance(d, GeneratorSpec) else (min(d), max(d))
@@ -426,7 +426,7 @@ def _run_contextual(inst: MarketInstance, params: dict, cls: FunctionClass, rng)
 #: the ``kernels`` module when they run and pass its arguments by position: the
 #: benchmark's tracer wraps those attributes and reads arguments by index.
 POLICIES = {
-    "fixed_interval": ({}, (QUADRATIC, LINEAR), _constant_demand, _run_fixed),
+    "fixed_interval": ({}, (QUADRATIC, LINEAR), _refuse_varying_demand, _run_fixed),
     "demand_grid": (
         {"gamma_demand": positive, "freeze_width": positive}, (QUADRATIC,),
         lambda spec: None, _run_demand,
@@ -698,16 +698,21 @@ def run_csv_name(record: RunRecord) -> str:
 def write_run_csv(record: RunRecord, path: str | Path) -> None:
     """Per-period CSV with the fixed 7-column schema; t is 1-based and every
     field is the bytes of ``_fmt`` of its value (see :func:`_csv_block`).
-    Each block is built from the record's heads, so no full column is."""
+    Rows 1 to k - 1 are formatted from the record's heads of length k; row
+    k's fields after t are formatted once and end every row from k to T."""
     heads = [vars(record)[name] for name in PER_PERIOD_HEADER.split(",")[1:]]
+    k, T = len(heads[0]), record.horizon
+    suffix = b"," + _csv_block(np.array([[h[-1] for h in heads]]))
     with open(path, "wb") as f:
         f.write(PER_PERIOD_HEADER.encode() + b"\n")
-        for start in range(0, record.horizon, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, record.horizon)
+        for start in range(0, k - 1, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, k - 1)
             f.write(_csv_block(np.column_stack(
-                [np.arange(start + 1, stop + 1, dtype=np.float64)]
-                + [full_column(h[min(start, len(h) - 1) : stop], stop - start) for h in heads]
+                [np.arange(start + 1, stop + 1, dtype=np.float64)] + [h[start:stop] for h in heads]
             )))
+        for start in range(k - 1, T, CSV_BLOCK_ROWS):
+            t = np.arange(start + 1, min(start + CSV_BLOCK_ROWS, T) + 1, dtype=np.float64)
+            f.write(_csv_block(t[:, None]).replace(b"\n", suffix))
 
 
 def write_summary_csv(records: list[RunRecord], path: str | Path) -> None:

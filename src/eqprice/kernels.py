@@ -50,8 +50,9 @@ ending at the first period whose price is frozen for good.
 Argument and result positions are a fixed interface: ``perfbench/tracer.py``
 reads some of them by index.
 
-Supplier encoding: family code 0 = quadratic with (param1, param2) =
-(mu, a); family code 1 = linear with (param1, param2) = (c, cap).
+Suppliers reach the trackers as three lists (:func:`encode_suppliers`):
+each ``CostSpec.family``, then (mu, a) for a quadratic supplier or (c, cap)
+for a linear one.
 
 Randomness never originates inside a kernel: uniform draws are generated
 by the harness and passed in as arrays, which keeps trajectories
@@ -64,8 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-FAMILY_QUADRATIC = 0
-FAMILY_LINEAR = 1
+from .market import CONTEXT_QUADRATIC, QUADRATIC
 
 
 class FixedResult(NamedTuple):
@@ -112,7 +112,7 @@ def supply(fam, param1, param2, p):
     per linear one."""
     tot = 0.0
     for f, c1, c2 in zip(fam, param1, param2):
-        if f == FAMILY_QUADRATIC:
+        if f == QUADRATIC:
             x = (p - c2) / c1
             if x < 0.0:
                 x = 0.0
@@ -326,7 +326,6 @@ def fixed_trajectory(fam, param1, param2, d, T):
     cursor, and whether cursor c is that period is monotone in c (see the
     module docstring), so :func:`_first_event` finds it and the probes
     before it are priced by one :func:`fixed_offer` call on their cursors."""
-    fam, param1, param2 = fam.tolist(), param1.tolist(), param2.tolist()
     d = float(d)
     if not supply(fam, param1, param2, 1.0) >= d:
         raise ValueError(f"production at p=1 falls short of the demand {d}")
@@ -368,7 +367,6 @@ def demand_trajectory(
     cell's lower demand bound, which is monotone in the visit (see the
     module docstring); :func:`_first_event` finds that visit, building the
     probe run only as far as it looks."""
-    fam, param1, param2 = fam.tolist(), param1.tolist(), param2.tolist()
     d_lo, gamma, freeze_width = float(d_lo), float(gamma), float(freeze_width)
     cells = cell_index(demands, d_lo, gamma, n_cells)
     price = np.empty(cells.shape[0])
@@ -455,23 +453,13 @@ def contextual_trajectory(member_u, log_w0, eta, u_true, demands, uniforms, grid
     )
 
 
-def encode_suppliers(suppliers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack quadratic/linear suppliers into (family, param1, param2) arrays."""
-    fam = np.empty(len(suppliers), dtype=np.int64)
-    p1 = np.empty(len(suppliers))
-    p2 = np.empty(len(suppliers))
-    for i, s in enumerate(suppliers):
-        if s.family == "quadratic":
-            fam[i] = FAMILY_QUADRATIC
-            p1[i] = s.mu
-            p2[i] = s.a
-        elif s.family == "linear":
-            fam[i] = FAMILY_LINEAR
-            p1[i] = s.c
-            p2[i] = s.cap
-        else:
-            raise ValueError(
-                "trajectory kernels encode quadratic and linear suppliers; "
-                "contextual instances use the contextual kernel"
-            )
-    return fam, p1, p2
+def encode_suppliers(suppliers) -> tuple[list, list, list]:
+    """:func:`supply`'s three lists: each supplier's ``CostSpec.family``,
+    then (mu, a) of a quadratic supplier or (c, cap) of a linear one."""
+    if any(s.family == CONTEXT_QUADRATIC for s in suppliers):
+        raise ValueError(
+            "trajectory kernels encode quadratic and linear suppliers; "
+            "contextual instances use the contextual kernel"
+        )
+    params = [(s.mu, s.a) if s.family == QUADRATIC else (s.c, s.cap) for s in suppliers]
+    return [s.family for s in suppliers], [p[0] for p in params], [p[1] for p in params]

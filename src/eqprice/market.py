@@ -644,9 +644,10 @@ class MarketInstance:
     It also fixes the supplier ``mix`` (:func:`supplier_mix`). An
     all-contextual market produces p * u_t in period t, where
     ``coefficients`` is the path u_t = sum_i <phi_i, sigma(theta_t)>,
-    computed once here (``None`` for the other mixes). ``constant_demand``
-    records whether every period has the same demand, which lets
-    :meth:`regret_columns` price a quadratic or linear market's head only.
+    computed once here (``None`` for the other mixes). ``price_only``
+    records whether every period clears alike, so that each regret column is
+    a function of the posted price alone: a quadratic or linear market with
+    a constant demand. :meth:`regret_columns` then prices the head only.
     """
 
     suppliers: tuple[CostSpec, ...]
@@ -655,7 +656,7 @@ class MarketInstance:
     horizon: int
     demand_bounds: tuple[float, float]
     mix: str = field(init=False)
-    constant_demand: bool = field(init=False)
+    price_only: bool = field(init=False)
     coefficients: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -671,7 +672,6 @@ class MarketInstance:
         d_min, d_max = float(one.min()), float(one.max())
         if not (math.isfinite(d_min) and math.isfinite(d_max)):
             raise ValueError("demands must be finite")
-        self.constant_demand = d_min == d_max
         d_lo, d_hi = self.demand_bounds
         if not (0.0 < d_lo <= d_hi < math.inf):
             raise ValueError("demand bounds must satisfy 0 < d_lo <= d_hi < inf")
@@ -685,6 +685,7 @@ class MarketInstance:
                 raise ValueError("contexts must be finite")
 
         self.mix = supplier_mix(self.suppliers)
+        self.price_only = d_min == d_max and self.mix != CONTEXT_QUADRATIC
 
         self.coefficients = None
         if self.mix == CONTEXT_QUADRATIC:
@@ -733,13 +734,6 @@ class MarketInstance:
             cost += s.cost(x)
         return alloc.total, cost
 
-    @property
-    def _price_only(self) -> bool:
-        """Whether every period clears alike, so that each regret column is
-        a function of the posted price alone: a quadratic or linear market
-        with a constant demand."""
-        return self.constant_demand and self.mix != CONTEXT_QUADRATIC
-
     def _clearing_cost_and_payment(self) -> tuple[np.ndarray, np.ndarray]:
         """Total cost and total payment of every period's clearing allocation.
 
@@ -747,7 +741,7 @@ class MarketInstance:
         way in every period, so it solves one period and returns arrays of
         shape (1,), which broadcast over the horizon.
         """
-        demands = self.demands[:1] if self._price_only else self.demands
+        demands = self.demands[:1] if self.price_only else self.demands
         if self.mix == LINEAR:
             # p* = c, where the supplier is indifferent and the clearing
             # allocation produces exactly the demand.
@@ -785,7 +779,7 @@ class MarketInstance:
             raise ValueError(
                 f"a price head holds 1 to {self.horizon} prices, got shape {head.shape}"
             )
-        if not self._price_only:
+        if not self.price_only:
             head = full_column(head, self.horizon)
         k = len(head)
         cost_eq, pay_eq = self._clearing_cost_and_payment()

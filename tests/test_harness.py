@@ -30,6 +30,7 @@ from eqprice.market import (
     InstanceSpec,
     aggregate_production,
     equilibrium_price,
+    full_column,
 )
 
 QUAD_FIXED = InstanceSpec(
@@ -722,6 +723,21 @@ def _per_value_rows(cols):
         ",".join([str(t + 1)] + [format(float(c[t]), ".17g") for c in cols]) + "\n"
         for t in range(len(cols[0]))
     )).encode()
+
+
+@pytest.mark.parametrize("k", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("extra", [0, 1, None], ids=["T=k", "T=k+1", "T=2B+3"])
+def test_run_csv_of_heads_matches_per_value_format(tmp_path, k, extra):
+    # a record of heads shorter than its horizon exports its last row
+    # repeated up to T, here a row whose every value field takes the
+    # per-value path
+    T = 2 * CSV_BLOCK_ROWS + 3 if extra is None else k + extra
+    rng = np.random.Generator(np.random.Philox(key=k))
+    heads = [rng.uniform(-1e3, 1e3, k) for _ in range(6)]
+    for h, last in zip(heads, (math.nan, math.inf, -math.inf, 5e-324, 1e-9, -1e-9)):
+        h[-1] = last
+    write_run_csv(RunRecord("constant_price", T, 0, 0, *heads), tmp_path / "run.csv")
+    assert (tmp_path / "run.csv").read_bytes() == _per_value_rows([full_column(h, T) for h in heads])
 
 
 def _steps(x, n):

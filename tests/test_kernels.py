@@ -3,17 +3,19 @@
 use ``market.aggregate_production`` for the feedback), the kernels' search
 and cell-index helpers, and the invariants a whole horizon must keep."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqprice import kernels
+from eqprice import kernels, market
 from eqprice.features import apply_feature_map
 from eqprice.market import (
-    CostSpec, FunctionClass, aggregate_production, equilibrium_price, full_column
+    COST_FIELDS, CostSpec, FunctionClass, aggregate_production, equilibrium_price, full_column
 )
 from eqprice.policy_contextual import (
     contextual_observe,
@@ -337,8 +339,30 @@ _markets = st.one_of(_quadratic_market, _linear_market)
 def test_supply_equals_aggregate_production_bit_for_bit(suppliers, p):
     # the trackers' Python-float supply is market's rule, summed alike
     fam, p1, p2 = kernels.encode_suppliers(suppliers)
-    x = kernels.supply(fam.tolist(), p1.tolist(), p2.tolist(), p)
+    x = kernels.supply(fam, p1, p2, p)
     assert x.hex() == aggregate_production(suppliers, p).total.hex()
+
+
+def test_only_market_compares_with_a_cost_family_literal():
+    # a cost family is spelled once, in market; the trackers take each
+    # supplier's CostSpec.family and compare it with market's name
+    offenders = []
+    for path in sorted(Path(market.__file__).parent.glob("*.py")):
+        if path.name == "market.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                offenders += [
+                    f"{path.name}:{node.lineno}"
+                    for operand in (node.left, *node.comparators)
+                    for sub in ast.walk(operand)
+                    if isinstance(sub, ast.Constant) and sub.value in COST_FIELDS
+                ]
+    assert offenders == []
+    suppliers = (CostSpec.quadratic(0.3, a=0.05), CostSpec.linear(c=0.4, cap=2.0))
+    assert kernels.encode_suppliers(suppliers) == (
+        [s.family for s in suppliers], [0.3, 0.4], [0.05, 2.0]
+    )
 
 
 @settings(max_examples=100, deadline=None)

@@ -387,7 +387,7 @@ def test_regret_columns_signs_follow_price_gap():
     assert np.array_equal(np.sign(cols["cost_inc"]), gap)
 
 
-def _constant_demand_market(suppliers, d, T):
+def _one_demand_market(suppliers, d, T):
     return MarketInstance(
         suppliers=suppliers, demands=np.full(T, d), contexts=None, horizon=T,
         demand_bounds=(d, d),
@@ -426,7 +426,7 @@ def test_regret_columns_per_run_match_per_period(suppliers, d, path):
     # must be bit for bit the one-period market's, period by period, on
     # heads with repeated prices too
     head, T = _RUN_HEADS[path]
-    cols = _constant_demand_market(suppliers, d, T).regret_columns(head)
+    cols = _one_demand_market(suppliers, d, T).regret_columns(head)
     assert set(cols) == {"demand", "price", "production", "unmet_inc", "cost_inc", "pay_inc"}
     k = len(head)
     assert all(c.shape == (k,) for c in cols.values())
@@ -439,7 +439,7 @@ def test_regret_columns_per_run_match_per_period(suppliers, d, path):
     # placed at every period that posts it
     prices = full_column(head, T)
     _, first, where = np.unique(prices.view(np.int64), return_index=True, return_inverse=True)
-    one = [_constant_demand_market(suppliers, d, 1).regret_columns(prices[t : t + 1]) for t in first]
+    one = [_one_demand_market(suppliers, d, 1).regret_columns(prices[t : t + 1]) for t in first]
     for name in cols:
         want = np.concatenate([c[name] for c in one])[where]
         col = full_column(cols[name], T)
@@ -560,6 +560,14 @@ def test_instance_fixes_supplier_mix(suppliers, mix):
         assert np.array_equal(inst.coefficients, [1.5, 3.0])
     else:
         assert inst.coefficients is None
+    # every period clears alike on a quadratic or linear market with a
+    # constant demand only
+    assert inst.price_only is (mix != "context_quadratic")
+    varying = MarketInstance(
+        suppliers=suppliers, demands=np.array([0.5, 0.6]), contexts=np.array([[1.0], [2.0]]),
+        horizon=2, demand_bounds=(0.5, 0.6),
+    )
+    assert varying.price_only is False
 
 
 @pytest.mark.parametrize(
