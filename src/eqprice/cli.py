@@ -132,7 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_hard = sub.add_parser("hardness", help="impossibility reports")
     p_hard.add_argument("--kind", choices=("iid", "linear"), default="iid")
     p_hard.add_argument("--periods", type=int, default=100_000)
-    p_hard.add_argument("--seed", type=int)
+    p_hard.add_argument(
+        "--seed", type=int,
+        help="seed of the iid report's Monte Carlo draws (default 0); the linear demo is "
+        "deterministic, so there the seed is checked and changes nothing",
+    )
     p_hard.add_argument("--out")
     p_hard.set_defaults(fn=_cmd_hardness)
 

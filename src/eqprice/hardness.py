@@ -187,6 +187,9 @@ def linear_cost_demo(horizon: int = 10_000, seed: int = 0) -> LinearDemoReport:
 
     The ``fixed_interval`` run goes through
     :func:`~eqprice.harness.run_experiment` with ``seed`` as its base seed.
+    The run is deterministic: its constant demand draws nothing and the
+    tracker has no randomness, so ``seed`` is checked as a base seed and
+    changes no result.
     """
     if horizon < 2:
         raise ValueError("linear_cost_demo needs horizon >= 2 to fit a line")

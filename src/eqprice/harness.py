@@ -8,10 +8,12 @@ price head, and takes every column of the run from
 every policy. A price head is 1 to T prices whose last repeats up to T: a
 runner whose price freezes ends it at the first frozen period. On a market
 that clears alike in every period, the pass returns every column's head of
-that length; :class:`RunRecord` keeps and totals the heads, and a read
-builds the full column without storing it. Runners call ``kernels.<name>`` by
-position, since the benchmark's tracer wraps those attributes and reads
-arguments by index.
+that length. :class:`RunRecord`, a plain class, keeps those heads in its
+``heads`` dict and totals them, and a column read builds the full column
+without storing it. Runners call ``kernels.<name>`` by position, since the
+benchmark's tracer wraps those attributes and reads arguments by index; the
+tracer also replaces the module's ``RunRecord`` with a wrapper function, so
+the class reaches its own attributes through ``self``, never by its name.
 
 Reproducibility contract
 ------------------------
@@ -48,7 +50,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -210,32 +212,6 @@ class ExperimentConfig:
         return read_json_dict(cls, doc)
 
 
-class _Column:
-    """A column of :class:`RunRecord`: stored as the head it was given,
-    read as :func:`~eqprice.market.full_column` of that head over
-    ``horizon`` periods. A read stores nothing, so the record keeps its
-    heads; a head of the full horizon reads as itself. An optional column
-    defaults to None, which reads as None."""
-
-    def __init__(self, optional=False):
-        self.optional = optional
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, rec, owner=None):
-        if rec is None:
-            if self.optional:
-                return None  # the field's default
-            raise AttributeError(self.name)  # no class-level value: a required field
-        head = vars(rec)[self.name]
-        return None if head is None else full_column(head, rec.horizon)
-
-    def __set__(self, rec, value):
-        vars(rec)[self.name] = value
-
-
-@dataclass(eq=False)
 class RunRecord:
     """Seeded trajectory of one (horizon, replication) execution.
 
@@ -244,10 +220,13 @@ class RunRecord:
     one length k with 1 <= k <= ``horizon``, as
     :meth:`~eqprice.market.MarketInstance.regret_columns` returns them: the
     record stands for ``horizon`` periods by repeating its last row. The
-    record keeps the heads as given; each read returns the full column of
-    ``horizon`` periods (:class:`_Column`), and a head of stride 0, such as
-    a frozen run's demand, reads as a read-only view of stride 0. The repr
-    leaves the columns out, and ``==`` is identity.
+    record keeps the heads as given in ``heads``, a dict by column name
+    with no ``proxy_inc`` key when none was given. Each read of a column
+    returns :func:`~eqprice.market.full_column` of its head over
+    ``horizon`` periods and stores nothing; a head of stride 0, such as a
+    frozen run's demand, reads as a read-only view of stride 0, and a
+    missing ``proxy_inc`` reads as None. The repr leaves the heads out, and
+    ``==`` is identity.
 
     Cumulative fields are the left-to-right sums of the full columns, bit
     for bit; they are derived in the constructor and cannot be passed to it.
@@ -262,35 +241,22 @@ class RunRecord:
     ``horizon >= 1`` and every column has the shape above.
     """
 
-    policy: str
-    horizon: int
-    replication: int
-    seed: int
-    demand: np.ndarray = _Column()
-    price: np.ndarray = _Column()
-    production: np.ndarray = _Column()
-    unmet_inc: np.ndarray = _Column()
-    cost_inc: np.ndarray = _Column()
-    pay_inc: np.ndarray = _Column()
-    proxy_inc: np.ndarray | None = _Column(optional=True)
-    unmet: float = field(init=False)
-    cost_regret: float = field(init=False)
-    payment_regret: float = field(init=False)
-    cost_pos: float = field(init=False)
-    pay_pos: float = field(init=False)
-    proxy_reg: float = field(init=False)
-
     _COLUMNS = (
         "demand", "price", "production", "unmet_inc", "cost_inc", "pay_inc", "proxy_inc"
     )
 
-    def __post_init__(self):
-        T = self.horizon
+    def __init__(
+        self, policy: str, horizon: int, replication: int, seed: int, demand, price, production,
+        unmet_inc, cost_inc, pay_inc, proxy_inc=None,
+    ):
+        self.policy, self.horizon, self.replication, self.seed = policy, horizon, replication, seed
+        T = horizon
         if T < 1:
             raise ValueError("horizon must be >= 1")
-        heads = {name: vars(self)[name] for name in self._COLUMNS}
-        if heads["proxy_inc"] is None:
-            del heads["proxy_inc"]
+        heads = dict(zip(self._COLUMNS, (demand, price, production, unmet_inc, cost_inc, pay_inc)))
+        if proxy_inc is not None:
+            heads["proxy_inc"] = proxy_inc
+        self.heads = heads
         k_shape = np.shape(heads["production"])
         if not (len(k_shape) == 1 and 1 <= k_shape[0] <= T):
             raise ValueError(f"column production has shape {k_shape}, expected (k,), 1 <= k <= {T}")
@@ -324,9 +290,16 @@ class RunRecord:
             self.pay_pos = total(heads["pay_inc"], positive=True)
             self.proxy_reg = total(heads["proxy_inc"]) if "proxy_inc" in heads else math.nan
 
-    def __repr__(self):  # without the columns: reading one expands its head
-        shown = [f.name for f in fields(self) if f.name not in self._COLUMNS]
-        return f"RunRecord({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
+    def __getattr__(self, name):  # reached only for a name the record does not hold
+        heads = vars(self).get("heads")
+        if heads is None or name not in self._COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        head = heads.get(name)
+        return None if head is None else full_column(head, self.horizon)
+
+    def __repr__(self):  # without the heads: reading a column expands its head
+        shown = (f"{n}={v!r}" for n, v in vars(self).items() if n != "heads")
+        return f"RunRecord({', '.join(shown)})"
 
     def metric(self, name: str) -> float:
         """Metric lookup for fits: U_T, C_T, P_T, C_T_pos, P_T_pos, proxy_reg."""
@@ -700,7 +673,7 @@ def write_run_csv(record: RunRecord, path: str | Path) -> None:
     field is the bytes of ``_fmt`` of its value (see :func:`_csv_block`).
     Rows 1 to k - 1 are formatted from the record's heads of length k; row
     k's fields after t are formatted once and end every row from k to T."""
-    heads = [vars(record)[name] for name in PER_PERIOD_HEADER.split(",")[1:]]
+    heads = [record.heads[name] for name in PER_PERIOD_HEADER.split(",")[1:]]
     k, T = len(heads[0]), record.horizon
     suffix = b"," + _csv_block(np.array([[h[-1] for h in heads]]))
     with open(path, "wb") as f:

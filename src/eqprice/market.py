@@ -371,7 +371,7 @@ class FunctionClass:
         return context_coefficients(self.members, contexts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Allocation:
     """Per-supplier production at a posted price and its sum: floats, or arrays at an array."""
 
@@ -628,7 +628,7 @@ def supplier_mix(suppliers: Sequence[CostSpec]) -> str:
     return families.pop()
 
 
-@dataclass
+@dataclass(eq=False)
 class MarketInstance:
     """Concrete instance: suppliers, a demand path, optional contexts, horizon.
 

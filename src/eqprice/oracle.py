@@ -37,7 +37,7 @@ def default_eta(bound: float) -> float:
     return 2.0 / (bound * bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleState:
     """Exponential-weights state plus running loss bookkeeping.
 

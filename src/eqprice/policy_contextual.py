@@ -36,7 +36,7 @@ from .oracle import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IgwDistribution:
     """Sampling distribution over grid prices with its normalization constant."""
 
@@ -97,7 +97,7 @@ def sample_price(dist: IgwDistribution, u: float) -> int:
     return kernels.sample_arm(np.asarray(dist.probs, dtype=np.float64).tolist(), float(u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContextualPolicyState:
     """Function class, price grid p_1 = 0, ..., p_K = 1, exploration weight
     gamma, oracle state, and the pending (price, context) awaiting

@@ -54,8 +54,10 @@ class DemandGrid:
         d_lo, d_hi = number(self.d_lo, "d_lo"), number(self.d_hi, "d_hi")
         if not 0.0 < d_lo <= d_hi:
             raise ValueError(f"need 0 < d_lo <= d_hi, got d_lo={d_lo!r}, d_hi={d_hi!r}")
-        n = math.ceil((d_hi - d_lo) / positive(self.gamma, "gamma_demand"))
-        object.__setattr__(self, "n_cells", max(1, n))
+        gamma = positive(self.gamma, "gamma_demand")
+        for name, value in (("d_lo", d_lo), ("d_hi", d_hi), ("gamma", gamma)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_cells", max(1, math.ceil((d_hi - d_lo) / gamma)))
 
 
 def default_gamma(horizon: int) -> float:
@@ -72,7 +74,7 @@ def interval_index(grid: DemandGrid, d: float) -> int:
     return kernels.cell_index(d, grid.d_lo, grid.gamma, grid.n_cells) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemandPolicyState:
     """The demand grid, per-cell feasible sets (s_lo, s_hi], prices, and
     precisions.

@@ -10,7 +10,9 @@ analyses control; unmet demand is nonnegative by construction.
 
 import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,9 @@ from eqprice.oracle import (
 )
 from eqprice.policy_contextual import igw_distribution
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's instances)
+
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 #: Criterion 7's tolerance on the clearing-price KKT conditions.
 KKT_TOL = 1e-12
@@ -54,15 +59,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_fixed_demand_rate():
-    instance = InstanceSpec(
-        suppliers=(
-            CostSpec.quadratic(0.2),
-            CostSpec.quadratic(0.45),
-            CostSpec.quadratic(0.9),
-        ),
-        demands=GeneratorSpec(kind="constant", value=1.0),
-        horizon=1000,
-    )
+    instance = workloads.criterion_1_instance()
     horizons = (10**3, 10**4, 10**5, 10**6)
     p_star = equilibrium_price(list(instance.suppliers), 1.0)
 
@@ -121,11 +118,7 @@ def test_criterion_1_fixed_demand_rate():
 
 
 def test_criterion_2_varying_demand_rate():
-    instance = InstanceSpec(
-        suppliers=(CostSpec.quadratic(0.5), CostSpec.quadratic(1.0)),
-        demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
-        horizon=1000,
-    )
+    instance = workloads.criterion_2_instance()
     horizons = (10**3, 10**4, 10**5)
     cfg = ExperimentConfig(
         instance=instance,
@@ -210,41 +203,11 @@ def test_criterion_4_linear_cost_linearity():
 # -------------------------------------------------------------------------
 
 
-def _contextual_instance(seed=313, n_members=8):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    phi_each = (0.75, 0.75, 0.5)
-    truth = tuple(2 * v for v in phi_each)
-    members = [
-        {"family": "context_quadratic", "phi": list(truth), "feature_map_id": "identity"}
-    ]
-    for _ in range(n_members - 1):
-        members.append(
-            {
-                "family": "context_quadratic",
-                "phi": list(np.array(truth) * rng.uniform(0.6, 1.4, 3)),
-                "feature_map_id": "identity",
-            }
-        )
-    # context cube [0.5, 1.5]^3; member coefficients stay within
-    # 1.5 * 1.4 * sum(truth) = 8.4 < 9, the declared output bound
-    return InstanceSpec(
-        suppliers=(
-            CostSpec.context_quadratic(phi_each),
-            CostSpec.context_quadratic(phi_each),
-        ),
-        demands=GeneratorSpec(kind="uniform", lo=0.5, hi=1.5),
-        contexts=GeneratorSpec(kind="uniform_cube", lo=0.5, hi=1.5, dim=3),
-        horizon=1000,
-        function_class=tuple(members),
-        class_bound=9.0,
-    )
-
-
 def test_criterion_5_instance_is_hashable_and_round_trips():
     # the class members are CostSpecs once the spec is built, not JSON dicts
-    spec = _contextual_instance()
+    spec = workloads.criterion_5_instance()
     assert all(isinstance(m, CostSpec) for m in spec.function_class)
-    assert hash(spec) == hash(_contextual_instance())
+    assert hash(spec) == hash(workloads.criterion_5_instance())
     assert InstanceSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))) == spec
     assert spec.to_json_dict()["function_class"][0] == {
         "family": "context_quadratic", "phi": [1.5, 1.5, 1.0], "feature_map_id": "identity"
@@ -252,7 +215,9 @@ def test_criterion_5_instance_is_hashable_and_round_trips():
 
 
 def test_criterion_5_contextual_rate():
-    instance = _contextual_instance()
+    # member coefficients stay within 1.5 * 1.4 * (1.5 + 1.5 + 1.0) = 8.4 < 9,
+    # the instance's class_bound
+    instance = workloads.criterion_5_instance()
     horizons = (10**3, 10**4, 10**5)
     ln_f = math.log(8)
     means = {}

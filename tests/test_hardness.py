@@ -246,6 +246,14 @@ def test_linear_demo_interval_tracking_grows_linearly():
     assert total >= 0.2 * 20_000 * 0.9
 
 
+def test_linear_demo_is_deterministic_in_its_seed():
+    # a constant demand and the tracker draw nothing: the seed is checked
+    # and changes no result
+    assert linear_cost_demo(1000, seed=0) == linear_cost_demo(1000, seed=12345)
+    with pytest.raises(ValueError, match=r"seed \+ replication must lie in"):
+        linear_cost_demo(1000, seed=-1)
+
+
 def test_linear_demo_validates_inputs():
     # a line needs two points: horizon 1 used to fit through one
     for horizon in (1, 0):

@@ -1,5 +1,8 @@
+import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -7,10 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eqprice
+from eqprice import harness
 from eqprice.market import (
     COST_FIELDS,
     GENERATOR_FIELDS,
     OPTIONAL_KEYS,
+    Allocation,
     CostSpec,
     FunctionClass,
     GeneratorSpec,
@@ -24,6 +30,11 @@ from eqprice.market import (
     full_column,
 )
 from eqprice.features import apply_feature_map
+from eqprice.oracle import OracleState, make_oracle_state
+from eqprice.policy_contextual import (
+    ContextualPolicyState, IgwDistribution, igw_distribution, make_contextual_state
+)
+from eqprice.policy_demand import DemandGrid, DemandPolicyState, make_demand_state
 
 #: Exact clearing prices meet the demand and the first-order conditions to
 #: within a few units of float64 rounding.
@@ -1172,3 +1183,47 @@ def test_coefficient_rejects_feature_count_mismatch():
         spec.coefficient((1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="require a context"):
         spec.coefficient(None)
+
+
+# --- values holding arrays --------------------------------------------------
+
+_CLASS = FunctionClass(
+    members=(CostSpec.context_quadratic((1.0,)), CostSpec.context_quadratic((2.0,))), bound=9.0
+)
+#: Each value type that holds numpy arrays, and a call that builds a fresh
+#: value of it whose arrays hold two or more entries.
+ARRAY_VALUES = {
+    MarketInstance: lambda: InstanceSpec(
+        suppliers=(CostSpec.quadratic(1.0),), demands=(0.5, 0.7), horizon=2
+    ).materialize(harness.replication_stream(0, 0)),
+    Allocation: lambda: aggregate_production(
+        (CostSpec.quadratic(1.0), CostSpec.quadratic(2.0)), np.array([0.2, 0.5])
+    ),
+    DemandPolicyState: lambda: make_demand_state(DemandGrid(0.5, 1.5, 0.25), 100),
+    IgwDistribution: lambda: igw_distribution(np.array([0.0, 0.5, 1.0]), 2.0),
+    ContextualPolicyState: lambda: make_contextual_state(_CLASS, 3, 2.0),
+    OracleState: lambda: make_oracle_state(_CLASS),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_VALUES.values(), ids=[c.__name__ for c in ARRAY_VALUES])
+def test_array_holding_values_compare_by_identity(make):
+    # == on two equal values neither raises numpy's "truth value of an array
+    # is ambiguous" nor compares arrays: a value equals only itself, and
+    # hashes by identity
+    a, b = make(), make()
+    assert (a == b) is False and (a != b) is True and a == a
+    assert len({a, b}) == 2
+
+
+def test_every_dataclass_holding_arrays_compares_by_identity():
+    held = set()
+    for info in pkgutil.iter_modules(eqprice.__path__):
+        module = importlib.import_module(f"eqprice.{info.name}")
+        for obj in vars(module).values():
+            if not (isinstance(obj, type) and dataclasses.is_dataclass(obj)):
+                continue
+            if any("ndarray" in str(f.type) for f in dataclasses.fields(obj)):
+                held.add(obj)
+                assert obj.__eq__ is object.__eq__, obj
+    assert held == set(ARRAY_VALUES)

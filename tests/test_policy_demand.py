@@ -46,6 +46,19 @@ def test_nan_demand_is_refused_as_outside_the_grid(entry):
         entry(state)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(np.float32(0.5), 1.5, np.float32(0.1)), (1, 2, 1), (np.int64(1), np.float64(2.0), 0.5)],
+    ids=["float32", "int", "numpy-int"],
+)
+def test_grid_stores_the_floats_it_checks(args):
+    # the grid keeps float(x) of each argument, the value its checks read
+    grid = DemandGrid(*args)
+    stored = (grid.d_lo, grid.d_hi, grid.gamma)
+    assert [type(v) for v in stored] == [float] * 3
+    assert stored == tuple(float(v) for v in args)
+
+
 def test_grid_covers_span():
     grid = DemandGrid(0.5, 1.5, 0.3)
     assert grid.n_cells * grid.gamma >= grid.d_hi - grid.d_lo

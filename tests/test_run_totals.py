@@ -7,6 +7,7 @@ heads of its columns and is summed over them only.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -21,12 +22,11 @@ from eqprice.market import (
     CostSpec, GeneratorSpec, InstanceSpec, MarketInstance, aggregate_production, full_column
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's instances)
+
 #: The criterion-1 market: three quadratic suppliers and a demand of 1.
-CRITERION_1 = InstanceSpec(
-    suppliers=(CostSpec.quadratic(0.2), CostSpec.quadratic(0.45), CostSpec.quadratic(0.9)),
-    demands=GeneratorSpec(kind="constant", value=1.0),
-    horizon=1000,
-)
+CRITERION_1 = workloads.criterion_1_instance()
 #: Periods before the fixed tracker's price freezes on it at T = 1e6.
 CRITERION_1_HEAD = 21_182
 
@@ -218,7 +218,7 @@ def test_frozen_record_sums_only_its_head(monkeypatch):
     monkeypatch.undo()
     assert sizes and max(sizes) <= CRITERION_1_HEAD, max(sizes)
     for name, head in cols.items():
-        assert vars(rec)[name] is head  # stored as given, until read
+        assert rec.heads[name] is head  # stored as given, until read
 
 
 def test_frozen_regret_pass_prices_only_its_head(monkeypatch):
@@ -273,7 +273,7 @@ def test_frozen_fixed_interval_run_allocates_only_its_columns():
     n = 10**5
     listed = InstanceSpec(suppliers=CRITERION_1.suppliers, demands=(1.0,) * n, horizon=n)
     rec = run_experiment(dataclasses.replace(cfg, instance=listed, horizons=(n,)))[0]
-    assert all(len(vars(rec)[name]) == CRITERION_1_HEAD + 1 for name in RunRecord._COLUMNS[:-1])
+    assert all(len(rec.heads[name]) == CRITERION_1_HEAD + 1 for name in RunRecord._COLUMNS[:-1])
     assert max(_kept(rec).values()) <= head
 
 
@@ -282,7 +282,7 @@ def _kept(*records) -> dict:
     by the id of the array that owns them."""
     owners = {}
     for rec in records:
-        for a in vars(rec).values():
+        for a in rec.heads.values():
             while isinstance(a, np.ndarray) and a.base is not None:
                 a = a.base
             if isinstance(a, np.ndarray):
@@ -335,7 +335,7 @@ def test_records_compare_by_identity_and_keep_their_heads():
     a, b = (RunRecord("constant_price", 5, 0, 0, **cols) for _ in range(2))
     assert (a == b) is False and (a != b) is True and a == a
     for rec in (a, b):
-        assert all(vars(rec)[name] is col for name, col in cols.items())
+        assert all(rec.heads[name] is col for name, col in cols.items())
 
 
 @st.composite
@@ -376,7 +376,7 @@ def test_record_of_heads_equals_record_of_full_columns(run):
     whole = RunRecord(policy, T, 0, 0, **full)
     for name in RunRecord._COLUMNS[:-1]:
         col = getattr(heads, name)
-        assert vars(heads)[name] is cols[name]  # a read leaves the head in place
+        assert heads.heads[name] is cols[name]  # a read leaves the head in place
         assert col.shape == (T,) and col.dtype == np.float64
         assert col.tobytes() == getattr(whole, name).tobytes(), name
     for name in harness.SUMMARY_METRICS:
@@ -432,6 +432,25 @@ def test_record_accepts_a_head_where_price_and_demand_hold():
     assert rec.proxy_inc is None and math.isnan(rec.proxy_reg)
 
 
+def test_record_reads_its_columns_and_nothing_else():
+    # a plain class: a column name reads the full column, a missing
+    # proxy_inc reads as None, and any other name is an AttributeError, also
+    # on a record whose heads were never set
+    assert not dataclasses.is_dataclass(RunRecord)
+    rec = _record(5, 3)
+    assert list(rec.heads) == list(RunRecord._COLUMNS[:-1])
+    assert rec.unmet_inc.shape == (5,) and rec.proxy_inc is None
+    with pytest.raises(AttributeError, match="'RunRecord' object has no attribute 'unmet_incs'"):
+        rec.unmet_incs
+    bare = RunRecord.__new__(RunRecord)
+    for name in ("price", "proxy_inc", "heads"):
+        with pytest.raises(AttributeError):
+            getattr(bare, name)
+    # only proxy_inc may be None
+    with pytest.raises(ValueError, match=r"^column demand has shape \(\)"):
+        RunRecord("constant_price", 5, 0, 0, None, *[np.ones(3)] * 5)
+
+
 def test_repr_of_a_frozen_record_expands_no_column():
     # the repr shows the run and its totals, and reads no column: reading
     # one would expand its head to the horizon
@@ -448,7 +467,7 @@ def test_repr_of_a_frozen_record_expands_no_column():
         tracemalloc.stop()
     assert peak < 8 * CRITERION_1_HEAD, peak
     assert all(vars(rec)[name] is col for name, col in stored.items())
-    assert all(len(vars(rec)[name]) == CRITERION_1_HEAD + 1 for name in RunRecord._COLUMNS[:-1])
+    assert all(len(rec.heads[name]) == CRITERION_1_HEAD + 1 for name in RunRecord._COLUMNS[:-1])
     assert text.startswith("RunRecord(policy='fixed_interval', horizon=1000000, replication=0,")
     for name in ("unmet", "cost_regret", "payment_regret", "cost_pos", "pay_pos", "proxy_reg"):
         assert f"{name}={getattr(rec, name)!r}" in text
